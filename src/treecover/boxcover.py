@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geom import AABB, box_of, box_union, boxes_intersect
+from .geom import AABB, box_of, box_union, boxes_intersect, outermost
 from .model import Cover, Instance
 
 
@@ -77,15 +77,12 @@ class BoxStats:
 
 
 def maximal_boxes(boxes: list[AABB]) -> list[int]:
-    """Indices of boxes not strictly contained in another; containment is
-    strict interval inclusion on both axes (boxes are boundary-disjoint)."""
-    out = []
-    for i, b in enumerate(boxes):
-        if not any(
-            j != i and other.strictly_contains_box(b) for j, other in enumerate(boxes)
-        ):
-            out.append(i)
-    return out
+    """For each box, the index of the outermost box containing it (its own
+    index when it is maximal); containment is strict interval inclusion on
+    both axes (boxes are boundary-disjoint)."""
+    return outermost(
+        boxes, boxes, lambda inner, outer: outer.strictly_contains_box(inner)
+    )
 
 
 def box_cover_fast(instance: Instance, index_factory=LinearSegmentRangeIndex):
@@ -130,24 +127,10 @@ def box_cover_fast(instance: Instance, index_factory=LinearSegmentRangeIndex):
 
     comps = [store[k] for k in sorted(store)]
     boxes = [c.box for c in comps]
-    maximal = maximal_boxes(boxes)
-    container: dict[int, int] = {}
-    for idx, c in enumerate(comps):
-        if idx in maximal:
-            container[idx] = idx
-            continue
-        homes = [mi for mi in maximal if boxes[mi].strictly_contains_box(c.box)]
-        if len(homes) != 1:
-            raise AssertionError(
-                f"stored box contained in {len(homes)} outermost boxes"
-            )
-        container[idx] = homes[0]
+    home = maximal_boxes(boxes)
+    groups: dict[int, list[int]] = {i: [] for i, h in enumerate(home) if h == i}
+    for c, h in zip(comps, home):
+        groups[h].extend(c.members)
 
-    members_by_max: dict[int, list[int]] = {mi: [] for mi in maximal}
-    for idx, c in enumerate(comps):
-        members_by_max[container[idx]].extend(c.members)
-
-    cover = Cover.build(
-        "box", ((boxes[mi], tuple(members_by_max[mi])) for mi in maximal)
-    )
+    cover = Cover.build("box", ((boxes[i], tuple(ms)) for i, ms in groups.items()))
     return cover, BoxStats(queries, merges)

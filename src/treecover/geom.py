@@ -314,6 +314,39 @@ def box_union(a: AABB, b: AABB) -> AABB:
     )
 
 
+def outermost(regions: list, boxes: list[AABB], contains) -> list[int]:
+    """For each region, the index of the outermost region containing it, or
+    its own index when no other region contains it.
+
+    ``boxes[i]`` bounds ``regions[i]``; ``contains(inner, outer)`` is exact.
+    Precondition: regions pairwise disjoint or nested. Sorted by (xmin,
+    -xmax, ymin, -ymax), containers come before what they contain; the
+    sweep keeps the outermost regions whose xmax reaches the current xmin
+    and runs ``contains`` only on those whose box holds the current box.
+    Two regions sharing a box (the sort cannot order them), or a region in
+    two outermost regions, raise AssertionError."""
+    if len(set(boxes)) < len(boxes):
+        raise AssertionError("two regions share a bounding box")
+    key = [(b.xmin, -b.xmax, b.ymin, -b.ymax) for b in boxes]
+    home = list(range(len(regions)))
+    active: list[int] = []
+    for i in sorted(home, key=key.__getitem__):
+        b = boxes[i]
+        active = [j for j in active if boxes[j].xmax >= b.xmin]
+        homes = [
+            j
+            for j in active
+            if boxes[j].contains_box(b) and contains(regions[i], regions[j])
+        ]
+        if len(homes) > 1:
+            raise AssertionError(f"region {i} lies in {len(homes)} outermost regions")
+        if homes:
+            home[i] = homes[0]
+        else:
+            active.append(i)
+    return home
+
+
 @dataclass(frozen=True)
 class Circle:
     cx: float

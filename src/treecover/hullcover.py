@@ -36,6 +36,7 @@ from .geom import (
     ConvexPolygon,
     boundary_intersection_points,
     merge_convex_hulls,
+    outermost,
     point_in_convex_polygon,
     polygons_intersect,
 )
@@ -60,15 +61,14 @@ class InternalInvariantError(AssertionError):
 
 class ComponentSet:
     """Union-find over tree indices; each root carries the component's
-    current hull, a generation counter, and the engine's chord bookkeeping
-    (current directed hull edges, verified chords, pending chords)."""
+    current hull and the engine's chord bookkeeping (current directed hull
+    edges, verified chords, pending chords)."""
 
     def __init__(self, m: int):
         self.parent = list(range(m))
         self._size = [1] * m
         self.count = m
         self.hull: dict[int, ConvexPolygon] = {}
-        self.generation: dict[int, int] = {}
         self.edge_set: dict[int, set] = {}
         self.verified: dict[int, set] = {}
         self.pending: dict[int, set] = {}
@@ -223,15 +223,12 @@ def contained_in(inner: ConvexPolygon, outer: ConvexPolygon) -> bool:
 
 
 def maximal_regions(polygons: list[ConvexPolygon]) -> list[int]:
-    """Indices of the polygons not contained in any other.
+    """For each polygon, the index of the outermost polygon containing it
+    (its own index when it is maximal).
 
     Precondition: boundaries pairwise disjoint or well-nested, so
     containment is decided by vertex classification."""
-    out = []
-    for i, p in enumerate(polygons):
-        if not any(j != i and contained_in(p, q) for j, q in enumerate(polygons)):
-            out.append(i)
-    return out
+    return outermost(polygons, [p.bbox() for p in polygons], contained_in)
 
 
 def weakly_disjoint(p: ConvexPolygon, q: ConvexPolygon) -> bool:
@@ -273,7 +270,6 @@ def hull_cover_fast(
     initial_edges = 0
     for i, hull in enumerate(instance.tree_hulls()):
         comps.hull[i] = hull
-        comps.generation[i] = 0
         edges = hull.directed_edges()
         comps.edge_set[i] = set(edges)
         comps.verified[i] = set()
@@ -321,11 +317,9 @@ def hull_cover_fast(
                     )
                 _assert_connecting_edge_clean(shooter, comps, p, q, merge_hit, root, other)
             new_hull = merge_convex_hulls(comps.hull[root], comps.hull[other])
-            gen = max(comps.generation[root], comps.generation[other]) + 1
             winner = comps.union(root, other)
             loser = other if winner == root else root
             comps.hull[winner] = new_hull
-            comps.generation[winner] = gen
             # merge chord bookkeeping small-into-large to stay near-linear
             va, vb = comps.verified[root], comps.verified[other]
             if len(va) < len(vb):
@@ -344,7 +338,7 @@ def hull_cover_fast(
                 if e2 not in va and e2 not in pend:
                     pend.add(e2)
                     worklist.append((e2[0], e2[1], winner))
-            for d in (comps.hull, comps.generation, comps.verified, comps.pending, comps.edge_set):
+            for d in (comps.hull, comps.verified, comps.pending, comps.edge_set):
                 if loser in d and loser != winner:
                     del d[loser]
             merges += 1
@@ -364,27 +358,12 @@ def hull_cover_fast(
     hulls = [comps.hull[r] for r in roots]
     if debug:
         _assert_nested_or_disjoint(hulls)
-    maximal = maximal_regions(hulls)
-    maximal_roots = [roots[i] for i in maximal]
-    container: dict[int, int] = {}
-    for idx, r in enumerate(roots):
-        if idx in maximal:
-            container[r] = r
-            continue
-        homes = [
-            roots[mi] for mi in maximal if contained_in(comps.hull[r], hulls[mi])
-        ]
-        if len(homes) != 1:
-            raise InternalInvariantError(
-                f"component hull contained in {len(homes)} maximal regions"
-            )
-        container[r] = homes[0]
-
-    members: dict[int, list[int]] = {r: [] for r in maximal_roots}
+    home = dict(zip(roots, (roots[h] for h in maximal_regions(hulls))))
+    members: dict[int, list[int]] = {r: [] for r in roots if home[r] == r}
     for i in range(m):
-        members[container[comps.find(i)]].append(i)
+        members[home[comps.find(i)]].append(i)
     cover = Cover.build(
-        "hull", ((comps.hull[r], tuple(members[r])) for r in maximal_roots)
+        "hull", ((comps.hull[r], tuple(ms)) for r, ms in members.items())
     )
     stats = HullStats(rays_shot, merges, initial_edges)
     if record_trace:

@@ -532,15 +532,25 @@ def _gen_combs(m: int, size: int, seed: int) -> Instance:
 def _gen_nested(m: int, size: int, seed: int) -> Instance:
     rng = random.Random(("nested", m, size, seed).__repr__())
     size = max(size, 8)
+    steps = range(6, 2006, 2)
+
+    def chords_clear(step: int) -> bool:
+        # keep chords of one ring clear of the next ring despite rounding
+        rmax = m * step + 4
+        return rmax * (1 - math.cos(math.pi / size)) + 3 <= step
+
+    if not chords_clear(steps[-1]):
+        # no spacing tried keeps the outermost ring's chords clear, since
+        # their sag, about m * step * (1 - cos(pi / size)), grows with the
+        # spacing; add vertices per ring until it is about half a step
+        while m * (1 - math.cos(math.pi / size)) > 0.5:
+            size += 1
     cx = rng.randrange(-30, 30)
     cy = rng.randrange(-30, 30)
-    for attempt in range(1000):
-        step = 6 + 2 * attempt
-        r0 = step + 4
-        rmax = r0 + (m - 1) * step
-        # keep chords of one ring clear of the next ring despite rounding
-        if rmax * (1 - math.cos(math.pi / size)) + 3 > step:
+    for step in steps:
+        if not chords_clear(step):
             continue
+        r0 = step + 4
         ts = []
         for k in range(m):
             r = r0 + k * step

@@ -71,7 +71,7 @@ class TestBoundaryIntersectsRect:
 
 class TestMaximalBoxes:
     def test_nested(self):
-        assert maximal_boxes([AABB(0, 0, 10, 10), AABB(2, 2, 3, 3)]) == [0]
+        assert maximal_boxes([AABB(0, 0, 10, 10), AABB(2, 2, 3, 3)]) == [0, 0]
 
     def test_disjoint(self):
         boxes = [AABB(0, 0, 1, 1), AABB(5, 5, 6, 6), AABB(9, 0, 10, 1)]
@@ -91,7 +91,7 @@ class TestMaximalBoxes:
             if i != j and boxes[j].strictly_contains_box(boxes[i])
         ]
         assert contained == [(1, 0), (2, 0), (2, 1)]
-        assert maximal_boxes(boxes) == [0]
+        assert maximal_boxes(boxes) == [0, 0, 0]
 
 
 class TestBoxCoverFast:

@@ -99,7 +99,7 @@ class TestMaximalRegions:
     def test_containment(self):
         square = ConvexPolygon(((0, 0), (10, 0), (10, 10), (0, 10)))
         triangle = ConvexPolygon(((1, 1), (3, 1), (2, 2)))
-        assert maximal_regions([square, triangle]) == [0]
+        assert maximal_regions([square, triangle]) == [0, 0]
 
     def test_disjoint_all_maximal(self):
         tris = [
@@ -123,13 +123,13 @@ class TestMaximalRegions:
             if i != j and contained_in(boxes[i], boxes[j])
         ]
         assert pairs == [(1, 0), (2, 0), (2, 1)]
-        assert maximal_regions(boxes) == [0]
+        assert maximal_regions(boxes) == [0, 0, 0]
 
     def test_point_region(self):
         square = ConvexPolygon(((0, 0), (10, 0), (10, 10), (0, 10)))
         pt = ConvexPolygon(((5, 5),))
         far = ConvexPolygon(((30, 30),))
-        assert maximal_regions([square, pt, far]) == [0, 2]
+        assert maximal_regions([square, pt, far]) == [0, 0, 2]
 
 
 class TestWeaklyDisjoint:
