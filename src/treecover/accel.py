@@ -1,296 +1,18 @@
-"""Accelerated drop-ins for the two pluggable structures.
+"""Grid-bucketed drop-in for the box engine's range index.
 
-`GridRayShooter` and `GridSegmentRangeIndex` meet the same contracts as the
-linear baselines and return identical results (including obstacle-id
-tie-breaking); they bucket geometry into a uniform integer-aligned grid so a
-shot or query touches only nearby obstacles. The grid is purely a candidate
-filter: every candidate is confirmed with the same exact kernel the
-baselines use, and rasterization is conservative (a superset of the touched
-cells), so exactness is unaffected.
+`GridSegmentRangeIndex` meets the same contract as
+`boxcover.LinearSegmentRangeIndex` and returns identical results; it buckets
+box boundaries into a uniform integer-aligned grid so a query touches only
+nearby boxes. The grid is purely a candidate filter: every candidate is
+confirmed exactly, and rasterization is conservative (a superset of the
+touched cells), so exactness is unaffected. The hull engine's grid shooter
+is `hullcover.BucketGridShooter`.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from . import kernel
 from .boxcover import DuplicateBoxIdError, boundary_intersects_rect
 from .geom import AABB, box_union
-from .hullcover import ComponentSet, NaiveRayShooter
-
-
-class _CellLists:
-    """Per-cell obstacle columns in scan layout, appended in id order."""
-
-    __slots__ = ("kinds", "xs1", "ys1", "xs2", "ys2", "tns", "tds", "owners", "ids")
-
-    def __init__(self):
-        self.kinds = []
-        self.xs1 = []
-        self.ys1 = []
-        self.xs2 = []
-        self.ys2 = []
-        self.tns = []
-        self.tds = []
-        self.owners = []
-        self.ids = []
-
-
-class GridRayShooter(NaiveRayShooter):
-    """Ray shooter over a uniform grid of obstacle buckets.
-
-    The walk visits cells along the ray in order and keeps the exact minima
-    from each visited bucket; it stops once the next cell begins beyond
-    every parameter that could still matter. Results match the baseline
-    shooter exactly.
-    """
-
-    def __init__(self, components: ComponentSet, kern=None, bounds=None, cell: int | None = None):
-        super().__init__(components, kern)
-        if bounds is None:
-            bounds = AABB(-64, -64, 64, 64)
-        self.x0 = bounds.xmin - 2
-        self.y0 = bounds.ymin - 2
-        extent = max(bounds.xmax - self.x0, bounds.ymax - self.y0, 1) + 2
-        if cell is None:
-            # aim for O(sqrt(area)) cells per side, at least 1 unit wide
-            target = max(1, extent // 96)
-            cell = max(1, target)
-        self.cell = cell
-        self.nx = extent // cell + 2
-        self.ny = self.nx
-        self.cells: dict[tuple[int, int], _CellLists] = {}
-
-    @staticmethod
-    def factory_for(instance):
-        """Engine shooter_factory bound to the instance's bounding box, with
-        the cell size matched to the obstacle density."""
-        import math
-
-        xs = [x for t in instance.trees for x, _ in t.vertices]
-        ys = [y for t in instance.trees for _, y in t.vertices]
-        bounds = AABB(min(xs), min(ys), max(xs), max(ys))
-        extent = max(bounds.xmax - bounds.xmin, bounds.ymax - bounds.ymin, 1)
-        cell = max(1, extent // max(8, 2 * math.isqrt(instance.n)))
-
-        def make(comps, kern):
-            return GridRayShooter(comps, kern, bounds=bounds, cell=cell)
-
-        return make
-
-    # -- rasterization ----------------------------------------------------
-
-    def _cell_of(self, x: float, y: float) -> tuple[int, int]:
-        cx = int((x - self.x0) // self.cell)
-        cy = int((y - self.y0) // self.cell)
-        return max(0, min(self.nx - 1, cx)), max(0, min(self.ny - 1, cy))
-
-    def _bucket(self, cx: int, cy: int) -> _CellLists:
-        b = self.cells.get((cx, cy))
-        if b is None:
-            b = _CellLists()
-            self.cells[(cx, cy)] = b
-        return b
-
-    def _add_to_cells(self, idx: int, xmin, ymin, xmax, ymax) -> None:
-        """Conservatively register obstacle idx in every cell its bounding
-        box overlaps; long-and-thin boxes fall back to a padded float walk
-        along the segment so huge diagonals do not fill the whole grid."""
-        cx0, cy0 = self._cell_of(xmin, ymin)
-        cx1, cy1 = self._cell_of(xmax, ymax)
-        span = (cx1 - cx0 + 1) * (cy1 - cy0 + 1)
-        if span <= 64:
-            for cx in range(cx0, cx1 + 1):
-                for cy in range(cy0, cy1 + 1):
-                    self._append(self._bucket(cx, cy), idx)
-            return
-        # padded column walk: for each x-column of cells, the y-rows the
-        # segment passes through, widened by one row either side
-        ax, ay = self.xs1[idx], self.ys1[idx]
-        if self.kinds[idx] == kernel.OB_RAY:
-            bx = ax + self.xs2[idx] * (self.tns[idx] / self.tds[idx])
-            by = ay + self.ys2[idx] * (self.tns[idx] / self.tds[idx])
-        else:
-            bx, by = self.xs2[idx], self.ys2[idx]
-        if bx < ax:
-            ax, ay, bx, by = bx, by, ax, ay
-        for cx in range(cx0, cx1 + 1):
-            x_lo = max(self.x0 + cx * self.cell, ax)
-            x_hi = min(self.x0 + (cx + 1) * self.cell, bx)
-            if bx == ax:
-                ys = (ay, by)
-            else:
-                slope = (by - ay) / (bx - ax)
-                ys = (ay + slope * (x_lo - ax), ay + slope * (x_hi - ax))
-            _, r0 = self._cell_of(x_lo, min(ys))
-            _, r1 = self._cell_of(x_lo, max(ys))
-            for cy in range(max(0, r0 - 1), min(self.ny - 1, r1 + 1) + 1):
-                self._append(self._bucket(cx, cy), idx)
-
-    def _append(self, bucket: _CellLists, idx: int) -> None:
-        bucket.kinds.append(self.kinds[idx])
-        bucket.xs1.append(self.xs1[idx])
-        bucket.ys1.append(self.ys1[idx])
-        bucket.xs2.append(self.xs2[idx])
-        bucket.ys2.append(self.ys2[idx])
-        bucket.tns.append(self.tns[idx])
-        bucket.tds.append(self.tds[idx])
-        bucket.owners.append(self.owners[idx])
-        bucket.ids.append(idx)
-
-    def _push(self, kind, x1, y1, x2, y2, tn, td, owner) -> int:
-        idx = super()._push(kind, x1, y1, x2, y2, tn, td, owner)
-        if kind == kernel.OB_SEGMENT:
-            xmin, xmax = (x1, x2) if x1 <= x2 else (x2, x1)
-            ymin, ymax = (y1, y2) if y1 <= y2 else (y2, y1)
-        elif kind == kernel.OB_POINT:
-            xmin = xmax = x1
-            ymin = ymax = y1
-        else:
-            # float endpoint, padded a full unit to stay a superset of the
-            # exact extent despite rounding
-            t = tn / td
-            ex = x1 + x2 * t
-            ey = y1 + y2 * t
-            xmin, xmax = (x1, ex) if x1 <= ex else (ex, x1)
-            ymin, ymax = (y1, ey) if y1 <= ey else (ey, y1)
-            xmin -= 1
-            ymin -= 1
-            xmax += 1
-            ymax += 1
-        self._add_to_cells(idx, xmin, ymin, xmax, ymax)
-        return idx
-
-    # -- shooting ----------------------------------------------------------
-
-    def _scan(self, origin, through, own_root: int):
-        ox, oy = origin
-        ex = through[0] - ox
-        ey = through[1] - oy
-        kern = self.kern
-        parent = self.components.parent
-
-        best_a = None  # (n, d, id)
-        best_f = None
-
-        def consider(bucket: _CellLists):
-            nonlocal best_a, best_f
-            ia, na, da, if_, nf, df = kern.scan(
-                ox,
-                oy,
-                through[0],
-                through[1],
-                bucket.kinds,
-                bucket.xs1,
-                bucket.ys1,
-                bucket.xs2,
-                bucket.ys2,
-                bucket.tns,
-                bucket.tds,
-                bucket.owners,
-                parent,
-                own_root,
-            )
-            if ia >= 0:
-                cand = (na, da, bucket.ids[ia])
-                if best_a is None or _frac_lt(cand, best_a):
-                    best_a = cand
-            if if_ >= 0:
-                cand = (nf, df, bucket.ids[if_])
-                if best_f is None or _frac_lt(cand, best_f):
-                    best_f = cand
-
-        # cells containing the origin (all of them when it sits on a cell
-        # boundary, conservatively)
-        sx = self.cell
-        gx = (ox - self.x0) // sx
-        gy = (oy - self.y0) // sx
-        start_cells = {(gx, gy)}
-        if (ox - self.x0) % sx == 0 and gx > 0:
-            start_cells.add((gx - 1, gy))
-        if (oy - self.y0) % sx == 0 and gy > 0:
-            start_cells.update({(c[0], gy - 1) for c in list(start_cells)})
-        seen_cells = set()
-        for c in sorted(start_cells):
-            if c in self.cells:
-                consider(self.cells[c])
-            seen_cells.add(c)
-
-        # walk the grid along the ray; t measured in units of (through-origin)
-        cx, cy = gx, gy
-        stepx = 1 if ex > 0 else (-1 if ex < 0 else 0)
-        stepy = 1 if ey > 0 else (-1 if ey < 0 else 0)
-
-        def boundary_t(axis: str):
-            # exact parameter at which the ray leaves the current cell
-            if axis == "x":
-                if stepx == 0:
-                    return None
-                edge = self.x0 + (cx + (1 if stepx > 0 else 0)) * sx
-                return Fraction(edge - ox, ex)
-            if stepy == 0:
-                return None
-            edge = self.y0 + (cy + (1 if stepy > 0 else 0)) * sx
-            return Fraction(edge - oy, ey)
-
-        def horizon():
-            # nothing beyond this parameter can change the answer
-            if own_root >= 0:
-                if best_a is None:
-                    return None
-                limit = Fraction(best_a[0], best_a[1])
-                return limit if limit > 1 else Fraction(1)
-            if best_a is None:
-                return None
-            return Fraction(best_a[0], best_a[1])
-
-        guard = 4 * (self.nx + self.ny) + 8
-        t_entered = Fraction(0)
-        while guard > 0:
-            guard -= 1
-            txb = boundary_t("x")
-            tyb = boundary_t("y")
-            if txb is None and tyb is None:
-                break
-            h = horizon()
-            if h is not None and t_entered > h:
-                break
-            if tyb is None or (txb is not None and txb < tyb):
-                cx += stepx
-                t_entered = txb
-            elif txb is None or tyb < txb:
-                cy += stepy
-                t_entered = tyb
-            else:
-                # exact corner crossing: conservatively take both neighbors
-                for c in ((cx + stepx, cy), (cx, cy + stepy)):
-                    if c not in seen_cells and c in self.cells:
-                        consider(self.cells[c])
-                    seen_cells.add(c)
-                cx += stepx
-                cy += stepy
-                t_entered = txb
-            if not (0 <= cx < self.nx and 0 <= cy < self.ny):
-                break
-            c = (cx, cy)
-            if c not in seen_cells:
-                if c in self.cells:
-                    consider(self.cells[c])
-                seen_cells.add(c)
-
-        ia, na, da = (best_a[2], best_a[0], best_a[1]) if best_a else (-1, 0, 0)
-        if_, nf, df = (best_f[2], best_f[0], best_f[1]) if best_f else (-1, 0, 0)
-        return ia, na, da, if_, nf, df
-
-
-def _frac_lt(cand, best) -> bool:
-    n1, d1, i1 = cand
-    n2, d2, i2 = best
-    lhs = n1 * d2
-    rhs = n2 * d1
-    if lhs != rhs:
-        return lhs < rhs
-    return i1 < i2
 
 
 class GridSegmentRangeIndex:

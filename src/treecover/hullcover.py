@@ -8,9 +8,11 @@ rays stop at it and discover the overlap from the other side. When the
 worklist drains the live hulls are pairwise disjoint or strictly nested; the
 maximal ones form the cover.
 
-The ray shooter is pluggable. The required baseline scans every stored
-obstacle per shot (exact, quadratic overall); `treecover.accel` provides a
-grid-accelerated drop-in with identical results.
+The ray shooter is pluggable. The engine's default, `BucketGridShooter`,
+scans only the obstacles bucketed in the grid cells that the shot's hull
+edge crosses. `NaiveRayShooter` scans every stored obstacle per shot
+(exact, quadratic overall) and is the reference the tests compare against;
+both give identical results.
 
 Two engine details differ from the naive definition but provably preserve
 the cover. First, the per-shot merge test uses the nearest *foreign* hit
@@ -31,6 +33,7 @@ from typing import Optional
 
 from . import kernel
 from .geom import (
+    AABB,
     INSIDE,
     OUTSIDE,
     ConvexPolygon,
@@ -198,6 +201,137 @@ class NaiveRayShooter:
         return hit_all, merge_hit
 
 
+class BucketGridShooter(NaiveRayShooter):
+    """Shooter over a grid of obstacle buckets, bounded by the shot chord.
+
+    Every obstacle is registered in each cell it meets. A shot from origin
+    through ``through`` scans only the obstacles registered in the cells
+    that the chord [origin, through] meets, in obstacle-id order, so a hit
+    at t <= 1 is the one the full scan finds, tie-break included. When no
+    candidate is hit at t <= 1 the shot falls back to the full scan. Engine
+    shots never fall back: their chord ends at a vertex of the shooter's own
+    component, which is an obstacle. The foreign result of ``_scan`` is
+    exact only at t <= 1, the only place ``shoot_from`` reads it.
+
+    Cells are ``cell = (width, height)`` integer rectangles anchored at the
+    bounds' lower-left corner. A point belongs to the cell
+    ``floor((p - corner) / cell)``, clamped into the grid, so the outermost
+    cells also hold everything beyond the bounds. Rasterization is exact and
+    conservative: an object is registered in the cell of each of its
+    points, hence an obstacle and a chord sharing a point share that cell.
+    """
+
+    def __init__(self, components: ComponentSet, kern, bounds: AABB, cell):
+        super().__init__(components, kern)
+        self.x0, self.y0 = bounds.xmin, bounds.ymin
+        self.cw, self.ch = cell
+        self.nx = (bounds.xmax - bounds.xmin) // self.cw + 1
+        self.ny = (bounds.ymax - bounds.ymin) // self.ch + 1
+        self.cells: dict[int, list[int]] = {}
+
+    @staticmethod
+    def factory_for(instance: Instance):
+        """Engine shooter_factory for the instance: the grid spans its
+        bounding box, and cells start as wide and tall as twice the mean
+        tree edge, doubled together until there are at most 4n of them."""
+        xs = [x for t in instance.trees for x, _ in t.vertices] or [0]
+        ys = [y for t in instance.trees for _, y in t.vertices] or [0]
+        bounds = AABB(min(xs), min(ys), max(xs), max(ys))
+        segs = [s for t in instance.trees for s in t.segments()]
+        cw = ch = 1
+        if segs:
+            cw = max(1, 2 * sum(abs(b[0] - a[0]) for a, b in segs) // len(segs))
+            ch = max(1, 2 * sum(abs(b[1] - a[1]) for a, b in segs) // len(segs))
+        w, h = bounds.xmax - bounds.xmin, bounds.ymax - bounds.ymin
+        while (w // cw + 1) * (h // ch + 1) > max(1, 4 * instance.n):
+            cw *= 2
+            ch *= 2
+
+        def make(comps, kern):
+            return BucketGridShooter(comps, kern, bounds, (cw, ch))
+
+        return make
+
+    def _cells(self, ax, ay, bx, by, d: int):
+        """Keys (column * ny + row) of the cells met by the closed segment
+        from (ax, ay) / d to (bx, by) / d, d > 0: per column, every row
+        between those of the segment's ends inside that column."""
+        if bx < ax:
+            ax, ay, bx, by = bx, by, ax, ay
+        nx, ny = self.nx, self.ny
+        wd, hd = self.cw * d, self.ch * d
+        x0, y0 = self.x0 * d, self.y0 * d
+        c0 = _clamp((ax - x0) // wd, nx)
+        c1 = _clamp((bx - x0) // wd, nx)
+        if c0 == c1:
+            lo, hi = (ay, by) if ay <= by else (by, ay)
+            k = c0 * ny
+            return range(
+                k + _clamp((lo - y0) // hd, ny), k + _clamp((hi - y0) // hd, ny) + 1
+            )
+        # row at scaled abscissa x is (base + dy * x) // den
+        dx, dy = bx - ax, by - ay
+        den = hd * dx
+        base = (ay - y0) * dx - dy * ax
+        keys = []
+        ra = (base + dy * ax) // den
+        for c in range(c0, c1 + 1):
+            rb = (base + dy * (bx if c == c1 else x0 + (c + 1) * wd)) // den
+            lo, hi = (ra, rb) if ra <= rb else (rb, ra)
+            k = c * ny
+            keys.extend(range(k + _clamp(lo, ny), k + _clamp(hi, ny) + 1))
+            ra = rb
+        return keys
+
+    def _push(self, kind, x1, y1, x2, y2, tn, td, owner) -> int:
+        idx = super()._push(kind, x1, y1, x2, y2, tn, td, owner)
+        if kind == kernel.OB_SEGMENT:
+            keys = self._cells(x1, y1, x2, y2, 1)
+        elif kind == kernel.OB_POINT:
+            keys = self._cells(x1, y1, x1, y1, 1)
+        else:  # ray: origin (x1, y1), direction (x2, y2), end parameter tn/td
+            ax, ay = x1 * td, y1 * td
+            keys = self._cells(ax, ay, ax + x2 * tn, ay + y2 * tn, td)
+        for key in keys:
+            self.cells.setdefault(key, []).append(idx)
+        return idx
+
+    def _scan(self, origin, through, own_root: int):
+        cells = self.cells
+        found = set()
+        for key in self._cells(origin[0], origin[1], through[0], through[1], 1):
+            bucket = cells.get(key)
+            if bucket is not None:
+                found.update(bucket)
+        ids = sorted(found)
+        cols = (
+            self.kinds,
+            self.xs1,
+            self.ys1,
+            self.xs2,
+            self.ys2,
+            self.tns,
+            self.tds,
+            self.owners,
+        )
+        ia, na, da, if_, nf, df = self.kern.scan(
+            origin[0],
+            origin[1],
+            through[0],
+            through[1],
+            *[[col[i] for i in ids] for col in cols],
+            self.components.parent,
+            own_root,
+        )
+        if ia < 0 or na > da:
+            return super()._scan(origin, through, own_root)
+        return ids[ia], na, da, ids[if_] if if_ >= 0 else -1, nf, df
+
+
+def _clamp(i: int, n: int) -> int:
+    return 0 if i < 0 else (i if i < n else n - 1)
+
+
 @dataclass(frozen=True)
 class HullStats:
     rays_shot: int
@@ -255,9 +389,8 @@ def hull_cover_fast(
     kern = kernel.kernel_for(instance.max_abs_coord())
     comps = ComponentSet(m)
     if shooter_factory is None:
-        shooter = NaiveRayShooter(comps, kern)
-    else:
-        shooter = shooter_factory(comps, kern)
+        shooter_factory = BucketGridShooter.factory_for(instance)
+    shooter = shooter_factory(comps, kern)
 
     for i, tree in enumerate(instance.trees):
         if tree.n == 1:

@@ -37,7 +37,7 @@ class GenerationError(ValueError):
     """Generator parameters are infeasible."""
 
 
-GENERATOR_KINDS = ("strips", "combs", "nested", "mincircle-gadget")
+GENERATOR_KINDS = ("strips", "combs", "nested", "ladder", "mincircle-gadget")
 
 
 @dataclass(frozen=True)
@@ -458,6 +458,7 @@ def generate(kind: str, trees: int = 4, size: int = 4, seed: int = 0) -> Instanc
 
     Kinds: strips (disjoint-hull x-monotone paths), combs (interlocking
     L teeth with heavily overlapping hulls), nested (concentric open rings),
+    ladder (rungs about 10^6 wide stacked in y that share x coordinates),
     mincircle-gadget (a fixed 4-tree instance whose min-circle cover depends
     on merge order; trees/size/seed are ignored for it).
     """
@@ -473,6 +474,8 @@ def generate(kind: str, trees: int = 4, size: int = 4, seed: int = 0) -> Instanc
         inst = _gen_strips(trees, size, seed)
     elif kind == "combs":
         inst = _gen_combs(trees, size, seed)
+    elif kind == "ladder":
+        inst = _gen_ladder(trees, size, seed)
     else:
         inst = _gen_nested(trees, size, seed)
     bad = errors_only(validate_instance(inst))
@@ -568,6 +571,27 @@ def _gen_nested(m: int, size: int, seed: int) -> Instance:
             if not errors_only(validate_instance(inst)):
                 return inst
     raise GenerationError(f"could not build nested instance (m={m}, size={size})")
+
+
+def _gen_ladder(m: int, size: int, seed: int) -> Instance:
+    # x-monotone paths, each in its own band of y, all overlapping in x;
+    # vertices snap to a few offsets of shared columns, so rungs share x
+    rng = random.Random(("ladder", m, size, seed).__repr__())
+    step = max(14, 1_000_000 // max(1, size - 1))
+    gap = 10
+    band = 8
+    dx = rng.randrange(-40, 40)
+    dy = rng.randrange(-40, 40)
+    ts = []
+    for k in range(m):
+        y0 = k * gap + dy
+        verts = tuple(
+            (dx + j * step + rng.choice((0, 7, 13)), y0 + rng.randrange(band))
+            for j in range(size)
+        )
+        edges = tuple((i, i + 1) for i in range(size - 1))
+        ts.append(GeometricTree(verts, edges))
+    return Instance(tuple(ts))
 
 
 def _gen_mincircle_gadget() -> Instance:

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from treecover.accel import GridRayShooter, GridSegmentRangeIndex
+from treecover.accel import GridSegmentRangeIndex
 from treecover.boxcover import LinearSegmentRangeIndex, box_cover_fast
 from treecover.geom import boundary_intersection_points
 from treecover.hullcover import hull_cover_fast
@@ -283,14 +283,13 @@ def test_criterion_10_scaling_subquadratic():
         box_times = []
         for n in sizes:
             inst = generate(kind, trees=n // 5, size=5, seed=0)
-            shooter_factory = GridRayShooter.factory_for(inst)
             index_factory = GridSegmentRangeIndex.factory_for(inst)
 
             best_h = math.inf
             best_b = math.inf
             for _ in range(2):
                 t0 = time.perf_counter()
-                cover, _ = hull_cover_fast(inst, shooter_factory=shooter_factory)
+                cover, _ = hull_cover_fast(inst)  # the engine's default shooter
                 best_h = min(best_h, time.perf_counter() - t0)
                 t0 = time.perf_counter()
                 bcover, _ = box_cover_fast(inst, index_factory=index_factory)

@@ -128,7 +128,7 @@ class TestBoxCoverFast:
         assert cover.membership == ((0, 1),)
         assert stats.merges == 1
 
-    @pytest.mark.parametrize("kind", ["strips", "combs", "nested"])
+    @pytest.mark.parametrize("kind", ["strips", "combs", "nested", "ladder"])
     def test_oracle_equivalence_by_kind(self, kind):
         for seed in range(30):
             m = 2 + seed % 5

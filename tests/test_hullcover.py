@@ -229,7 +229,7 @@ class TestHullCoverFast:
         for t in trace:
             assert set(t) == {"from", "to", "merge"}
 
-    @pytest.mark.parametrize("kind", ["strips", "combs", "nested"])
+    @pytest.mark.parametrize("kind", ["strips", "combs", "nested", "ladder"])
     def test_oracle_equivalence_by_kind(self, kind):
         for seed in range(30):
             m = 2 + seed % 5

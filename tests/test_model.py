@@ -173,12 +173,19 @@ class TestGenerate:
         b = generate("combs", trees=4, size=4, seed=2)
         assert a != b
 
+    def test_ladder_rungs_share_x_and_overlap_in_x(self):
+        inst = generate("ladder", trees=6, size=5, seed=4)
+        xs = [{x for x, _ in t.vertices} for t in inst.trees]
+        assert len(set().union(*xs)) <= 3 * 5  # 30 vertices on 15 x values
+        assert max(min(x) for x in xs) < min(max(x) for x in xs)
+        assert all(max(x) - min(x) >= 999_000 for x in xs)
+
     def test_gadget_fixed_shape(self):
         inst = generate("mincircle-gadget", seed=0)
         assert inst.m == 4
         assert all(len(t.vertices) == 2 for t in inst.trees)
 
-    @pytest.mark.parametrize("kind", ["strips", "combs", "nested"])
+    @pytest.mark.parametrize("kind", ["strips", "combs", "nested", "ladder"])
     def test_generated_instances_valid_many_seeds(self, kind):
         for seed in range(40):
             m = 1 + seed % 5
