@@ -37,13 +37,20 @@ from .model import (
     serialize_instance,
     validate_instance,
 )
-from .phicover import (
-    PHI,
-    MergePolicy,
-    check_phi_properties,
-    check_well_defined,
-    naive_phi_cover,
+
+# the naive process is resolved on first use (PEP 562), so importing the
+# package, or its CLI, does not compile it
+_PHICOVER_NAMES = frozenset(
+    ("PHI", "MergePolicy", "check_phi_properties", "check_well_defined", "naive_phi_cover")
 )
+
+
+def __getattr__(name):
+    if name in _PHICOVER_NAMES:
+        from . import phicover
+
+        return getattr(phicover, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "AABB",

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import statistics
 import sys
 import time
 
@@ -19,6 +18,7 @@ from .boxcover import box_cover_fast
 from .hullcover import InternalInvariantError, hull_cover_fast
 from .model import (
     GENERATOR_KINDS,
+    Cover,
     GenerationError,
     ParseError,
     errors_only,
@@ -27,8 +27,10 @@ from .model import (
     serialize_instance,
     validate_instance,
 )
-from .phicover import PHI, MergePolicy, check_well_defined, naive_phi_cover
-from .render import render_svg
+
+# phicover, render and statistics serve the naive, oracle, well-definedness,
+# bench and render commands only; each imports them itself, so a plain
+# `cover` start does not compile them
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -92,6 +94,8 @@ def cmd_cover(args) -> int:
             cover, stats = box_cover_fast(inst)
         stats_obj = stats.to_obj()
     else:
+        from .phicover import PHI, MergePolicy, naive_phi_cover
+
         policy = MergePolicy.random_order(args.seed)
         cover, forest = naive_phi_cover(inst, PHI[args.phi], policy)
         stats_obj = {"merges": len(forest.script())}
@@ -109,6 +113,8 @@ def cmd_cover(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .phicover import PHI, MergePolicy, naive_phi_cover
+
     inst = _load_valid_instance(args)
     if args.policy == "random":
         policy = MergePolicy.random_order(args.seed)
@@ -130,6 +136,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_check_well_defined(args) -> int:
+    from .phicover import PHI, check_well_defined
+
     inst = _load_valid_instance(args)
     if args.exhaustive and inst.m > 6:
         print("--exhaustive requires m <= 6", file=sys.stderr)
@@ -196,6 +204,8 @@ def _bench_one(inst, phi_name: str, algo: str):
             _, stats = box_cover_fast(inst)
             ops, merges = stats.queries, stats.merges
     else:
+        from .phicover import PHI, naive_phi_cover
+
         phi = _CountingPhi(PHI[phi_name])
         _, forest = naive_phi_cover(inst, phi)
         ops, merges = phi.tests, len(forest.script())
@@ -204,6 +214,8 @@ def _bench_one(inst, phi_name: str, algo: str):
 
 
 def cmd_bench(args) -> int:
+    import statistics
+
     kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
     sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     per_tree = 5
@@ -224,12 +236,12 @@ def cmd_bench(args) -> int:
 
 
 def cmd_render(args) -> int:
+    from .render import render_svg
+
     inst = _load_valid_instance(args)
     cover = None
     trace = None
     if args.cover:
-        from .model import Cover
-
         text = _read(args.cover)
         cover = Cover.from_json(text)
         obj = json.loads(text)

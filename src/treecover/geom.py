@@ -15,6 +15,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import sub
 
 from . import kernel
 
@@ -314,25 +315,53 @@ def box_union(a: AABB, b: AABB) -> AABB:
     )
 
 
+def sweep_along_y(x1, y1, x2, y2) -> bool:
+    """Whether an interval sweep over these segments, or over boxes given by
+    two opposite corners, should run along y instead of x.
+
+    A sweep along x keeps about sum(|x2 - x1| + 1) / (W + 1) intervals
+    active, W being the x-spread: each closed interval covers |x2 - x1| + 1
+    of the W + 1 integer abscissae. Along y the same holds with y. Sweep y
+    only when its count is strictly smaller, compared in integers, so ties
+    keep x; a column of vertical edges, where W = 0, sweeps y."""
+    if not x1:
+        return False
+    dx = sum(map(abs, map(sub, x2, x1))) + len(x1)
+    dy = sum(map(abs, map(sub, y2, y1))) + len(y1)
+    w = max(max(x1), max(x2)) - min(min(x1), min(x2)) + 1
+    h = max(max(y1), max(y2)) - min(min(y1), min(y2)) + 1
+    return dy * w < dx * h
+
+
 def outermost(regions: list, boxes: list[AABB], contains) -> list[int]:
     """For each region, the index of the outermost region containing it, or
     its own index when no other region contains it.
 
     ``boxes[i]`` bounds ``regions[i]``; ``contains(inner, outer)`` is exact.
-    Precondition: regions pairwise disjoint or nested. Sorted by (xmin,
-    -xmax, ymin, -ymax), containers come before what they contain; the
-    sweep keeps the outermost regions whose xmax reaches the current xmin
-    and runs ``contains`` only on those whose box holds the current box.
-    Two regions sharing a box (the sort cannot order them), or a region in
-    two outermost regions, raise AssertionError."""
+    Precondition: regions pairwise disjoint or nested. The sweep runs along
+    the axis ``sweep_along_y`` picks for the boxes; along x, regions sorted
+    by (xmin, -xmax, ymin, -ymax) put containers before what they contain,
+    the sweep keeps the outermost regions whose xmax reaches the current
+    xmin, and ``contains`` runs only on those whose box holds the current
+    box (along y, swap x and y). Each region's outermost container is
+    unique, so the result does not depend on the axis. Two regions sharing
+    a box (the sort cannot order them), or a region in two outermost
+    regions, raise AssertionError."""
     if len(set(boxes)) < len(boxes):
         raise AssertionError("two regions share a bounding box")
-    key = [(b.xmin, -b.xmax, b.ymin, -b.ymax) for b in boxes]
+    lo = [b.xmin for b in boxes]
+    hi = [b.xmax for b in boxes]
+    lo2 = [b.ymin for b in boxes]
+    hi2 = [b.ymax for b in boxes]
+    if sweep_along_y(lo, lo2, hi, hi2):
+        lo, hi, lo2, hi2 = lo2, hi2, lo, hi
+    key = [(a, -b, c, -d) for a, b, c, d in zip(lo, hi, lo2, hi2)]
     home = list(range(len(regions)))
     active: list[int] = []
     for i in sorted(home, key=key.__getitem__):
+        start = lo[i]
+        active = [j for j in active if hi[j] >= start]
         b = boxes[i]
-        active = [j for j in active if boxes[j].xmax >= b.xmin]
         homes = [
             j
             for j in active

@@ -26,6 +26,7 @@ from .geom import (
     COORD_LIMIT,
     box_of,
     convex_hull,
+    sweep_along_y,
 )
 
 
@@ -102,18 +103,23 @@ class Violation:
 # wire format
 
 
-def _as_coord(v, scale: int, what: str):
+def _as_coord(v, scale: int, ti: int, vi: int, axis: str):
+    # the location prefix is formatted only on error: this runs per coordinate
     if type(v) is int:
         iv = v * scale
     elif type(v) is float and scale != 1:
         scaled = v * scale
         iv = round(scaled)
         if abs(scaled - iv) > 1e-9:
-            raise ParseError(f"{what}: {v} * {scale} is not an integer")
+            raise ParseError(f"tree {ti} vertex {vi} {axis}: {v} * {scale} is not an integer")
     else:
-        raise ParseError(f"{what}: expected integer coordinate, got {v!r}")
+        raise ParseError(
+            f"tree {ti} vertex {vi} {axis}: expected integer coordinate, got {v!r}"
+        )
     if abs(iv) > COORD_LIMIT:
-        raise ParseError(f"{what}: coordinate {iv} out of range (|c| <= 2^30)")
+        raise ParseError(
+            f"tree {ti} vertex {vi} {axis}: coordinate {iv} out of range (|c| <= 2^30)"
+        )
     return iv
 
 
@@ -151,8 +157,8 @@ def parse_instance(text: str, scale: int = 1) -> Instance:
                 raise ParseError(f"tree {ti} vertex {vi}: expected [x, y]")
             verts.append(
                 (
-                    _as_coord(pair[0], scale, f"tree {ti} vertex {vi} x"),
-                    _as_coord(pair[1], scale, f"tree {ti} vertex {vi} y"),
+                    _as_coord(pair[0], scale, ti, vi, "x"),
+                    _as_coord(pair[1], scale, ti, vi, "y"),
                 )
             )
         edges = []
@@ -287,7 +293,12 @@ def validate_instance(instance: Instance) -> list[Violation]:
             px.append(v[0])
             py.append(v[1])
             p_tree.append(ti)
-    for vi, sj in kern.find_vertex_hits(px, py, sx1, sy1, sx2, sy2):
+    # both searches return index pairs, which swapping x and y leaves alone,
+    # so they sweep whichever axis keeps fewer segments active
+    verts, segs = (px, py), (sx1, sy1, sx2, sy2)
+    if sweep_along_y(*segs):
+        verts, segs = (py, px), (sy1, sx1, sy2, sx2)
+    for vi, sj in kern.find_vertex_hits(*verts, *segs):
         out.append(
             Violation(
                 "vertex-on-edge",
@@ -297,7 +308,7 @@ def validate_instance(instance: Instance) -> list[Violation]:
             )
         )
 
-    for i, j in kern.find_contacts(sx1, sy1, sx2, sy2, seg_tree):
+    for i, j in kern.find_contacts(*segs, seg_tree):
         a = ((sx1[i], sy1[i]), (sx2[i], sy2[i]))
         b = ((sx1[j], sy1[j]), (sx2[j], sy2[j]))
         from .geom import _segment_intersection_set

@@ -235,3 +235,18 @@ def test_module_entrypoint_runs():
     )
     assert proc.returncode == 0
     assert "cover" in proc.stdout
+
+
+def test_cli_import_leaves_naive_process_and_renderer_unloaded():
+    # only the commands that need them import them, so a `cover` start
+    # does not compile them; the package still exports the naive names
+    code = (
+        "import sys, treecover.cli; "
+        "print([m for m in ('treecover.phicover', 'treecover.render') if m in sys.modules]); "
+        "from treecover import PHI, naive_phi_cover; print(naive_phi_cover.__module__)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["[]", "treecover.phicover"]

@@ -70,6 +70,34 @@ class TestParse:
         with pytest.raises(ParseError, match="not an integer"):
             parse_instance('{"trees":[{"vertices":[[0.3,0]],"edges":[]}]}', scale=2)
 
+    @pytest.mark.parametrize(
+        "pair, scale, message",
+        [
+            ("[0.5,7]", 1, "tree 1 vertex 2 x: expected integer coordinate, got 0.5"),
+            ("[7,true]", 1, "tree 1 vertex 2 y: expected integer coordinate, got True"),
+            ("[0.3,7]", 2, "tree 1 vertex 2 x: 0.3 * 2 is not an integer"),
+            ("[7,0.3]", 2, "tree 1 vertex 2 y: 0.3 * 2 is not an integer"),
+            (
+                "[%d,7]" % (2**30 + 1),
+                1,
+                "tree 1 vertex 2 x: coordinate 1073741825 out of range (|c| <= 2^30)",
+            ),
+            (
+                "[7,%d]" % -(2**29 + 1),
+                2,
+                "tree 1 vertex 2 y: coordinate -1073741826 out of range (|c| <= 2^30)",
+            ),
+        ],
+    )
+    def test_bad_coordinate_message_names_tree_vertex_and_axis(self, pair, scale, message):
+        text = (
+            '{"trees":[{"vertices":[[0,0]],"edges":[]},'
+            '{"vertices":[[1,1],[2,2],%s],"edges":[[0,1],[1,2]]}]}' % pair
+        )
+        with pytest.raises(ParseError) as err:
+            parse_instance(text, scale=scale)
+        assert str(err.value) == message
+
 
 class TestRoundTrip:
     def test_parse_serialize_identity(self):

@@ -10,13 +10,14 @@ import random
 
 import pytest
 
+from treecover import geom
 from treecover.boxcover import (
     LinearSegmentRangeIndex,
     box_cover_fast,
     maximal_boxes,
 )
 from treecover.cli import main
-from treecover.geom import AABB, ConvexPolygon, convex_hull
+from treecover.geom import AABB, ConvexPolygon, convex_hull, sweep_along_y
 from treecover.hullcover import contained_in, hull_cover_fast, maximal_regions
 from treecover.model import (
     GeometricTree,
@@ -114,6 +115,40 @@ def family(seed):
     return rng, boxes
 
 
+def stacked_family(seed):
+    """Eight wide flat boxes stacked in y, each around a laminar family in
+    its central half, shuffled: shallow in y, so the sweep runs along y."""
+    rng = random.Random(("stacked", seed).__repr__())
+    boxes = []
+    for k in range(8):
+        y0 = k * 100_000
+        boxes.append(AABB(1, y0 + 1, 10**6 - 1, y0 + 99_999))
+        boxes += laminar_boxes(rng, 250_000, y0 + 25_000, 750_000, y0 + 75_000, depth=3)
+    rng.shuffle(boxes)
+    return rng, boxes
+
+
+def flat_rungs(count=6):
+    """Wide flat boxes stacked in y above everything else in a test; they
+    make y the shallow axis of the boxes they join."""
+    return [AABB(-100, 100 + 10 * k, 10**4, 105 + 10 * k) for k in range(count)]
+
+
+def along_y(boxes):
+    return sweep_along_y(
+        [b.xmin for b in boxes],
+        [b.ymin for b in boxes],
+        [b.xmax for b in boxes],
+        [b.ymax for b in boxes],
+    )
+
+
+def test_families_take_both_axes():
+    # the mixed families split about evenly between the two axes
+    assert 10 <= sum(along_y(family(seed)[1]) for seed in range(40)) <= 30
+    assert all(along_y(stacked_family(seed)[1]) for seed in range(40))
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_maximal_boxes_matches_pairwise_oracle(seed):
     _, boxes = family(seed)
@@ -127,13 +162,39 @@ def test_maximal_regions_matches_pairwise_oracle(seed):
     assert maximal_regions(polygons) == pairwise_homes(polygons, contained_in)
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_maximal_boxes_stacked_in_y_match_pairwise_oracle(seed):
+    _, boxes = stacked_family(seed)
+    assert maximal_boxes(boxes) == pairwise_homes(boxes, strictly_inside)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_maximal_regions_stacked_in_y_match_pairwise_oracle(seed):
+    rng, boxes = stacked_family(seed)
+    polygons = [polygon_in(rng, b) for b in boxes]
+    assert maximal_regions(polygons) == pairwise_homes(polygons, contained_in)
+
+
+@pytest.mark.parametrize("make", [family, stacked_family])
+def test_forced_axis_gives_the_same_homes(make, monkeypatch):
+    for seed in range(10):
+        rng, boxes = make(seed)
+        polygons = [polygon_in(rng, b) for b in boxes]
+        results = []
+        for y in (False, True):
+            monkeypatch.setattr(geom, "sweep_along_y", lambda *cols, y=y: y)
+            results.append((maximal_boxes(boxes), maximal_regions(polygons)))
+        assert results[0] == results[1]
+
+
 def test_families_list_regions_before_their_containers():
     # the shuffled families must exercise the sort, not just the sweep
-    shuffled = 0
-    for seed in range(40):
-        homes = pairwise_homes(family(seed)[1], strictly_inside)
-        shuffled += any(h > i for i, h in enumerate(homes))
-    assert shuffled >= 30
+    for make in (family, stacked_family):
+        shuffled = 0
+        for seed in range(40):
+            homes = pairwise_homes(make(seed)[1], strictly_inside)
+            shuffled += any(h > i for i, h in enumerate(homes))
+        assert shuffled >= 30
 
 
 def test_three_level_nesting_innermost_first():
@@ -147,7 +208,8 @@ def test_regions_sharing_box_sides_with_their_container():
     # each triangle touches the square from inside and shares its xmin;
     # the first also shares xmax and ymin, the second xmax, so only the
     # full sort key puts the square first; the point on the square's right
-    # edge starts where the square ends
+    # edge starts where the square ends. Transposed, the same holds with x
+    # and y swapped, and the sweep runs along y.
     square = ConvexPolygon(((0, 0), (10, 0), (10, 10), (0, 10)))
     regions = [
         ConvexPolygon(((0, 0), (10, 0), (5, 3))),
@@ -157,25 +219,36 @@ def test_regions_sharing_box_sides_with_their_container():
         ConvexPolygon(((10, 5),)),
         square,
     ]
-    assert pairwise_homes(regions, contained_in) == [5, 5, 5, 3, 5, 5]
-    assert maximal_regions(regions) == [5, 5, 5, 3, 5, 5]
+    transposed = [convex_hull([(y, x) for x, y in r.vertices]) for r in regions]
+    for flip, case in ((False, regions), (True, transposed)):
+        assert along_y([r.bbox() for r in case]) == flip
+        assert pairwise_homes(case, contained_in) == [5, 5, 5, 3, 5, 5]
+        assert maximal_regions(case) == [5, 5, 5, 3, 5, 5]
 
 
 def test_box_in_two_overlapping_boxes_raises():
-    boxes = [AABB(6, 1, 9, 4), AABB(0, 0, 10, 10), AABB(5, -5, 15, 5)]
-    with pytest.raises(AssertionError):
-        pairwise_homes(boxes, strictly_inside)
-    with pytest.raises(AssertionError):
-        maximal_boxes(boxes)
+    # alone, the three boxes sweep x; with the flat rungs, y
+    for rungs in (0, 6):
+        boxes = [AABB(6, 1, 9, 4), AABB(0, 0, 10, 10), AABB(5, -5, 15, 5)]
+        boxes += flat_rungs(rungs)
+        assert along_y(boxes) == (rungs > 0)
+        with pytest.raises(AssertionError):
+            pairwise_homes(boxes, strictly_inside)
+        with pytest.raises(AssertionError, match="lies in 2 outermost regions"):
+            maximal_boxes(boxes)
 
 
 def test_equal_bounding_boxes_raise():
-    with pytest.raises(AssertionError):
-        maximal_boxes([AABB(0, 0, 4, 4), AABB(0, 0, 4, 4)])
     square = ConvexPolygon(((0, 0), (4, 0), (4, 4), (0, 4)))
     diamond = ConvexPolygon(((0, 2), (2, 0), (4, 2), (2, 4)))
-    with pytest.raises(AssertionError):
-        maximal_regions([diamond, square])
+    for rungs in (0, 6):
+        extra = flat_rungs(rungs)
+        boxes = [AABB(0, 0, 4, 4), AABB(0, 0, 4, 4)] + extra
+        assert along_y(boxes) == (rungs > 0)
+        with pytest.raises(AssertionError, match="share a bounding box"):
+            maximal_boxes(boxes)
+        with pytest.raises(AssertionError, match="share a bounding box"):
+            maximal_regions([diamond, square] + [ConvexPolygon(b.corners()) for b in extra])
 
 
 def test_cli_reports_region_in_two_outermost_boxes_as_internal_error(
