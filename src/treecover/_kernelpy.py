@@ -1,9 +1,10 @@
-"""Pure-Python exact-arithmetic kernel.
+"""The exact-arithmetic kernel: predicates and the batch searches under the
+engines and the validator.
 
-Mirrors the compiled extension `treecover._kernel`. All functions take plain
-integers / flat coordinate sequences and rely on Python's arbitrary-precision
-ints, so they are valid for the full coordinate range. The compiled twin is
-selected by `treecover.kernel` when available and safe.
+All functions take plain integers / flat coordinate sequences and rely on
+Python's arbitrary-precision ints, so they are exact for every coordinate.
+The module keeps its name because perfbench's tracer patches its functions
+by name (``treecover._kernelpy.scan`` and others).
 
 Obstacle kinds for ``scan``: 0 = segment, 1 = point, 2 = ray (origin +
 integer direction + rational end parameter tn/td, td > 0).

@@ -31,7 +31,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from . import kernel
+# ``_kernelpy.scan`` is looked up at each call, so a wrapper patched onto the
+# module (perfbench's tracer, the tests' counters) sees every shot.
+from . import _kernelpy
+from ._kernelpy import OB_POINT, OB_RAY, OB_SEGMENT
 from .geom import (
     AABB,
     INSIDE,
@@ -105,9 +108,8 @@ class NaiveRayShooter:
     obstacles insert nothing.
     """
 
-    def __init__(self, components: ComponentSet, kern=None):
+    def __init__(self, components: ComponentSet):
         self.components = components
-        self.kern = kern if kern is not None else kernel.active
         self.kinds: list[int] = []
         self.xs1: list[int] = []
         self.ys1: list[int] = []
@@ -132,18 +134,18 @@ class NaiveRayShooter:
         return len(self.kinds) - 1
 
     def insert_segment(self, a, b, owner: int) -> int:
-        return self._push(kernel.OB_SEGMENT, a[0], a[1], b[0], b[1], 0, 1, owner)
+        return self._push(OB_SEGMENT, a[0], a[1], b[0], b[1], 0, 1, owner)
 
     def insert_point(self, p, owner: int) -> int:
-        return self._push(kernel.OB_POINT, p[0], p[1], 0, 0, 0, 1, owner)
+        return self._push(OB_POINT, p[0], p[1], 0, 0, 0, 1, owner)
 
     def _insert_ray(self, origin, direction, tn: int, td: int, owner: int) -> int:
         return self._push(
-            kernel.OB_RAY, origin[0], origin[1], direction[0], direction[1], tn, td, owner
+            OB_RAY, origin[0], origin[1], direction[0], direction[1], tn, td, owner
         )
 
     def _scan(self, origin, through, own_root: int):
-        return self.kern.scan(
+        return _kernelpy.scan(
             origin[0],
             origin[1],
             through[0],
@@ -221,8 +223,8 @@ class BucketGridShooter(NaiveRayShooter):
     points, hence an obstacle and a chord sharing a point share that cell.
     """
 
-    def __init__(self, components: ComponentSet, kern, bounds: AABB, cell):
-        super().__init__(components, kern)
+    def __init__(self, components: ComponentSet, bounds: AABB, cell):
+        super().__init__(components)
         self.x0, self.y0 = bounds.xmin, bounds.ymin
         self.cw, self.ch = cell
         self.nx = (bounds.xmax - bounds.xmin) // self.cw + 1
@@ -247,8 +249,8 @@ class BucketGridShooter(NaiveRayShooter):
             cw *= 2
             ch *= 2
 
-        def make(comps, kern):
-            return BucketGridShooter(comps, kern, bounds, (cw, ch))
+        def make(comps):
+            return BucketGridShooter(comps, bounds, (cw, ch))
 
         return make
 
@@ -285,9 +287,9 @@ class BucketGridShooter(NaiveRayShooter):
 
     def _push(self, kind, x1, y1, x2, y2, tn, td, owner) -> int:
         idx = super()._push(kind, x1, y1, x2, y2, tn, td, owner)
-        if kind == kernel.OB_SEGMENT:
+        if kind == OB_SEGMENT:
             keys = self._cells(x1, y1, x2, y2, 1)
-        elif kind == kernel.OB_POINT:
+        elif kind == OB_POINT:
             keys = self._cells(x1, y1, x1, y1, 1)
         else:  # ray: origin (x1, y1), direction (x2, y2), end parameter tn/td
             ax, ay = x1 * td, y1 * td
@@ -314,7 +316,7 @@ class BucketGridShooter(NaiveRayShooter):
             self.tds,
             self.owners,
         )
-        ia, na, da, if_, nf, df = self.kern.scan(
+        ia, na, da, if_, nf, df = _kernelpy.scan(
             origin[0],
             origin[1],
             through[0],
@@ -386,11 +388,10 @@ def hull_cover_fast(
     The cover equals the naive merge-fixpoint hull cover exactly.
     """
     m = instance.m
-    kern = kernel.kernel_for(instance.max_abs_coord())
     comps = ComponentSet(m)
     if shooter_factory is None:
         shooter_factory = BucketGridShooter.factory_for(instance)
-    shooter = shooter_factory(comps, kern)
+    shooter = shooter_factory(comps)
 
     for i, tree in enumerate(instance.trees):
         if tree.n == 1:
@@ -507,13 +508,11 @@ def hull_cover_fast(
 def _assert_connecting_edge_clean(shooter, comps, origin, through, hit, root_a, root_b):
     """Debug check (brute re-scan): no obstacle of a third component sits
     strictly before the merging hit along the shot ray."""
-    from . import _kernelpy as pure
-
     for idx in range(len(shooter.kinds)):
         owner_root = comps.find(shooter.owners[idx])
         if owner_root in (root_a, root_b):
             continue
-        ia, na, da, _, _, _ = pure.scan(
+        ia, na, da, _, _, _ = _kernelpy.scan(
             origin[0],
             origin[1],
             through[0],

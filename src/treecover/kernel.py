@@ -1,55 +1,13 @@
-"""Kernel backend selection.
+"""Name of the kernel backend.
 
-The compiled extension does its arithmetic in C int64/int128, which is exact
-as long as every coordinate fits in 2^29 (diffs then fit 2^30, cross products
-2^61, and comparison products 2^122). Larger coordinates, up to the validated
-2^30 bound, are routed to the pure-Python kernel whose ints never overflow.
-
-Set TREECOVER_PURE=1 to force the pure backend everywhere.
+``treecover._kernelpy`` is the package's only kernel. This module keeps the
+one entry point that benchmark reports read to label their runs.
 """
 
 from __future__ import annotations
 
-import os
-
-from . import _kernelpy as pure
-
-COMPILED_SAFE_COORD = 1 << 29
-
-if os.environ.get("TREECOVER_PURE") == "1":
-    compiled = None
-else:
-    try:
-        from . import _kernel as compiled  # type: ignore[attr-defined]
-    except ImportError:
-        compiled = None
-
-active = compiled if compiled is not None else pure
+from . import _kernelpy
 
 
 def backend_name() -> str:
-    return active.BACKEND
-
-
-def kernel_for(max_abs_coord: int):
-    """Pick the backend that is exact for coordinates of this magnitude."""
-    if compiled is not None and max_abs_coord <= COMPILED_SAFE_COORD:
-        return compiled
-    return pure
-
-
-# Re-export the active backend's functions for callers that do not know
-# their coordinate range in advance (these go through ``pure`` unless the
-# compiled module is loaded; per-instance engines use kernel_for instead).
-orient = active.orient
-seg_relation = active.seg_relation
-point_on_segment = active.point_on_segment
-point_in_convex = active.point_in_convex
-polys_intersect = active.polys_intersect
-scan = active.scan
-find_contacts = active.find_contacts
-find_vertex_hits = active.find_vertex_hits
-
-OB_SEGMENT = pure.OB_SEGMENT
-OB_POINT = pure.OB_POINT
-OB_RAY = pure.OB_RAY
+    return _kernelpy.BACKEND

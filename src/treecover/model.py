@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable
 
-from . import kernel
+from . import _kernelpy
 from .geom import (
     AABB,
     Circle,
@@ -70,15 +70,6 @@ class Instance:
     @property
     def n(self) -> int:
         return sum(t.n for t in self.trees)
-
-    def max_abs_coord(self) -> int:
-        best = 0
-        for t in self.trees:
-            for x, y in t.vertices:
-                a = max(abs(x), abs(y))
-                if a > best:
-                    best = a
-        return best
 
     def tree_hulls(self) -> tuple[ConvexPolygon, ...]:
         return tuple(convex_hull(t.vertices) for t in self.trees)
@@ -285,8 +276,6 @@ def validate_instance(instance: Instance) -> list[Violation]:
             seg_tree.append(ti)
             seg_idx.append(ei)
 
-    kern = kernel.kernel_for(instance.max_abs_coord())
-
     px, py, p_tree = [], [], []
     for ti, tree in enumerate(instance.trees):
         for v in tree.vertices:
@@ -298,7 +287,7 @@ def validate_instance(instance: Instance) -> list[Violation]:
     verts, segs = (px, py), (sx1, sy1, sx2, sy2)
     if sweep_along_y(*segs):
         verts, segs = (py, px), (sy1, sx1, sy2, sx2)
-    for vi, sj in kern.find_vertex_hits(*verts, *segs):
+    for vi, sj in _kernelpy.find_vertex_hits(*verts, *segs):
         out.append(
             Violation(
                 "vertex-on-edge",
@@ -308,7 +297,7 @@ def validate_instance(instance: Instance) -> list[Violation]:
             )
         )
 
-    for i, j in kern.find_contacts(*segs, seg_tree):
+    for i, j in _kernelpy.find_contacts(*segs, seg_tree):
         a = ((sx1[i], sy1[i]), (sx2[i], sy2[i]))
         b = ((sx1[j], sy1[j]), (sx2[j], sy2[j]))
         from .geom import _segment_intersection_set

@@ -21,14 +21,10 @@ from treecover.phicover import PHI, naive_phi_cover
 from instances import INSTANCE_A, INSTANCE_B, INSTANCE_D
 
 
-def naive_shooter(comps, kern):
-    return NaiveRayShooter(comps, kern)
-
-
 def pair(m, bounds, cell):
     return (
         NaiveRayShooter(ComponentSet(m)),
-        BucketGridShooter(ComponentSet(m), _kernelpy, bounds, cell),
+        BucketGridShooter(ComponentSet(m), bounds, cell),
     )
 
 
@@ -148,7 +144,7 @@ def test_grid_engine_on_degenerate_forests(kind):
                 for i in range(0, len(ys), 2)
             )
         )
-    base = hull_cover_fast(inst, shooter_factory=naive_shooter)
+    base = hull_cover_fast(inst, shooter_factory=NaiveRayShooter)
     assert hull_cover_fast(inst) == base
     oracle, _ = naive_phi_cover(inst, PHI["hull"])
     assert base[0].canonical() == oracle.canonical()
@@ -156,27 +152,26 @@ def test_grid_engine_on_degenerate_forests(kind):
 
 def test_grid_engine_on_empty_forest():
     empty = Instance(())
-    assert hull_cover_fast(empty) == hull_cover_fast(empty, shooter_factory=naive_shooter)
+    assert hull_cover_fast(empty) == hull_cover_fast(empty, shooter_factory=NaiveRayShooter)
 
 
-def test_grid_engine_scans_only_chord_candidates():
+def test_grid_engine_scans_only_chord_candidates(monkeypatch):
     """The grid shooter must hand the kernel far fewer obstacles than the
     linear scan does on a forest of many separate regions."""
+    scanned = [0]
+    scan = _kernelpy.scan
 
-    class CountingKernel:
-        def __init__(self):
-            self.scanned = 0
+    def counting_scan(*args):
+        scanned[0] += len(args[4])  # the ``kinds`` column
+        return scan(*args)
 
-        def scan(self, *args):
-            self.scanned += len(args[4])  # the ``kinds`` column
-            return _kernelpy.scan(*args)
-
+    monkeypatch.setattr(_kernelpy, "scan", counting_scan)
     inst = generate("strips", trees=60, size=5, seed=3)
     counts = []
-    for make in (naive_shooter, BucketGridShooter.factory_for(inst)):
-        kern = CountingKernel()
-        hull_cover_fast(inst, shooter_factory=lambda c, k: make(c, kern))
-        counts.append(kern.scanned)
+    for make in (NaiveRayShooter, BucketGridShooter.factory_for(inst)):
+        scanned[0] = 0
+        hull_cover_fast(inst, shooter_factory=make)
+        counts.append(scanned[0])
     assert counts[1] * 10 < counts[0], counts
 
 
@@ -185,7 +180,7 @@ def test_grid_engine_matches_baseline_engine():
         for seed in range(12):
             inst = generate(kind, trees=2 + seed % 5, size=3 + seed % 4, seed=seed)
             base_cover, base_stats = hull_cover_fast(
-                inst, shooter_factory=naive_shooter
+                inst, shooter_factory=NaiveRayShooter
             )
             grid_cover, grid_stats = hull_cover_fast(inst)
             assert grid_cover == base_cover, (kind, seed)
@@ -194,7 +189,7 @@ def test_grid_engine_matches_baseline_engine():
 
 def test_grid_engine_on_fixture_instances():
     for inst in (INSTANCE_A, INSTANCE_B, INSTANCE_D):
-        base_cover, base_stats = hull_cover_fast(inst, shooter_factory=naive_shooter)
+        base_cover, base_stats = hull_cover_fast(inst, shooter_factory=NaiveRayShooter)
         grid_cover, grid_stats = hull_cover_fast(inst)
         assert grid_cover == base_cover
         assert grid_stats == base_stats

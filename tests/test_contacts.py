@@ -5,8 +5,8 @@ all-pairs oracle.
 ``validate_instance`` picks it with ``geom.sweep_along_y``. Their index
 pairs must not depend on that choice, so a wrong choice can only cost time.
 The tests check the validator against the oracle on every generator family,
-on each family's x<->y transpose and on seeded invalid mutations; call both
-kernels with swapped columns; and force the validator's choice both ways.
+on each family's x<->y transpose and on seeded invalid mutations; call the
+kernel with swapped columns; and force the validator's choice both ways.
 """
 
 import random
@@ -17,15 +17,11 @@ from math import gcd
 
 import pytest
 
-from treecover import _kernelpy as pure
-from treecover import kernel, model
+from treecover import _kernelpy, model
 from treecover.geom import sweep_along_y
 from treecover.model import GeometricTree, Instance, generate, validate_instance
 
 from helpers import cross
-
-BACKENDS = [pure] + ([kernel.compiled] if kernel.compiled is not None else [])
-
 
 def on_segment(p, a, b):
     """Whether p, integer or rational, lies on the closed segment ab."""
@@ -308,8 +304,7 @@ def test_forced_axis_gives_identical_violations(inst, monkeypatch):
         assert results[0] == results[1]
 
 
-@pytest.mark.parametrize("backend", BACKENDS, ids=lambda k: k.BACKEND)
-def test_kernels_give_the_same_pairs_on_swapped_columns(backend):
+def test_kernels_give_the_same_pairs_on_swapped_columns():
     for inst in INSTANCES:
         for case in (inst, transpose(inst)):
             segs, verts = segment_table(case), vertex_table(case)
@@ -318,11 +313,11 @@ def test_kernels_give_the_same_pairs_on_swapped_columns(backend):
             px = [p[0] for p, _ in verts]
             py = [p[1] for p, _ in verts]
             contacts = oracle_contacts(segs)
-            assert backend.find_contacts(x1, y1, x2, y2, trees) == contacts
-            assert backend.find_contacts(y1, x1, y2, x2, trees) == contacts
+            assert _kernelpy.find_contacts(x1, y1, x2, y2, trees) == contacts
+            assert _kernelpy.find_contacts(y1, x1, y2, x2, trees) == contacts
             hits = oracle_vertex_hits(verts, segs)
-            assert backend.find_vertex_hits(px, py, x1, y1, x2, y2) == hits
-            assert backend.find_vertex_hits(py, px, y1, x1, y2, x2) == hits
+            assert _kernelpy.find_vertex_hits(px, py, x1, y1, x2, y2) == hits
+            assert _kernelpy.find_vertex_hits(py, px, y1, x1, y2, x2) == hits
 
 
 def test_sweep_axis_rule():
