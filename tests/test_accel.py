@@ -6,8 +6,12 @@ import random
 import pytest
 
 from treecover import _kernelpy
-from treecover.accel import GridSegmentRangeIndex
-from treecover.boxcover import LinearSegmentRangeIndex, box_cover_fast
+from treecover.boxcover import (
+    SMALL_STORE,
+    BucketGridRangeIndex,
+    LinearSegmentRangeIndex,
+    box_cover_fast,
+)
 from treecover.geom import AABB
 from treecover.hullcover import (
     BucketGridShooter,
@@ -195,45 +199,129 @@ def test_grid_engine_on_fixture_instances():
         assert grid_stats == base_stats
 
 
-def test_grid_range_index_matches_linear():
+def random_box(rng, span):
+    """A box with its lower-left corner in [-span, span]^2; each side is
+    zero about one time in six, else up to span, span / 4 or span / 64."""
+
+    def side():
+        return 0 if rng.random() < 1 / 6 else rng.randint(0, span >> rng.choice([0, 2, 6]))
+
+    x, y = rng.randint(-span, span), rng.randint(-span, span)
+    return AABB(x, y, x + side(), y + side())
+
+
+def test_bucket_range_index_matches_linear():
     rng = random.Random(9)
-    for trial in range(40):
-        linear = LinearSegmentRangeIndex()
-        grid = GridSegmentRangeIndex(bounds=AABB(-50, -50, 50, 50), cell=rng.choice([1, 4, 9]))
-        live = {}
+    for trial in range(300):
+        span = (5, 40, 1000, 10**6)[trial % 4]
+        linear, bucket = LinearSegmentRangeIndex(), BucketGridRangeIndex()
+        live = []
         next_id = 0
-        for _ in range(60):
+        # insert-heavy runs grow past SMALL_STORE, delete-heavy ones shrink
+        # back below it
+        grow = rng.choice([0.35, 0.5, 0.7])
+        for _ in range(rng.randint(1, 90)):
             op = rng.random()
-            if op < 0.45 or not live:
-                x1, y1 = rng.randint(-45, 45), rng.randint(-45, 45)
-                x2, y2 = rng.randint(-45, 45), rng.randint(-45, 45)
-                box = AABB(min(x1, x2), min(y1, y2), max(x1, x2), max(y1, y2))
+            if op < grow * 0.7 or not live:
+                box = random_box(rng, span)
                 linear.insert_box(next_id, box)
-                grid.insert_box(next_id, box)
-                live[next_id] = box
+                bucket.insert_box(next_id, box)
+                live.append(next_id)
                 next_id += 1
-            elif op < 0.65:
-                bid = rng.choice(sorted(live))
+            elif op < 0.7:
+                bid = live.pop(rng.randrange(len(live)))
                 linear.delete_box(bid)
-                grid.delete_box(bid)
-                del live[bid]
+                bucket.delete_box(bid)
             else:
-                x1, y1 = rng.randint(-60, 60), rng.randint(-60, 60)
-                x2, y2 = rng.randint(-60, 60), rng.randint(-60, 60)
-                rect = AABB(min(x1, x2), min(y1, y2), max(x1, x2), max(y1, y2))
-                assert linear.query(rect) == grid.query(rect), trial
+                rect = random_box(rng, span)
+                assert linear.query(rect) == bucket.query(rect), (trial, rect)
 
 
-def test_grid_box_engine_matches_baseline():
-    for kind in ("strips", "combs", "nested"):
+def test_bucket_range_index_keys_boxes_by_shape():
+    bucket = BucketGridRangeIndex()
+    boxes = {
+        0: AABB(-1, -8, 0, 0),  # 1 x 8: cells 2 x 16, keys floor below zero
+        1: AABB(3, 5, 3, 5),  # a point: unit cells
+        2: AABB(0, 10, 10**6, 17),  # a ladder rung: 2^20 x 8 cells
+        3: AABB(-7, -3, -4, 4),
+        4: AABB(6, -2, 9, -2),
+    }
+    for bid, box in boxes.items():
+        bucket.insert_box(bid, box)
+    assert bucket.query(AABB(-100, -100, 100, 100)) == set(boxes)
+    assert bucket.grids == {
+        (1, 4): {(-1, -1): {0}, (-1, 0): {0}, (0, -1): {0}, (0, 0): {0}},
+        (0, 0): {(3, 5): {1}},
+        (20, 3): {(0, 1): {2}, (0, 2): {2}},
+        (2, 3): {(-2, -1): {3}, (-2, 0): {3}, (-1, -1): {3}, (-1, 0): {3}},
+        (2, 0): {(1, -2): {4}, (2, -2): {4}},
+    }
+
+
+def placed_ids(bucket):
+    return {i for cells in bucket.grids.values() for ids in cells.values() for i in ids}
+
+
+def test_bucket_range_index_places_boxes_once_the_store_outgrows_small():
+    rng = random.Random(5)
+    for trial in range(60):
+        span = (5, 1000, 10**6)[trial % 3]
+        linear, bucket = LinearSegmentRangeIndex(), BucketGridRangeIndex()
+        rects = [random_box(rng, span) for _ in range(30)]
+
+        def same_hits():
+            for rect in rects:
+                assert linear.query(rect) == bucket.query(rect), (trial, rect)
+
+        def insert(bid):
+            box = random_box(rng, span)
+            linear.insert_box(bid, box)
+            bucket.insert_box(bid, box)
+
+        def delete(bid):
+            linear.delete_box(bid)
+            bucket.delete_box(bid)
+
+        for bid in range(SMALL_STORE):
+            insert(bid)
+        same_hits()
+        assert not bucket.grids and len(bucket.pending) == SMALL_STORE
+        # deleting a box that was never placed
+        delete(0)
+        insert(SMALL_STORE)
+        insert(SMALL_STORE + 1)
+        same_hits()
+        assert not bucket.pending and placed_ids(bucket) == set(bucket.boxes)
+        # a fresh box waits until the next query, then joins the grids
+        insert(SMALL_STORE + 2)
+        assert list(bucket.pending) == [SMALL_STORE + 2]
+        delete(SMALL_STORE + 2)
+        insert(SMALL_STORE + 3)
+        same_hits()
+        # deleting placed boxes down to a small store, then growing again
+        for bid in (1, 2, SMALL_STORE):
+            delete(bid)
+        same_hits()
+        assert len(bucket.boxes) <= SMALL_STORE
+        insert(SMALL_STORE + 4)
+        insert(SMALL_STORE + 5)
+        same_hits()
+        for bid in sorted(bucket.boxes):
+            delete(bid)
+        assert not bucket.grids and not bucket.pending
+        same_hits()
+
+
+def test_bucket_box_engine_matches_baseline():
+    for kind in ("strips", "combs", "nested", "ladder"):
         for seed in range(12):
-            inst = generate(kind, trees=2 + seed % 5, size=3 + seed % 4, seed=seed)
-            base_cover, base_stats = box_cover_fast(inst)
-            grid_cover, grid_stats = box_cover_fast(
-                inst, index_factory=GridSegmentRangeIndex.factory_for(inst)
+            inst = generate(kind, trees=2 + 3 * seed, size=3 + seed % 4, seed=seed)
+            base_cover, base_stats = box_cover_fast(
+                inst, index_factory=LinearSegmentRangeIndex
             )
-            assert grid_cover == base_cover, (kind, seed)
-            assert grid_stats == base_stats, (kind, seed)
+            bucket_cover, bucket_stats = box_cover_fast(inst)
+            assert bucket_cover == base_cover, (kind, seed)
+            assert bucket_stats == base_stats, (kind, seed)
 
 
 def test_grid_shooter_oracle_equivalence():

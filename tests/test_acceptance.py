@@ -11,8 +11,7 @@ import time
 
 import pytest
 
-from treecover.accel import GridSegmentRangeIndex
-from treecover.boxcover import LinearSegmentRangeIndex, box_cover_fast
+from treecover.boxcover import BucketGridRangeIndex, box_cover_fast
 from treecover.geom import boundary_intersection_points
 from treecover.hullcover import hull_cover_fast
 from treecover.model import generate, serialize_instance, validate_instance
@@ -48,15 +47,16 @@ def corpus():
 
 @pytest.fixture(scope="module")
 def corpus_results(corpus):
-    """Fast engine runs (baseline shooter/index) over the whole corpus, with
-    the wall time of each family, plus the naive covers for comparison."""
+    """Fast engine runs (default shooter and range index) over the whole
+    corpus, with the wall time of each family, plus the naive covers for
+    comparison."""
     t0 = time.perf_counter()
     hull_fast = [hull_cover_fast(inst) for inst in corpus]
     hull_naive = [naive_phi_cover(inst, PHI["hull"])[0] for inst in corpus]
     hull_seconds = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    indexes = [LinearSegmentRangeIndex() for _ in corpus]
+    indexes = [BucketGridRangeIndex() for _ in corpus]
     box_fast = [
         box_cover_fast(inst, index_factory=lambda idx=idx: idx)
         for inst, idx in zip(corpus, indexes)
@@ -285,9 +285,7 @@ def _best_of_two(fn, *args, **kwargs):
 def test_criterion_10_scaling_subquadratic():
     # combs collapses to one region; strips keeps every tree its own region,
     # so extraction sees m components there; ladder's rungs all overlap in
-    # x, so the validator and the nesting sweep must sweep y there. The box
-    # engine is not timed on ladder: its range index still scans every
-    # stored box per query, which is quadratic on ladder.
+    # x, so the validator and the nesting sweep must sweep y there.
     ladders = (
         ("combs", (1000, 10_000, 100_000)),
         ("strips", (1000, 10_000)),
@@ -296,25 +294,22 @@ def test_criterion_10_scaling_subquadratic():
     ratios = []
     report = []
     for kind, sizes in ladders:
-        phases = ("validate", "hull") if kind == "ladder" else ("validate", "hull", "box")
-        times = {phase: [] for phase in phases}
+        times = {phase: [] for phase in ("validate", "hull", "box")}
         for n in sizes:
             inst = generate(kind, trees=n // 5, size=5, seed=0)
             t, _ = _best_of_two(validate_instance, inst)
             times["validate"].append(t)
-            t, (cover, _) = _best_of_two(hull_cover_fast, inst)  # default shooter
+            # default shooter and range index
+            t, (cover, _) = _best_of_two(hull_cover_fast, inst)
             times["hull"].append(t)
-            if "box" in times:
-                index_factory = GridSegmentRangeIndex.factory_for(inst)
-                t, (bcover, _) = _best_of_two(box_cover_fast, inst, index_factory=index_factory)
-                times["box"].append(t)
+            t, (bcover, _) = _best_of_two(box_cover_fast, inst)
+            times["box"].append(t)
             if n == 1000:
                 # spot-check correctness at the smallest rung
                 oracle, _ = naive_phi_cover(inst, PHI["hull"])
                 assert cover.canonical() == oracle.canonical()
-                if "box" in times:
-                    boracle, _ = naive_phi_cover(inst, PHI["box"])
-                    assert bcover.canonical() == boracle.canonical()
+                boracle, _ = naive_phi_cover(inst, PHI["box"])
+                assert bcover.canonical() == boracle.canonical()
 
         for series in times.values():
             ratios += [big / small for small, big in zip(series, series[1:])]
@@ -325,7 +320,7 @@ def test_criterion_10_scaling_subquadratic():
     assert all(r < 25 for r in ratios), (report, ratios)
     print(
         "ACCEPTANCE 10 PASS: validator and accelerated engines on combs at "
-        "n=1e3/1e4/1e5, strips and ladder at n=1e3/1e4 (no box engine on "
-        f"ladder), {'; '.join(report)}, "
+        "n=1e3/1e4/1e5, strips and ladder at n=1e3/1e4, "
+        f"{'; '.join(report)}, "
         f"growth ratios {['%.1f' % r for r in ratios]} all < 25"
     )

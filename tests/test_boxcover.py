@@ -1,6 +1,7 @@
 import pytest
 
 from treecover.boxcover import (
+    BucketGridRangeIndex,
     DuplicateBoxIdError,
     LinearSegmentRangeIndex,
     boundary_intersects_rect,
@@ -163,7 +164,7 @@ class TestBoxCoverFast:
     def test_insert_delete_discipline(self):
         for seed in range(10):
             inst = generate("combs", trees=5, size=4, seed=seed)
-            index = LinearSegmentRangeIndex()
+            index = BucketGridRangeIndex()
             box_cover_fast(inst, index_factory=lambda: index)
             assert all(c == 1 for c in index.insert_count.values())
             assert all(c == 1 for c in index.delete_count.values())

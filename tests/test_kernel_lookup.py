@@ -1,21 +1,25 @@
 """The engines and the validator look their kernel batches up on
-``treecover._kernelpy`` at each call.
+``treecover._kernelpy`` at each call, and the box engine's range index
+reaches the methods of ``LinearSegmentRangeIndex`` itself.
 
 perfbench's tracer times and counts them by patching ``scan``,
-``find_contacts``, ``find_vertex_hits`` and ``seg_relation`` on that module.
-A caller that bound one of them at import would bypass the patch, and the
-tracer's ``kernel.*`` spans would read zero without any error.
+``find_contacts``, ``find_vertex_hits`` and ``seg_relation`` on that module,
+and ``query``, ``insert_box`` and ``delete_box`` on that class. A caller
+that bound a kernel function at import, or a range index that overrode one
+of those methods, would bypass the patch, and the tracer's ``kernel.*`` and
+``box.*`` metrics would read zero without any error.
 """
 
 from collections import Counter
 
 import pytest
 
-from treecover import _kernelpy, geom
+from treecover import _kernelpy, boxcover, geom
 from treecover.cli import main
 from treecover.model import generate, serialize_instance
 
 HOOKS = ("scan", "find_contacts", "find_vertex_hits", "seg_relation")
+INDEX_HOOKS = ("query", "insert_box", "delete_box")
 
 
 @pytest.fixture
@@ -49,3 +53,23 @@ def test_cli_cover_reaches_the_patched_kernel(phi, reached, calls, tmp_path):
 def test_geometry_predicates_stay_out_of_the_pair_count(calls):
     assert geom.segments_intersect(((0, 0), (2, 2)), ((0, 2), (2, 0))) == geom.CROSSING
     assert calls["seg_relation"] == 0
+
+
+def test_cli_box_cover_reaches_the_patched_range_index(monkeypatch, tmp_path):
+    counts = Counter()
+    for name in INDEX_HOOKS:
+        fn = getattr(boxcover.LinearSegmentRangeIndex, name)
+
+        def counting(*args, _fn=fn, _name=name):
+            counts[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(boxcover.LinearSegmentRangeIndex, name, counting)
+    inp = tmp_path / "in.json"
+    # interlocking combs: their boxes meet, so the engine deletes some
+    inp.write_text(serialize_instance(generate("combs", trees=8, size=4, seed=1)))
+    out = tmp_path / "cover.json"
+    argv = ["cover", "--phi", "box", "--input", str(inp), "--output", str(out)]
+    assert main(argv) == 0
+    for name in INDEX_HOOKS:
+        assert counts[name] > 0, (name, dict(counts))
