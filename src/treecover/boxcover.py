@@ -173,9 +173,6 @@ class BoxStats:
     queries: int
     merges: int
 
-    def to_obj(self) -> dict:
-        return {"queries": self.queries, "merges": self.merges}
-
 
 def maximal_boxes(boxes: list[AABB]) -> list[int]:
     """For each box, the index of the outermost box containing it (its own

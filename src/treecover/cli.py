@@ -10,6 +10,7 @@ non-well-defined witness found.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -92,7 +93,7 @@ def cmd_cover(args) -> int:
                 cover, stats = hull_cover_fast(inst)
         else:
             cover, stats = box_cover_fast(inst)
-        stats_obj = stats.to_obj()
+        stats_obj = dataclasses.asdict(stats)
     else:
         from .phicover import PHI, MergePolicy, naive_phi_cover
 

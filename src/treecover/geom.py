@@ -22,6 +22,7 @@ from operator import sub
 # of that count.
 from ._kernelpy import orient as _orient
 from ._kernelpy import point_in_convex as _point_in_convex
+from ._kernelpy import point_on_segment as _point_on_segment
 from ._kernelpy import polys_intersect as _polys_intersect
 from ._kernelpy import seg_relation as _seg_relation
 
@@ -47,13 +48,7 @@ MEC_EPS = 1e-9
 
 def orient(a, b, c) -> int:
     """Sign of (b - a) x (c - a); accepts integer or Fraction coordinates."""
-    ax, ay = a
-    bx, by = b
-    cx, cy = c
-    if isinstance(ax, int) and isinstance(bx, int) and isinstance(cx, int):
-        return _orient(ax, ay, bx, by, cx, cy)
-    v = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-    return (v > 0) - (v < 0)
+    return _orient(a[0], a[1], b[0], b[1], c[0], c[1])
 
 
 def segments_intersect(s: Segment, t: Segment) -> str:
@@ -136,36 +131,7 @@ def convex_hull(points) -> ConvexPolygon:
 def point_in_convex_polygon(p, poly: ConvexPolygon) -> str:
     """Exact classification of an integer or rational point against the
     closed region of a canonical convex polygon."""
-    px, py = p
-    if isinstance(px, int) and isinstance(py, int):
-        return _CONTAINMENT_NAMES[_point_in_convex(px, py, poly.flat)]
-    v = poly.vertices
-    n = len(v)
-    if n == 1:
-        return BOUNDARY if (px == v[0][0] and py == v[0][1]) else OUTSIDE
-    if n == 2:
-        return BOUNDARY if _rational_on_segment(p, v[0], v[1]) else OUTSIDE
-    on_edge = False
-    for i in range(n):
-        a = v[i]
-        b = v[(i + 1) % n]
-        o = orient(a, b, p)
-        if o < 0:
-            return OUTSIDE
-        if o == 0 and _rational_on_segment(p, a, b):
-            on_edge = True
-    return BOUNDARY if on_edge else INSIDE
-
-
-def _rational_on_segment(p, a, b) -> bool:
-    px, py = p
-    if orient(a, b, p) != 0:
-        return False
-    if a[0] != b[0]:
-        lo, hi = min(a[0], b[0]), max(a[0], b[0])
-        return lo <= px <= hi
-    lo, hi = min(a[1], b[1]), max(a[1], b[1])
-    return lo <= py <= hi
+    return _CONTAINMENT_NAMES[_point_in_convex(p[0], p[1], poly.flat)]
 
 
 def polygons_intersect(p: ConvexPolygon, q: ConvexPolygon) -> bool:
@@ -220,13 +186,13 @@ def _segment_intersection_set(a: Point, b: Point, c: Point, d: Point):
         return ((a[0] + t * rx, a[1] + t * ry),), False
     # touching at an endpoint of one of the segments
     pts = set()
-    if d1 == 0 and _rational_on_segment(a, c, d):
+    if d1 == 0 and _point_on_segment(a[0], a[1], c[0], c[1], d[0], d[1]):
         pts.add((Fraction(a[0]), Fraction(a[1])))
-    if d2 == 0 and _rational_on_segment(b, c, d):
+    if d2 == 0 and _point_on_segment(b[0], b[1], c[0], c[1], d[0], d[1]):
         pts.add((Fraction(b[0]), Fraction(b[1])))
-    if d3 == 0 and _rational_on_segment(c, a, b):
+    if d3 == 0 and _point_on_segment(c[0], c[1], a[0], a[1], b[0], b[1]):
         pts.add((Fraction(c[0]), Fraction(c[1])))
-    if d4 == 0 and _rational_on_segment(d, a, b):
+    if d4 == 0 and _point_on_segment(d[0], d[1], a[0], a[1], b[0], b[1]):
         pts.add((Fraction(d[0]), Fraction(d[1])))
     return tuple(sorted(pts)), False
 

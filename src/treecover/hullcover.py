@@ -17,11 +17,15 @@ both give identical results.
 Two engine details differ from the naive definition but provably preserve
 the cover. First, the per-shot merge test uses the nearest *foreign* hit
 even when an own obstacle sits closer on the chord (an own tree vertex may
-be collinear with a hull edge; treating that shot as verified would hide the
-foreign blockage behind it). Second, a directed chord that was already shot
-while on some ancestor hull is not re-shot after a merge: tree obstacles
-never change, so its verdict is permanent, and this caps the ray count at
-the initial edge count plus two tangents per merge.
+be collinear with a hull edge; treating that shot as clear would hide the
+foreign blockage behind it). Second, each directed hull edge is shot at
+most once, while it is an edge of a live hull: tree obstacles never change,
+so a shot's verdict is permanent. A merge only grows a hull, so an edge
+that leaves a live hull never returns to one (if (p, q) is an edge of H'
+and H' contains H with p and q in H, then (p, q) is an edge of H). So a
+merge enqueues only the edges its new hull gained, a popped edge that is no
+longer live is skipped, and the ray count is capped at the initial edge
+count plus two tangents per merge.
 """
 
 from __future__ import annotations
@@ -67,17 +71,13 @@ class InternalInvariantError(AssertionError):
 
 class ComponentSet:
     """Union-find over tree indices; each root carries the component's
-    current hull and the engine's chord bookkeeping (current directed hull
-    edges, verified chords, pending chords)."""
+    current hull."""
 
     def __init__(self, m: int):
         self.parent = list(range(m))
         self._size = [1] * m
         self.count = m
         self.hull: dict[int, ConvexPolygon] = {}
-        self.edge_set: dict[int, set] = {}
-        self.verified: dict[int, set] = {}
-        self.pending: dict[int, set] = {}
 
     def find(self, i: int) -> int:
         p = self.parent
@@ -340,13 +340,6 @@ class HullStats:
     merges: int
     initial_edges: int
 
-    def to_obj(self) -> dict:
-        return {
-            "rays_shot": self.rays_shot,
-            "merges": self.merges,
-            "initial_edges": self.initial_edges,
-        }
-
 
 def contained_in(inner: ConvexPolygon, outer: ConvexPolygon) -> bool:
     """Closed containment for boundary-disjoint (possibly touching) hulls."""
@@ -400,17 +393,16 @@ def hull_cover_fast(
             for a, b in tree.segments():
                 shooter.insert_segment(a, b, i)
 
+    # directed edges of every live hull; vertices are globally distinct, so
+    # an edge names its component and one set serves them all
+    live: set = set()
     worklist: deque = deque()
-    initial_edges = 0
     for i, hull in enumerate(instance.tree_hulls()):
         comps.hull[i] = hull
-        edges = hull.directed_edges()
-        comps.edge_set[i] = set(edges)
-        comps.verified[i] = set()
-        comps.pending[i] = set(edges)
-        for p, q in edges:
+        for p, q in hull.directed_edges():
+            live.add((p, q))
             worklist.append((p, q, i))
-            initial_edges += 1
+    initial_edges = len(worklist)
 
     rays_shot = 0
     merges = 0
@@ -418,19 +410,15 @@ def hull_cover_fast(
 
     while worklist:
         p, q, rep = worklist.popleft()
-        root = comps.find(rep)
-        edge = (p, q)
-        if edge not in comps.pending[root] or edge not in comps.edge_set[root]:
-            comps.pending[root].discard(edge)
+        if (p, q) not in live:
             continue
-        comps.pending[root].discard(edge)
+        root = comps.find(rep)
         rays_shot += 1
         hit_all, merge_hit = shooter.shoot_from(p, q, root)
         if hit_all is None:
             raise InternalInvariantError(
                 f"hull-edge shot from {p} through {q} escaped all obstacles"
             )
-        comps.verified[root].add(edge)
         merged = merge_hit is not None
         if trace is not None:
             end = merge_hit.point if merged else hit_all.point
@@ -450,31 +438,21 @@ def hull_cover_fast(
                         "inside the shot edge"
                     )
                 _assert_connecting_edge_clean(shooter, comps, p, q, merge_hit, root, other)
+            old = set(comps.hull[root].directed_edges())
+            old.update(comps.hull[other].directed_edges())
             new_hull = merge_convex_hulls(comps.hull[root], comps.hull[other])
             winner = comps.union(root, other)
-            loser = other if winner == root else root
+            del comps.hull[other if winner == root else root]
             comps.hull[winner] = new_hull
-            # merge chord bookkeeping small-into-large to stay near-linear
-            va, vb = comps.verified[root], comps.verified[other]
-            if len(va) < len(vb):
-                va, vb = vb, va
-            va.update(vb)
-            comps.verified[winner] = va
-            pa, pb = comps.pending[root], comps.pending[other]
-            if len(pa) < len(pb):
-                pa, pb = pb, pa
-            pa.update(pb)
-            pend = pa
-            edges = new_hull.directed_edges()
-            comps.edge_set[winner] = set(edges)
-            comps.pending[winner] = pend
-            for e2 in edges:
-                if e2 not in va and e2 not in pend:
-                    pend.add(e2)
+            # an edge of an old hull was shot already or is still queued; an
+            # edge the merge removed never returns to a hull
+            for e2 in new_hull.directed_edges():
+                if e2 in old:
+                    old.discard(e2)
+                else:
+                    live.add(e2)
                     worklist.append((e2[0], e2[1], winner))
-            for d in (comps.hull, comps.verified, comps.pending, comps.edge_set):
-                if loser in d and loser != winner:
-                    del d[loser]
+            live -= old
             merges += 1
             if merges > m - 1:
                 raise InternalInvariantError("more than m - 1 merges")

@@ -24,6 +24,7 @@ from .geom import (
     Circle,
     ConvexPolygon,
     COORD_LIMIT,
+    _segment_intersection_set,
     box_of,
     convex_hull,
     sweep_along_y,
@@ -300,8 +301,6 @@ def validate_instance(instance: Instance) -> list[Violation]:
     for i, j in _kernelpy.find_contacts(*segs, seg_tree):
         a = ((sx1[i], sy1[i]), (sx2[i], sy2[i]))
         b = ((sx1[j], sy1[j]), (sx2[j], sy2[j]))
-        from .geom import _segment_intersection_set
-
         pts, _ = _segment_intersection_set(a[0], a[1], b[0], b[1])
         at = ""
         if pts:
@@ -378,6 +377,15 @@ def region_key(region: Region):
     return (2, (round(region.cx, 6), round(region.cy, 6), round(region.r, 6)))
 
 
+def region_obj(region: Region) -> dict:
+    """A region's wire form, as cover and merge-forest JSON write it."""
+    if isinstance(region, ConvexPolygon):
+        return {"vertices": [[x, y] for x, y in region.vertices]}
+    if isinstance(region, AABB):
+        return {"box": [region.xmin, region.ymin, region.xmax, region.ymax]}
+    return {"circle": [region.cx, region.cy, region.r]}
+
+
 @dataclass(frozen=True)
 class Cover:
     """A set of pairwise disjoint regions plus tree membership, stored in
@@ -405,17 +413,9 @@ class Cover:
         )
 
     def to_obj(self, trace: dict | None = None) -> dict:
-        regions = []
-        for r in self.regions:
-            if isinstance(r, ConvexPolygon):
-                regions.append({"vertices": [[x, y] for x, y in r.vertices]})
-            elif isinstance(r, AABB):
-                regions.append({"box": [r.xmin, r.ymin, r.xmax, r.ymax]})
-            else:
-                regions.append({"circle": [r.cx, r.cy, r.r]})
         obj = {
             "phi": self.phi,
-            "regions": regions,
+            "regions": [region_obj(r) for r in self.regions],
             "membership": [list(ms) for ms in self.membership],
         }
         if trace is not None:

@@ -30,7 +30,7 @@ from .geom import (
     point_in_convex_polygon,
     polygons_intersect,
 )
-from .model import Cover, Instance
+from .model import Cover, Instance, region_obj
 
 
 class HullPhi:
@@ -146,7 +146,7 @@ class MergeForest:
 
     def to_obj(self, phi_tag: str) -> dict:
         def node_obj(n: MergeNode) -> dict:
-            out: dict = {"region": _region_obj(n.region)}
+            out: dict = {"region": region_obj(n.region)}
             if n.children is None:
                 out["tree"] = n.leaf
             else:
@@ -154,14 +154,6 @@ class MergeForest:
             return out
 
         return {"phi": phi_tag, "roots": [node_obj(r) for r in self.roots]}
-
-
-def _region_obj(region) -> dict:
-    if isinstance(region, ConvexPolygon):
-        return {"vertices": [[x, y] for x, y in region.vertices]}
-    if isinstance(region, AABB):
-        return {"box": [region.xmin, region.ymin, region.xmax, region.ymax]}
-    return {"circle": [region.cx, region.cy, region.r]}
 
 
 class PolicyError(ValueError):

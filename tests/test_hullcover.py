@@ -268,3 +268,39 @@ class TestHullCoverFast:
         assert stats.rays_shot == 0
         oracle, _ = naive_phi_cover(inst, HULL)
         assert cover.canonical() == oracle.canonical()
+
+
+class RecordingShooter(NaiveRayShooter):
+    """Records each engine shot: its directed chord and whether that chord
+    was an edge of the shooter's own live hull at that moment."""
+
+    def __init__(self, components):
+        super().__init__(components)
+        self.shots = []
+
+    def shoot_from(self, origin, through, own_root):
+        own = self.components.hull[own_root].directed_edges()
+        self.shots.append(((origin, through), (origin, through) in own))
+        return super().shoot_from(origin, through, own_root)
+
+
+@pytest.mark.parametrize("kind", ["strips", "combs", "nested", "ladder"])
+def test_every_live_hull_edge_is_shot_exactly_once(kind):
+    for seed in range(10):
+        inst = generate(kind, trees=2 + 3 * seed, size=3 + seed % 4, seed=seed)
+        shooters = []
+
+        def factory(comps):
+            shooters.append(RecordingShooter(comps))
+            return shooters[0]
+
+        _, stats = hull_cover_fast(inst, shooter_factory=factory)
+        shooter = shooters[0]
+        chords = [chord for chord, _ in shooter.shots]
+        assert len(chords) == stats.rays_shot, (kind, seed)
+        assert len(set(chords)) == len(chords), (kind, seed)
+        assert all(on_hull for _, on_hull in shooter.shots), (kind, seed)
+        comps = shooter.components
+        roots = {comps.find(i) for i in range(inst.m)}
+        final = {e for r in roots for e in comps.hull[r].directed_edges()}
+        assert final <= set(chords), (kind, seed)
