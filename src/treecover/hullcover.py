@@ -12,7 +12,12 @@ The ray shooter is pluggable. The engine's default, `BucketGridShooter`,
 scans only the obstacles bucketed in the grid cells that the shot's hull
 edge crosses. `NaiveRayShooter` scans every stored obstacle per shot
 (exact, quadratic overall) and is the reference the tests compare against;
-both give identical results.
+both give identical results. A shot keeps its hits as the kernel's exact
+integers n / d and builds fractions only when a caller reads ``t`` or the
+hit point (traces and debug checks). A ray that ends at its chord's end q,
+as every engine ray stopped by its own hull vertex does, covers exactly the
+grid cells the shot scanned and is registered under those keys; a ray that
+stops short is rasterized on its own.
 
 Two engine details differ from the naive definition but provably preserve
 the cover. First, the per-shot merge test uses the nearest *foreign* hit
@@ -53,16 +58,44 @@ from .geom import (
 from .model import Cover, Instance
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, slots=True)
 class Hit:
-    """First obstacle met by a shot ray: exact parameter t > 0 along the
-    direction (through - origin), the hit point, the obstacle id, and the
-    obstacle owner's component root at shot time."""
+    """First obstacle met by a shot ray from ``origin`` along the direction
+    (through - origin), at the exact parameter t = n / d > 0 (d > 0, not
+    necessarily in lowest terms), with the obstacle id and the obstacle
+    owner's component root at shot time.
 
-    t: Fraction
-    point: tuple[Fraction, Fraction]
+    A shot keeps the kernel's integers: ``t`` and the hit ``point`` are
+    built as fractions only when read, and two hits are equal when their t,
+    point, obstacle and component are."""
+
+    n: int
+    d: int
+    origin: tuple[int, int]
+    through: tuple[int, int]
     obstacle: int
     component: int
+
+    @property
+    def t(self) -> Fraction:
+        return Fraction(self.n, self.d)
+
+    @property
+    def point(self) -> tuple[Fraction, Fraction]:
+        t = self.t
+        (ox, oy), (tx, ty) = self.origin, self.through
+        return (ox + t * (tx - ox), oy + t * (ty - oy))
+
+    def _key(self):
+        return (self.t, self.point, self.obstacle, self.component)
+
+    def __eq__(self, other):
+        if not isinstance(other, Hit):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 class InternalInvariantError(AssertionError):
@@ -163,15 +196,7 @@ class NaiveRayShooter:
         )
 
     def _hit(self, origin, through, idx: int, n: int, d: int) -> Hit:
-        t = Fraction(n, d)
-        ex = through[0] - origin[0]
-        ey = through[1] - origin[1]
-        return Hit(
-            t,
-            (origin[0] + t * ex, origin[1] + t * ey),
-            idx,
-            self.components.find(self.owners[idx]),
-        )
+        return Hit(n, d, origin, through, idx, self.components.find(self.owners[idx]))
 
     def shoot(self, origin, through, owner: int = 0) -> Optional[Hit]:
         """First obstacle intersection at t > 0 over all obstacles; the ray
@@ -191,16 +216,15 @@ class NaiveRayShooter:
         the chord, else None. Inserts the ray up to the merge hit when
         merging, else up to the overall first hit."""
         ia, na, da, if_, nf, df = self._scan(origin, through, own_root)
-        hit_all = self._hit(origin, through, ia, na, da) if ia >= 0 else None
-        merge_hit = None
-        if if_ >= 0 and nf <= df:  # foreign hit with t <= 1
-            merge_hit = self._hit(origin, through, if_, nf, df)
+        if ia < 0:
+            return None, None
+        hit_all = self._hit(origin, through, ia, na, da)
         e = (through[0] - origin[0], through[1] - origin[1])
-        if merge_hit is not None:
+        if if_ >= 0 and nf <= df:  # foreign hit with t <= 1
             self._insert_ray(origin, e, nf, df, own_root)
-        elif hit_all is not None:
-            self._insert_ray(origin, e, na, da, own_root)
-        return hit_all, merge_hit
+            return hit_all, self._hit(origin, through, if_, nf, df)
+        self._insert_ray(origin, e, na, da, own_root)
+        return hit_all, None
 
 
 class BucketGridShooter(NaiveRayShooter):
@@ -230,6 +254,8 @@ class BucketGridShooter(NaiveRayShooter):
         self.nx = (bounds.xmax - bounds.xmin) // self.cw + 1
         self.ny = (bounds.ymax - bounds.ymin) // self.ch + 1
         self.cells: dict[int, list[int]] = {}
+        # the chord of the last scan, (ox, oy, tx, ty), and its cell keys
+        self._chord = (None, None, None, None, ())
 
     @staticmethod
     def factory_for(instance: Instance):
@@ -291,6 +317,8 @@ class BucketGridShooter(NaiveRayShooter):
             keys = self._cells(x1, y1, x2, y2, 1)
         elif kind == OB_POINT:
             keys = self._cells(x1, y1, x1, y1, 1)
+        elif tn == td and self._chord[:4] == (x1, y1, x1 + x2, y1 + y2):
+            keys = self._chord[4]  # a ray that ends at t = 1 is the chord scanned
         else:  # ray: origin (x1, y1), direction (x2, y2), end parameter tn/td
             ax, ay = x1 * td, y1 * td
             keys = self._cells(ax, ay, ax + x2 * tn, ay + y2 * tn, td)
@@ -301,7 +329,10 @@ class BucketGridShooter(NaiveRayShooter):
     def _scan(self, origin, through, own_root: int):
         cells = self.cells
         found = set()
-        for key in self._cells(origin[0], origin[1], through[0], through[1], 1):
+        ox, oy, tx, ty = origin[0], origin[1], through[0], through[1]
+        keys = self._cells(ox, oy, tx, ty, 1)
+        self._chord = (ox, oy, tx, ty, keys)
+        for key in keys:
             bucket = cells.get(key)
             if bucket is not None:
                 found.update(bucket)
@@ -317,10 +348,10 @@ class BucketGridShooter(NaiveRayShooter):
             self.owners,
         )
         ia, na, da, if_, nf, df = _kernelpy.scan(
-            origin[0],
-            origin[1],
-            through[0],
-            through[1],
+            ox,
+            oy,
+            tx,
+            ty,
             *[[col[i] for i in ids] for col in cols],
             self.components.parent,
             own_root,
@@ -432,7 +463,7 @@ def hull_cover_fast(
         if merged:
             other = merge_hit.component
             if debug:
-                if not (0 < merge_hit.t < 1):
+                if not (0 < merge_hit.n < merge_hit.d):
                     raise InternalInvariantError(
                         f"merging hit at t={merge_hit.t}, expected strictly "
                         "inside the shot edge"
@@ -506,7 +537,7 @@ def _assert_connecting_edge_clean(shooter, comps, origin, through, hit, root_a, 
             [0],
             -1,
         )
-        if ia >= 0 and Fraction(na, da) < hit.t:
+        if ia >= 0 and na * hit.d < hit.n * da:
             raise InternalInvariantError(
                 f"third-component obstacle {idx} blocks the connecting edge"
             )

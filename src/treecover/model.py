@@ -39,7 +39,7 @@ class GenerationError(ValueError):
     """Generator parameters are infeasible."""
 
 
-GENERATOR_KINDS = ("strips", "combs", "nested", "ladder", "mincircle-gadget")
+GENERATOR_KINDS = ("strips", "combs", "nested", "ladder", "arc", "mincircle-gadget")
 
 
 @dataclass(frozen=True)
@@ -459,6 +459,10 @@ def generate(kind: str, trees: int = 4, size: int = 4, seed: int = 0) -> Instanc
     Kinds: strips (disjoint-hull x-monotone paths), combs (interlocking
     L teeth with heavily overlapping hulls), nested (concentric open rings),
     ladder (rungs about 10^6 wide stacked in y that share x coordinates),
+    arc (``combs`` with size 3 and seed 1, every coordinate scaled by 10^4
+    and tree k lifted by A * (k - m // 2)^2, A = 3 below 4000 trees and 1
+    from there; one region reached through m - 1 merges, whose hull keeps
+    about m / 3 vertices; size and seed are ignored, at most 17880 trees),
     mincircle-gadget (a fixed 4-tree instance whose min-circle cover depends
     on merge order; trees/size/seed are ignored for it).
     """
@@ -476,6 +480,8 @@ def generate(kind: str, trees: int = 4, size: int = 4, seed: int = 0) -> Instanc
         inst = _gen_combs(trees, size, seed)
     elif kind == "ladder":
         inst = _gen_ladder(trees, size, seed)
+    elif kind == "arc":
+        inst = _gen_arc(trees)
     else:
         inst = _gen_nested(trees, size, seed)
     bad = errors_only(validate_instance(inst))
@@ -592,6 +598,32 @@ def _gen_ladder(m: int, size: int, seed: int) -> Instance:
         edges = tuple((i, i + 1) for i in range(size - 1))
         ts.append(GeometricTree(verts, edges))
     return Instance(tuple(ts))
+
+
+# tooth k sits near x = 6 * 10^4 * k, inside the 2^30 coordinate range
+ARC_MAX_TREES = 17880
+
+
+def _gen_arc(m: int) -> Instance:
+    # A comb's arm passes at least 4 * 10^4 below or above its neighbour's
+    # wall tip after scaling, and neighbouring lifts differ by at most
+    # A * (m - 1) < 4 * 10^4, so the lifted teeth interlock without contact.
+    if m > ARC_MAX_TREES:
+        raise GenerationError(f"arc needs at most {ARC_MAX_TREES} trees")
+    a = 3 if m < 4000 else 1
+    combs = _gen_combs(m, 3, 1)
+    return Instance(
+        tuple(
+            GeometricTree(
+                tuple(
+                    (x * 10**4, y * 10**4 + a * (k - m // 2) ** 2)
+                    for x, y in t.vertices
+                ),
+                t.edges,
+            )
+            for k, t in enumerate(combs.trees)
+        )
+    )
 
 
 def _gen_mincircle_gadget() -> Instance:

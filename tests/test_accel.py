@@ -6,6 +6,7 @@ import random
 import pytest
 
 from treecover import _kernelpy
+from treecover._kernelpy import OB_POINT, OB_RAY, OB_SEGMENT
 from treecover.boxcover import (
     SMALL_STORE,
     BucketGridRangeIndex,
@@ -189,6 +190,54 @@ def test_grid_engine_matches_baseline_engine():
             grid_cover, grid_stats = hull_cover_fast(inst)
             assert grid_cover == base_cover, (kind, seed)
             assert grid_stats == base_stats, (kind, seed)
+
+
+def registered_keys(shooter):
+    keys = [set() for _ in range(len(shooter))]
+    for key, ids in shooter.cells.items():
+        assert len(set(ids)) == len(ids), key
+        for i in ids:
+            keys[i].add(key)
+    return keys
+
+
+def extent_keys(shooter, i):
+    """The cells of obstacle i's exact extent: its segment, its point, or
+    its ray up to the end parameter tn / td."""
+    s = shooter
+    x1, y1, x2, y2 = s.xs1[i], s.ys1[i], s.xs2[i], s.ys2[i]
+    if s.kinds[i] == OB_SEGMENT:
+        return set(s._cells(x1, y1, x2, y2, 1))
+    if s.kinds[i] == OB_POINT:
+        return set(s._cells(x1, y1, x1, y1, 1))
+    tn, td = s.tns[i], s.tds[i]
+    return set(s._cells(x1 * td, y1 * td, x1 * td + x2 * tn, y1 * td + y2 * tn, td))
+
+
+@pytest.mark.parametrize("kind", ["strips", "combs", "nested", "ladder"])
+def test_grid_registers_each_obstacle_in_the_cells_of_its_extent(kind):
+    """A ray that ends at its chord's end takes the chord's cells from the
+    shot's scan; every obstacle must still sit in exactly the cells of its
+    own extent, so a ray that stops short stays out of the rest of its
+    chord's cells."""
+    rays = {"full": 0, "short": 0}
+    for seed in range(10):
+        inst = generate(kind, trees=2 + 3 * seed, size=3 + seed % 4, seed=seed)
+        make = BucketGridShooter.factory_for(inst)
+        kept = []
+
+        def factory(comps):
+            kept.append(make(comps))
+            return kept[0]
+
+        hull_cover_fast(inst, shooter_factory=factory)
+        shooter = kept[0]
+        for i, keys in enumerate(registered_keys(shooter)):
+            assert keys == extent_keys(shooter, i), (kind, seed, i)
+            if shooter.kinds[i] == OB_RAY:
+                rays["full" if shooter.tns[i] == shooter.tds[i] else "short"] += 1
+    # every ray on nested ends at its chord's end
+    assert rays["full"] > 0 and (rays["short"] > 0 or kind == "nested"), rays
 
 
 def test_grid_engine_on_fixture_instances():

@@ -1,5 +1,9 @@
+import hashlib
+import json
+
 import pytest
 
+from treecover import hullcover
 from treecover.geom import ConvexPolygon, convex_hull
 from treecover.hullcover import (
     ComponentSet,
@@ -240,6 +244,20 @@ class TestHullCoverFast:
             assert cover.canonical() == oracle.canonical(), (kind, seed)
             assert_budget(inst, stats)
 
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_arc_matches_oracle(self, m):
+        inst = generate("arc", trees=m)
+        cover, stats = hull_cover_fast(inst, debug=m <= 6)
+        oracle, _ = naive_phi_cover(inst, HULL)
+        assert cover.canonical() == oracle.canonical()
+        assert_budget(inst, stats)
+
+    @pytest.mark.parametrize("m", [2, 3, 12, 101, 400])
+    def test_arc_merges_into_one_region(self, m):
+        cover, stats = hull_cover_fast(generate("arc", trees=m))
+        assert len(cover.regions) == 1
+        assert stats.merges == m - 1
+
     def test_oracle_equivalence_debug_mode(self):
         for seed in range(6):
             inst = generate("combs", trees=4, size=4, seed=seed)
@@ -304,3 +322,38 @@ def test_every_live_hull_edge_is_shot_exactly_once(kind):
         roots = {comps.find(i) for i in range(inst.m)}
         final = {e for r in roots for e in comps.hull[r].directed_edges()}
         assert final <= set(chords), (kind, seed)
+
+
+# sha256 of json.dumps(trace) for generate(kind, trees=12, size=5, seed=seed),
+# recorded before shots kept their hits as exact integers; the combs traces
+# end rays at non-integer points
+TRACE_GOLDEN = {
+    ("combs", 0): "ab75100215e7b1a528ec2bc2468cbab41c77ee3db00f4c60a210564235f100b6",
+    ("combs", 1): "187aefcc81f3f446c206e2e65516399b1d0497432a932d4d4542ddc656fdd771",
+    ("combs", 2): "73f69230c069e10ca7158cc88bd6f143a3f0ecb72425d352fdc161370d3538ed",
+    ("strips", 0): "5165bc6c3c5cf530886d277e34b22fbc36d69836a6e4f8ad5d8df18a419e0471",
+    ("strips", 1): "079dcf3a74a27267c3252766847dc2e3f9db1c275cecc7307f86c4bfa1b6d865",
+    ("strips", 2): "0a0642a0d1ed24a9b1d377a210c910ffd16aeaf31b6770232f7c9a5826e5ed13",
+}
+
+
+@pytest.mark.parametrize("kind, seed", sorted(TRACE_GOLDEN))
+def test_shots_build_fractions_only_when_read(kind, seed, monkeypatch):
+    """An engine run builds no Fraction unless it records a trace or runs
+    its debug checks; the recorded trace is unchanged."""
+    made = []
+    fraction = hullcover.Fraction
+
+    def counting(*args):
+        made.append(args)
+        return fraction(*args)
+
+    monkeypatch.setattr(hullcover, "Fraction", counting)
+    inst = generate(kind, trees=12, size=5, seed=seed)
+    cover, stats = hull_cover_fast(inst)
+    assert made == []
+    traced_cover, traced_stats, trace = hull_cover_fast(inst, record_trace=True)
+    assert made
+    assert (traced_cover, traced_stats) == (cover, stats)
+    digest = hashlib.sha256(json.dumps(trace).encode()).hexdigest()
+    assert digest == TRACE_GOLDEN[kind, seed]

@@ -1,20 +1,23 @@
 """The engines and the validator look their kernel batches up on
-``treecover._kernelpy`` at each call, and the box engine's range index
-reaches the methods of ``LinearSegmentRangeIndex`` itself.
+``treecover._kernelpy`` at each call, the box engine's range index reaches
+the methods of ``LinearSegmentRangeIndex`` itself, and the hull engine's
+shooter reaches ``NaiveRayShooter.shoot_from``.
 
 perfbench's tracer times and counts them by patching ``scan``,
 ``find_contacts``, ``find_vertex_hits`` and ``seg_relation`` on that module,
-and ``query``, ``insert_box`` and ``delete_box`` on that class. A caller
-that bound a kernel function at import, or a range index that overrode one
-of those methods, would bypass the patch, and the tracer's ``kernel.*`` and
-``box.*`` metrics would read zero without any error.
+``query``, ``insert_box`` and ``delete_box`` on that class, and
+``shoot_from`` on ``NaiveRayShooter``. A caller that bound a kernel function
+at import, or a range index or shooter that overrode one of those methods,
+would bypass the patch, and the tracer's ``kernel.*``, ``box.*`` and
+``hull.shots`` metrics would read zero without any error.
 """
 
+import json
 from collections import Counter
 
 import pytest
 
-from treecover import _kernelpy, boxcover, geom
+from treecover import _kernelpy, boxcover, geom, hullcover
 from treecover.cli import main
 from treecover.model import generate, serialize_instance
 
@@ -73,3 +76,21 @@ def test_cli_box_cover_reaches_the_patched_range_index(monkeypatch, tmp_path):
     assert main(argv) == 0
     for name in INDEX_HOOKS:
         assert counts[name] > 0, (name, dict(counts))
+
+
+def test_cli_hull_cover_reaches_the_patched_shooter(monkeypatch, tmp_path):
+    assert "shoot_from" not in vars(hullcover.BucketGridShooter)
+    shots = []
+    fn = hullcover.NaiveRayShooter.shoot_from
+
+    def counting(*args):
+        shots.append(args[1:3])
+        return fn(*args)
+
+    monkeypatch.setattr(hullcover.NaiveRayShooter, "shoot_from", counting)
+    inp = tmp_path / "in.json"
+    inp.write_text(serialize_instance(generate("combs", trees=4, size=4, seed=1)))
+    out, stats = tmp_path / "cover.json", tmp_path / "stats.json"
+    argv = ["cover", "--phi", "hull", "--input", str(inp), "--output", str(out)]
+    assert main(argv + ["--stats", str(stats)]) == 0
+    assert len(shots) == json.loads(stats.read_text())["rays_shot"] > 0

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from treecover.geom import AABB, ConvexPolygon
 from treecover.model import (
+    ARC_MAX_TREES,
     Cover,
     GenerationError,
     GeometricTree,
@@ -212,6 +213,25 @@ class TestGenerate:
         inst = generate("mincircle-gadget", seed=0)
         assert inst.m == 4
         assert all(len(t.vertices) == 2 for t in inst.trees)
+
+    @pytest.mark.parametrize("m, a", [(1, 3), (6, 3), (7, 3), (3999, 3), (4000, 1)])
+    def test_arc_lifts_scaled_combs(self, m, a):
+        inst = generate("arc", trees=m)
+        combs = generate("combs", trees=m, size=3, seed=1)
+        for k, (t, c) in enumerate(zip(inst.trees, combs.trees)):
+            lift = a * (k - m // 2) ** 2
+            assert t.edges == c.edges
+            assert t.vertices == tuple((x * 10**4, y * 10**4 + lift) for x, y in c.vertices)
+        # size and seed are ignored
+        assert generate("arc", trees=m, size=7, seed=5) == inst
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 12, 101, 3999, 4000, ARC_MAX_TREES])
+    def test_arc_is_validator_clean(self, m):
+        assert errors_only(validate_instance(generate("arc", trees=m))) == []
+
+    def test_arc_tree_count_is_capped(self):
+        with pytest.raises(GenerationError):
+            generate("arc", trees=ARC_MAX_TREES + 1)
 
     @pytest.mark.parametrize("kind", ["strips", "combs", "nested", "ladder"])
     def test_generated_instances_valid_many_seeds(self, kind):
