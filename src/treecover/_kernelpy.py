@@ -49,7 +49,21 @@ def seg_relation(p1x, p1y, p2x, p2y, q1x, q1y, q2x, q2y):
     Crossing means they share a point interior to both (this includes
     collinear overlap of positive length); touching means boundary-only
     contact.
+
+    Segments with a shared endpoint s are decided from their other ends u
+    and w about s: they cross when u and w point the same way (cross
+    product 0, dot product > 0), and otherwise touch at s only, zero-length
+    segments included. Two edges of a tree that meet at a vertex, the
+    validator's most common pair, take this path.
     """
+    if p1x == q1x and p1y == q1y:
+        return _from_shared_end(p2x - p1x, p2y - p1y, q2x - p1x, q2y - p1y)
+    if p1x == q2x and p1y == q2y:
+        return _from_shared_end(p2x - p1x, p2y - p1y, q1x - p1x, q1y - p1y)
+    if p2x == q1x and p2y == q1y:
+        return _from_shared_end(p1x - p2x, p1y - p2y, q2x - p2x, q2y - p2y)
+    if p2x == q2x and p2y == q2y:
+        return _from_shared_end(p1x - p2x, p1y - p2y, q1x - p2x, q1y - p2y)
     d1 = orient(q1x, q1y, q2x, q2y, p1x, p1y)
     d2 = orient(q1x, q1y, q2x, q2y, p2x, p2y)
     d3 = orient(p1x, p1y, p2x, p2y, q1x, q1y)
@@ -81,6 +95,11 @@ def seg_relation(p1x, p1y, p2x, p2y, q1x, q1y, q2x, q2y):
         or (d4 == 0 and _on_segment_collinear(q2x, q2y, p1x, p1y, p2x, p2y))
     )
     return 1 if touch else 0
+
+
+def _from_shared_end(ux, uy, wx, wy):
+    # seg_relation of two segments from one point s to s + u and s + w
+    return 2 if ux * wy == uy * wx and ux * wx + uy * wy > 0 else 1
 
 
 def point_in_convex(px, py, poly):
@@ -265,7 +284,10 @@ def find_contacts(sx1, sy1, sx2, sy2, seg_tree):
     touch or cross, except the legal case of two edges of the same tree
     meeting exactly at a shared endpoint. An x-interval sweep prunes the
     candidate pairs (worst case still quadratic, near-linear on real
-    inputs).
+    inputs), and ``seg_relation`` classifies each one that is left. On a
+    valid input those are mostly two edges of one tree at their shared
+    vertex, which its shared-endpoint rule decides without orientation
+    tests.
     """
     m = len(sx1)
     xlo = [0] * m
@@ -313,7 +335,13 @@ def find_contacts(sx1, sy1, sx2, sy2, seg_tree):
 def find_vertex_hits(px, py, sx1, sy1, sx2, sy2):
     """Sorted pairs (vi, sj) where vertex vi lies on segment sj but is not
     one of its endpoints (the 'no vertex interior to any edge' rule).
-    Vertices are binary-searched by x per segment."""
+    Vertices are binary-searched by x per segment.
+
+    The validator passes only the vertices that can be hit: the ends of the
+    segment pairs ``find_contacts`` reports, since a vertex inside one
+    segment that ends another puts the two in contact, and the vertices
+    that end no segment; on a valid input that leaves single-vertex trees.
+    """
     from bisect import bisect_left, bisect_right
 
     nv = len(px)

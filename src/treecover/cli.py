@@ -51,13 +51,12 @@ def _write(path: str, text: str) -> None:
 
 
 def _load_valid_instance(args):
-    """Parse and validate; raises SystemExit-like tuple flow via exceptions."""
+    """Parse and validate the input instance, writing every violation to
+    stderr, one per line; raise _ValidationFailed if any is an error."""
     inst = parse_instance(_read(args.input), scale=getattr(args, "scale", 1))
     violations = validate_instance(inst)
-    errors = errors_only(violations)
-    for v in violations:
-        print(str(v), file=sys.stderr)
-    if errors:
+    sys.stderr.write("".join(f"{v}\n" for v in violations))
+    if errors_only(violations):
         raise _ValidationFailed()
     return inst
 
@@ -222,8 +221,10 @@ def cmd_bench(args) -> int:
     per_tree = 5
     rows = ["kind,n,algo,wall_ms,ops,merges"]
     for kind in kinds:
+        # a kind's own vertices per tree: arc trees have 3 whatever the size
+        tree_n = generate(kind, trees=1, size=per_tree, seed=args.seed).n
         for n_target in sizes:
-            m = max(2, n_target // per_tree)
+            m = max(2, n_target // tree_n)
             inst = generate(kind, trees=m, size=per_tree, seed=args.seed)
             for algo in ("fast", "naive"):
                 _bench_one(inst, args.phi, algo)  # warmup, excluded

@@ -196,165 +196,142 @@ def validate_instance(instance: Instance) -> list[Violation]:
 
     Violations are data, not exceptions; entries with warning=True (shared
     axis coordinates across trees) do not make the instance invalid.
+
+    One pass over the trees checks their structure and builds the vertex
+    and segment tables. A union-find over global vertex ids joins the ends
+    of each edge, and k counts the edges whose ends it had already joined:
+    a tree with nv vertices and nv - 1 edges has 1 + k components, and only
+    a tree with k > 0 can have a self-loop or a repeated edge.
+
+    A vertex strictly inside a segment s either ends another segment, which
+    then meets s away from s's ends, so ``find_contacts`` reports the pair,
+    or it ends no segment. So ``find_vertex_hits`` runs only on the ends of
+    contact pairs and on vertices that end no segment, such as single-vertex
+    trees. Most pairs that ``find_contacts`` tests are two edges of one tree
+    at a shared vertex, which ``seg_relation`` decides by its shared-endpoint
+    rule.
     """
     out: list[Violation] = []
-
+    pts: list[tuple[int, int]] = []
+    p_tree: list[int] = []
+    parent: list[int] = []
+    # edges of nonzero length: the global ids of their ends, tree and index
+    seg_a, seg_b, seg_tree, seg_idx = [], [], [], []
     for ti, tree in enumerate(instance.trees):
-        nv = len(tree.vertices)
-        seen = set()
-        for i, j in tree.edges:
-            if i == j:
-                out.append(Violation("self-loop", f"tree {ti}: edge ({i},{i})", (ti,)))
-            key = (min(i, j), max(i, j))
-            if key in seen:
-                out.append(
-                    Violation("duplicate-edge", f"tree {ti}: edge {key} repeated", (ti,))
-                )
-            seen.add(key)
-        if len(tree.edges) != nv - 1:
-            out.append(
-                Violation(
-                    "edge-count",
-                    f"tree {ti}: {len(tree.edges)} edges for {nv} vertices",
-                    (ti,),
-                )
-            )
-        else:
-            # connectivity via union-find over the edge set
-            parent = list(range(nv))
-
-            def find(a):
-                while parent[a] != a:
-                    parent[a] = parent[parent[a]]
-                    a = parent[a]
-                return a
-
-            for i, j in tree.edges:
-                parent[find(i)] = find(j)
-            roots = {find(i) for i in range(nv)}
-            if len(roots) > 1:
-                out.append(
-                    Violation("not-connected", f"tree {ti}: {len(roots)} components", (ti,))
-                )
-        for x, y in tree.vertices:
-            if abs(x) > COORD_LIMIT or abs(y) > COORD_LIMIT:
-                out.append(
-                    Violation(
-                        "coordinate-range", f"tree {ti}: ({x},{y}) exceeds 2^30", (ti,)
-                    )
-                )
-
-    # global vertex distinctness
-    where: dict[tuple[int, int], tuple[int, int]] = {}
-    for ti, tree in enumerate(instance.trees):
-        for vi, v in enumerate(tree.vertices):
-            if v in where:
-                oti, ovi = where[v]
-                out.append(
-                    Violation(
-                        "duplicate-vertex",
-                        f"vertex {v} appears in tree {oti} and tree {ti}"
-                        if oti != ti
-                        else f"tree {ti}: vertex {v} repeated",
-                        (oti, ti) if oti != ti else (ti,),
-                    )
-                )
-            else:
-                where[v] = (ti, vi)
-
-    # flat segment table for the kernel batches
-    sx1, sy1, sx2, sy2, seg_tree, seg_idx = [], [], [], [], [], []
-    for ti, tree in enumerate(instance.trees):
-        for ei, (i, j) in enumerate(tree.edges):
-            a = tree.vertices[i]
-            b = tree.vertices[j]
+        verts, edges = tree.vertices, tree.edges
+        nv, base = len(verts), len(pts)
+        pts += verts
+        p_tree += [ti] * nv
+        parent += range(base, base + nv)
+        k = 0
+        for ei, (i, j) in enumerate(edges):
+            a, b = base + i, base + j
+            if verts[i] != verts[j]:
+                seg_a.append(a)
+                seg_b.append(b)
+                seg_tree.append(ti)
+                seg_idx.append(ei)
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
             if a == b:
-                continue  # self-loop already reported
-            sx1.append(a[0])
-            sy1.append(a[1])
-            sx2.append(b[0])
-            sy2.append(b[1])
-            seg_tree.append(ti)
-            seg_idx.append(ei)
+                k += 1
+            else:
+                parent[a] = b
+        if k:
+            seen = set()
+            for i, j in edges:
+                if i == j:
+                    out.append(Violation("self-loop", f"tree {ti}: edge ({i},{i})", (ti,)))
+                key = (min(i, j), max(i, j))
+                if key in seen:
+                    msg = f"tree {ti}: edge {key} repeated"
+                    out.append(Violation("duplicate-edge", msg, (ti,)))
+                seen.add(key)
+        if len(edges) != nv - 1:
+            msg = f"tree {ti}: {len(edges)} edges for {nv} vertices"
+            out.append(Violation("edge-count", msg, (ti,)))
+        elif k:
+            out.append(Violation("not-connected", f"tree {ti}: {1 + k} components", (ti,)))
 
-    px, py, p_tree = [], [], []
-    for ti, tree in enumerate(instance.trees):
-        for v in tree.vertices:
-            px.append(v[0])
-            py.append(v[1])
-            p_tree.append(ti)
+    px = [x for x, _ in pts]
+    py = [y for _, y in pts]
+    if max(map(abs, px), default=0) > COORD_LIMIT or max(map(abs, py), default=0) > COORD_LIMIT:
+        out += [
+            Violation("coordinate-range", f"tree {ti}: ({x},{y}) exceeds 2^30", (ti,))
+            for (x, y), ti in zip(pts, p_tree)
+            if abs(x) > COORD_LIMIT or abs(y) > COORD_LIMIT
+        ]
+        # stable, so each tree's range errors follow its other errors
+        out.sort(key=lambda v: v.trees[0])
+
+    if len(set(pts)) != len(pts):
+        first: dict[tuple[int, int], int] = {}
+        for v, ti in zip(pts, p_tree):
+            if v not in first:
+                first[v] = ti
+            elif first[v] == ti:
+                out.append(Violation("duplicate-vertex", f"tree {ti}: vertex {v} repeated", (ti,)))
+            else:
+                msg = f"vertex {v} appears in tree {first[v]} and tree {ti}"
+                out.append(Violation("duplicate-vertex", msg, (first[v], ti)))
+
+    sx1 = [px[a] for a in seg_a]
+    sy1 = [py[a] for a in seg_a]
+    sx2 = [px[b] for b in seg_b]
+    sy2 = [py[b] for b in seg_b]
     # both searches return index pairs, which swapping x and y leaves alone,
     # so they sweep whichever axis keeps fewer segments active
-    verts, segs = (px, py), (sx1, sy1, sx2, sy2)
-    if sweep_along_y(*segs):
-        verts, segs = (py, px), (sy1, sx1, sy2, sx2)
-    for vi, sj in _kernelpy.find_vertex_hits(*verts, *segs):
-        out.append(
-            Violation(
-                "vertex-on-edge",
-                f"vertex ({px[vi]},{py[vi]}) of tree {p_tree[vi]} lies inside an edge "
-                f"of tree {seg_tree[sj]}",
-                tuple(sorted({p_tree[vi], seg_tree[sj]})),
-            )
-        )
+    along_y = sweep_along_y(sx1, sy1, sx2, sy2)
+    segs = (sy1, sx1, sy2, sx2) if along_y else (sx1, sy1, sx2, sy2)
+    contacts = _kernelpy.find_contacts(*segs, seg_tree)
 
-    for i, j in _kernelpy.find_contacts(*segs, seg_tree):
-        a = ((sx1[i], sy1[i]), (sx2[i], sy2[i]))
-        b = ((sx1[j], sy1[j]), (sx2[j], sy2[j]))
-        pts, _ = _segment_intersection_set(a[0], a[1], b[0], b[1])
-        at = ""
-        if pts:
-            px_, py_ = pts[0]
-            fx = int(px_) if px_.denominator == 1 else px_
-            fy = int(py_) if py_.denominator == 1 else py_
-            at = f" at ({fx},{fy})"
+    near = set(range(len(pts))).difference(seg_a, seg_b)
+    for i, j in contacts:
+        near.update((seg_a[i], seg_b[i], seg_a[j], seg_b[j]))
+    cand = sorted(near)
+    cx = [px[v] for v in cand]
+    cy = [py[v] for v in cand]
+    # called even with no candidate, and then no segment, so that a tracer
+    # patching it still sees every validation
+    hits = _kernelpy.find_vertex_hits(
+        *((cy, cx) if along_y else (cx, cy)), *(segs if cand else ((), (), (), ()))
+    )
+    for ci, sj in hits:
+        vi, tj = cand[ci], seg_tree[sj]
+        ti = p_tree[vi]
+        msg = f"vertex ({px[vi]},{py[vi]}) of tree {ti} lies inside an edge of tree {tj}"
+        out.append(Violation("vertex-on-edge", msg, tuple(sorted({ti, tj}))))
+
+    for i, j in contacts:
+        meet, _ = _segment_intersection_set(
+            (sx1[i], sy1[i]), (sx2[i], sy2[i]), (sx1[j], sy1[j]), (sx2[j], sy2[j])
+        )
+        at = " at ({},{})".format(*meet[0]) if meet else ""
         ti, tj = seg_tree[i], seg_tree[j]
         if ti == tj:
-            out.append(
-                Violation(
-                    "edges-cross",
-                    f"tree {ti}: edges {seg_idx[i]} and {seg_idx[j]} cross{at}",
-                    (ti,),
-                )
-            )
+            msg = f"tree {ti}: edges {seg_idx[i]} and {seg_idx[j]} cross{at}"
+            out.append(Violation("edges-cross", msg, (ti,)))
         else:
-            out.append(
-                Violation(
-                    "edges-cross",
-                    f"trees {ti} and {tj}: edges cross{at}",
-                    (ti, tj),
-                )
-            )
+            msg = f"trees {ti} and {tj}: edges cross{at}"
+            out.append(Violation("edges-cross", msg, (ti, tj)))
 
-    # warning: shared axis coordinate across different trees (box-cover ties)
-    xs_seen: dict[int, int] = {}
-    ys_seen: dict[int, int] = {}
-    x_flagged = set()
-    y_flagged = set()
-    for ti, tree in enumerate(instance.trees):
-        for x, y in tree.vertices:
-            if x in xs_seen and xs_seen[x] != ti and x not in x_flagged:
-                out.append(
-                    Violation(
-                        "shared-coordinate",
-                        f"trees {xs_seen[x]} and {ti} share x = {x}",
-                        (xs_seen[x], ti),
-                        warning=True,
-                    )
-                )
-                x_flagged.add(x)
-            xs_seen.setdefault(x, ti)
-            if y in ys_seen and ys_seen[y] != ti and y not in y_flagged:
-                out.append(
-                    Violation(
-                        "shared-coordinate",
-                        f"trees {ys_seen[y]} and {ti} share y = {y}",
-                        (ys_seen[y], ti),
-                        warning=True,
-                    )
-                )
-                y_flagged.add(y)
-            ys_seen.setdefault(y, ti)
+    # warning: shared axis coordinate across different trees (box-cover ties);
+    # each coordinate maps to the first tree that has it, or to -1 once warned
+    x_tree: dict[int, int] = {}
+    y_tree: dict[int, int] = {}
+    for x, y, ti in zip(px, py, p_tree):
+        t = x_tree.setdefault(x, ti)
+        if t != ti and t >= 0:
+            x_tree[x] = -1
+            msg = f"trees {t} and {ti} share x = {x}"
+            out.append(Violation("shared-coordinate", msg, (t, ti), warning=True))
+        t = y_tree.setdefault(y, ti)
+        if t != ti and t >= 0:
+            y_tree[y] = -1
+            msg = f"trees {t} and {ti} share y = {y}"
+            out.append(Violation("shared-coordinate", msg, (t, ti), warning=True))
 
     return out
 

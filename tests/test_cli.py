@@ -197,6 +197,18 @@ class TestBench:
             outs.append([r[:3] + r[4:] for r in rows])  # mask wall_ms
         assert outs[0] == outs[1]
 
+    def test_each_kind_sized_by_its_own_vertices_per_tree(self, tmp_path):
+        # arc trees have 3 vertices, combs trees as many as --size (5 here)
+        out = tmp_path / "bench.csv"
+        assert main(
+            ["bench", "--phi", "hull", "--kinds", "arc,combs", "--sizes", "100",
+             "--output", str(out)]
+        ) == 0
+        rows = [r.split(",") for r in out.read_text().strip().splitlines()[1:]]
+        assert sorted({r[0] for r in rows}) == ["arc", "combs"]
+        for kind, n, *_ in rows:
+            assert 100 - {"arc": 3, "combs": 5}[kind] < int(n) <= 100, (kind, n)
+
 
 class TestRender:
     def test_structure_counts(self, inst_d, tmp_path):

@@ -1,0 +1,105 @@
+"""``validate_instance`` and ``seg_relation`` against their earlier forms.
+
+``reference_validator`` keeps the validator as it was before its single-pass
+rewrite: a pass per check, a union-find per tree, the vertex-hit search over
+every vertex, and ``seg_relation`` without its shared-endpoint rule. The
+rewrite must return the same violations in the same order, and the kernel
+the same relation for every pair of segments on a small grid.
+"""
+
+import random
+from collections import Counter
+
+import pytest
+
+from treecover import _kernelpy
+from treecover.geom import COORD_LIMIT
+from treecover.model import GeometricTree, Instance, validate_instance
+
+from reference_validator import reference_validate, seg_relation
+from test_contacts import INSTANCES, transpose
+
+GRID = [(x, y) for x in range(4) for y in range(4)]
+SEGMENTS = [(a, b) for a in GRID for b in GRID]
+
+
+def test_seg_relation_matches_reference_on_every_pair_of_a_4x4_grid():
+    assert len(SEGMENTS) ** 2 == 65536
+    got = Counter()
+    for (a, b) in SEGMENTS:
+        for (c, d) in SEGMENTS:
+            rel = _kernelpy.seg_relation(*a, *b, *c, *d)
+            assert rel == seg_relation(*a, *b, *c, *d), (a, b, c, d)
+            got[rel] += 1
+    assert got[0] and got[1] and got[2]
+
+
+def random_tree(rng):
+    """A small tree on a 7 x 7 grid, often broken: self-loops, repeated,
+    extra or missing edges, reversed edge lists, coinciding vertices and,
+    rarely, a coordinate out of range."""
+    nv = rng.choice((1, 1, 2, 3, 4, 5))
+    verts = [(rng.randrange(7), rng.randrange(7)) for _ in range(nv)]
+    edges = [(rng.randrange(v), v) for v in range(1, nv)]
+    edges = [(j, i) if rng.random() < 0.3 else (i, j) for i, j in edges]
+    if rng.random() < 0.1:
+        i = rng.randrange(nv)
+        edges.append((i, i))
+    if edges and rng.random() < 0.1:
+        i, j = rng.choice(edges)
+        edges.append((j, i) if rng.random() < 0.5 else (i, j))
+    if rng.random() < 0.1:
+        edges.append((rng.randrange(nv), rng.randrange(nv)))
+    if edges and rng.random() < 0.1:
+        edges.pop(rng.randrange(len(edges)))
+    if edges and rng.random() < 0.05:
+        # the vertex keeps its place in the count but ends no segment
+        i = rng.randrange(len(edges))
+        edges[i] = (edges[i][0], edges[i][0])
+    if rng.random() < 0.3:
+        edges.reverse()
+    if rng.random() < 0.02:
+        x, y = verts[0]
+        verts[0] = rng.choice(((COORD_LIMIT + 1, y), (x, -COORD_LIMIT - 3)))
+    return GeometricTree(tuple(verts), tuple(edges))
+
+
+def random_forests(count, seed):
+    rng = random.Random(seed)
+    return [
+        Instance(tuple(random_tree(rng) for _ in range(rng.randint(1, 4))))
+        for _ in range(count)
+    ]
+
+
+FORESTS = random_forests(3000, seed=20240601)
+
+
+def test_validator_matches_reference_on_random_forests():
+    rules = Counter()
+    for n, inst in enumerate(FORESTS):
+        want = reference_validate(inst)
+        assert validate_instance(inst) == want, (n, inst)
+        rules.update(v.rule for v in want)
+    # the forests break every rule, and some are valid
+    for rule in (
+        "self-loop",
+        "duplicate-edge",
+        "edge-count",
+        "not-connected",
+        "coordinate-range",
+        "duplicate-vertex",
+        "vertex-on-edge",
+        "edges-cross",
+        "shared-coordinate",
+    ):
+        assert rules[rule] >= 100, (rule, rules)
+    assert sum(not reference_validate(inst) for inst in FORESTS) >= 100
+
+
+@pytest.mark.parametrize("transposed", [False, True], ids=["xy", "yx"])
+def test_validator_matches_reference_on_the_contacts_corpus(transposed):
+    for inst in INSTANCES:
+        if transposed:
+            inst = transpose(inst)
+        assert validate_instance(inst) == reference_validate(inst)
