@@ -6,8 +6,11 @@ Python's arbitrary-precision ints, so they are exact for every coordinate.
 The module keeps its name because perfbench's tracer patches its functions
 by name (``treecover._kernelpy.scan`` and others).
 
-Obstacle kinds for ``scan``: 0 = segment, 1 = point, 2 = ray (origin +
-integer direction + rational end parameter tn/td, td > 0).
+``scan`` reads obstacles as records ``(kind, x1, y1, x2, y2, tn, td,
+owner)``. Kind 0 is a segment from (x1, y1) to (x2, y2), kind 1 a point at
+(x1, y1), kind 2 a ray from origin (x1, y1) along the integer direction
+(x2, y2) up to the rational end parameter tn/td, td > 0. ``owner`` is the
+tree index of the obstacle's owner.
 """
 
 BACKEND = "pure"
@@ -184,14 +187,15 @@ def _uf_find(parent, i):
     return i
 
 
-def scan(ox, oy, tx, ty, kinds, xs1, ys1, xs2, ys2, tns, tds, owners, parent, own_root):
-    """First-hit scan of the infinite ray from (ox, oy) through (tx, ty).
+def scan(ox, oy, tx, ty, obstacles, parent, own_root):
+    """First-hit scan of the infinite ray from (ox, oy) through (tx, ty)
+    over the obstacle records ``obstacles``.
 
     Returns (idx_all, n_all, d_all, idx_f, n_f, d_f): the nearest hit over
-    all obstacles and the nearest hit over obstacles whose current
+    all obstacles and the nearest hit over obstacles whose owner's current
     union-find root differs from ``own_root`` (own filtering disabled when
     own_root < 0). Hits at parameter t = 0 are excluded; parameters are
-    exact fractions n/d with d > 0; ties keep the lowest obstacle id.
+    exact fractions n/d with d > 0; ties keep the lowest list index.
     Index -1 means no hit.
     """
     ex = tx - ox
@@ -200,10 +204,7 @@ def scan(ox, oy, tx, ty, kinds, xs1, ys1, xs2, ys2, tns, tds, owners, parent, ow
     na = da = 0
     if_ = -1
     nf = df = 0
-    for idx in range(len(kinds)):
-        kind = kinds[idx]
-        x1 = xs1[idx]
-        y1 = ys1[idx]
+    for idx, (kind, x1, y1, x2, y2, tn, td, owner) in enumerate(obstacles):
         wx = x1 - ox
         wy = y1 - oy
         if kind == OB_POINT:
@@ -214,15 +215,15 @@ def scan(ox, oy, tx, ty, kinds, xs1, ys1, xs2, ys2, tns, tds, owners, parent, ow
                 continue
             d = ex * ex + ey * ey
         elif kind == OB_SEGMENT:
-            vx = xs2[idx] - x1
-            vy = ys2[idx] - y1
+            vx = x2 - x1
+            vy = y2 - y1
             den = ex * vy - ey * vx
             if den == 0:
                 if ex * wy - ey * wx != 0:
                     continue
                 d = ex * ex + ey * ey
                 n1 = ex * wx + ey * wy
-                n2 = ex * (xs2[idx] - ox) + ey * (ys2[idx] - oy)
+                n2 = ex * (x2 - ox) + ey * (y2 - oy)
                 if n1 > n2:
                     n1, n2 = n2, n1
                 n = n1 if n1 > 0 else n2
@@ -238,10 +239,8 @@ def scan(ox, oy, tx, ty, kinds, xs1, ys1, xs2, ys2, tns, tds, owners, parent, ow
                 if n <= 0 or sn < 0 or sn > den:
                     continue
                 d = den
-        else:  # OB_RAY
-            vx = xs2[idx]
-            vy = ys2[idx]
-            den = ex * vy - ey * vx
+        else:  # OB_RAY: (x2, y2) is the direction
+            den = ex * y2 - ey * x2
             if den == 0:
                 # collinear: only the ray's own origin can be the first hit;
                 # its far endpoint always coincides with the obstacle it
@@ -253,7 +252,7 @@ def scan(ox, oy, tx, ty, kinds, xs1, ys1, xs2, ys2, tns, tds, owners, parent, ow
                     continue
                 d = ex * ex + ey * ey
             else:
-                n = wx * vy - wy * vx
+                n = wx * y2 - wy * x2
                 sn = wx * ey - wy * ex
                 if den < 0:
                     den = -den
@@ -261,7 +260,7 @@ def scan(ox, oy, tx, ty, kinds, xs1, ys1, xs2, ys2, tns, tds, owners, parent, ow
                     sn = -sn
                 if n <= 0 or sn < 0:
                     continue
-                if sn * tds[idx] > tns[idx] * den:
+                if sn * td > tn * den:
                     continue
                 d = den
         if ia < 0 or n * da < na * d:
@@ -269,7 +268,7 @@ def scan(ox, oy, tx, ty, kinds, xs1, ys1, xs2, ys2, tns, tds, owners, parent, ow
             na = n
             da = d
         if own_root >= 0:
-            if _uf_find(parent, owners[idx]) != own_root:
+            if _uf_find(parent, owner) != own_root:
                 if if_ < 0 or n * df < nf * d:
                     if_ = idx
                     nf = n

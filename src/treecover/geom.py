@@ -74,15 +74,6 @@ class ConvexPolygon:
     def __len__(self) -> int:
         return len(self.vertices)
 
-    def edges(self) -> tuple[tuple[Point, Point], ...]:
-        v = self.vertices
-        n = len(v)
-        if n == 1:
-            return ()
-        if n == 2:
-            return ((v[0], v[1]),)
-        return tuple((v[i], v[(i + 1) % n]) for i in range(n))
-
     def directed_edges(self) -> tuple[tuple[Point, Point], ...]:
         """Hull edges as shot entries: full CCW cycle, and both directions
         for the degenerate segment polygon (its 'two edges')."""
@@ -210,8 +201,8 @@ def boundary_intersection_points(p: ConvexPolygon, q: ConvexPolygon) -> Boundary
         return boundary_intersection_points(q, p)
     points = set()
     overlap = False
-    for a, b in p.edges():
-        for c, d in q.edges():
+    for a, b in p.directed_edges():
+        for c, d in q.directed_edges():
             pts, ov = _segment_intersection_set(a, b, c, d)
             points.update(pts)
             overlap = overlap or ov

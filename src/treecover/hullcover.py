@@ -139,42 +139,32 @@ class NaiveRayShooter:
     with an exact rational end parameter). Every shot inserts its ray
     segment [origin, hit point] as a new obstacle; rays that escape all
     obstacles insert nothing.
+
+    ``obstacles`` holds one record ``(kind, x1, y1, x2, y2, tn, td, owner)``
+    per obstacle, in the layout ``_kernelpy.scan`` reads; an obstacle's id
+    is its index in the list.
     """
 
     def __init__(self, components: ComponentSet):
         self.components = components
-        self.kinds: list[int] = []
-        self.xs1: list[int] = []
-        self.ys1: list[int] = []
-        self.xs2: list[int] = []
-        self.ys2: list[int] = []
-        self.tns: list[int] = []
-        self.tds: list[int] = []
-        self.owners: list[int] = []
+        self.obstacles: list[tuple] = []
 
     def __len__(self) -> int:
-        return len(self.kinds)
+        return len(self.obstacles)
 
-    def _push(self, kind, x1, y1, x2, y2, tn, td, owner) -> int:
-        self.kinds.append(kind)
-        self.xs1.append(x1)
-        self.ys1.append(y1)
-        self.xs2.append(x2)
-        self.ys2.append(y2)
-        self.tns.append(tn)
-        self.tds.append(td)
-        self.owners.append(owner)
-        return len(self.kinds) - 1
+    def _push(self, ob: tuple) -> int:
+        self.obstacles.append(ob)
+        return len(self.obstacles) - 1
 
     def insert_segment(self, a, b, owner: int) -> int:
-        return self._push(OB_SEGMENT, a[0], a[1], b[0], b[1], 0, 1, owner)
+        return self._push((OB_SEGMENT, a[0], a[1], b[0], b[1], 0, 1, owner))
 
     def insert_point(self, p, owner: int) -> int:
-        return self._push(OB_POINT, p[0], p[1], 0, 0, 0, 1, owner)
+        return self._push((OB_POINT, p[0], p[1], 0, 0, 0, 1, owner))
 
     def _insert_ray(self, origin, direction, tn: int, td: int, owner: int) -> int:
         return self._push(
-            OB_RAY, origin[0], origin[1], direction[0], direction[1], tn, td, owner
+            (OB_RAY, origin[0], origin[1], direction[0], direction[1], tn, td, owner)
         )
 
     def _scan(self, origin, through, own_root: int):
@@ -183,20 +173,14 @@ class NaiveRayShooter:
             origin[1],
             through[0],
             through[1],
-            self.kinds,
-            self.xs1,
-            self.ys1,
-            self.xs2,
-            self.ys2,
-            self.tns,
-            self.tds,
-            self.owners,
+            self.obstacles,
             self.components.parent,
             own_root,
         )
 
     def _hit(self, origin, through, idx: int, n: int, d: int) -> Hit:
-        return Hit(n, d, origin, through, idx, self.components.find(self.owners[idx]))
+        owner = self.obstacles[idx][7]
+        return Hit(n, d, origin, through, idx, self.components.find(owner))
 
     def shoot(self, origin, through, owner: int = 0) -> Optional[Hit]:
         """First obstacle intersection at t > 0 over all obstacles; the ray
@@ -311,8 +295,9 @@ class BucketGridShooter(NaiveRayShooter):
             ra = rb
         return keys
 
-    def _push(self, kind, x1, y1, x2, y2, tn, td, owner) -> int:
-        idx = super()._push(kind, x1, y1, x2, y2, tn, td, owner)
+    def _push(self, ob: tuple) -> int:
+        idx = super()._push(ob)
+        kind, x1, y1, x2, y2, tn, td, _ = ob
         if kind == OB_SEGMENT:
             keys = self._cells(x1, y1, x2, y2, 1)
         elif kind == OB_POINT:
@@ -337,24 +322,10 @@ class BucketGridShooter(NaiveRayShooter):
             if bucket is not None:
                 found.update(bucket)
         ids = sorted(found)
-        cols = (
-            self.kinds,
-            self.xs1,
-            self.ys1,
-            self.xs2,
-            self.ys2,
-            self.tns,
-            self.tds,
-            self.owners,
-        )
+        obstacles = self.obstacles
+        candidates = [obstacles[i] for i in ids]
         ia, na, da, if_, nf, df = _kernelpy.scan(
-            ox,
-            oy,
-            tx,
-            ty,
-            *[[col[i] for i in ids] for col in cols],
-            self.components.parent,
-            own_root,
+            ox, oy, tx, ty, candidates, self.components.parent, own_root
         )
         if ia < 0 or na > da:
             return super()._scan(origin, through, own_root)
@@ -488,8 +459,8 @@ def hull_cover_fast(
             if merges > m - 1:
                 raise InternalInvariantError("more than m - 1 merges")
             if debug:
-                ray_owner = comps.find(shooter.owners[-1])
-                hit_owner = comps.find(shooter.owners[merge_hit.obstacle])
+                ray_owner = comps.find(shooter.obstacles[-1][7])
+                hit_owner = comps.find(shooter.obstacles[merge_hit.obstacle][7])
                 if ray_owner != hit_owner or ray_owner != winner:
                     raise InternalInvariantError(
                         "merging ray and hit obstacle ended up in different "
@@ -517,30 +488,19 @@ def hull_cover_fast(
 def _assert_connecting_edge_clean(shooter, comps, origin, through, hit, root_a, root_b):
     """Debug check (brute re-scan): no obstacle of a third component sits
     strictly before the merging hit along the shot ray."""
-    for idx in range(len(shooter.kinds)):
-        owner_root = comps.find(shooter.owners[idx])
-        if owner_root in (root_a, root_b):
-            continue
-        ia, na, da, _, _, _ = _kernelpy.scan(
-            origin[0],
-            origin[1],
-            through[0],
-            through[1],
-            [shooter.kinds[idx]],
-            [shooter.xs1[idx]],
-            [shooter.ys1[idx]],
-            [shooter.xs2[idx]],
-            [shooter.ys2[idx]],
-            [shooter.tns[idx]],
-            [shooter.tds[idx]],
-            [0],
-            [0],
-            -1,
+    ids = [
+        idx
+        for idx, ob in enumerate(shooter.obstacles)
+        if comps.find(ob[7]) not in (root_a, root_b)
+    ]
+    third = [shooter.obstacles[idx] for idx in ids]
+    ia, na, da, _, _, _ = _kernelpy.scan(
+        origin[0], origin[1], through[0], through[1], third, comps.parent, -1
+    )
+    if ia >= 0 and na * hit.d < hit.n * da:
+        raise InternalInvariantError(
+            f"third-component obstacle {ids[ia]} blocks the connecting edge"
         )
-        if ia >= 0 and na * hit.d < hit.n * da:
-            raise InternalInvariantError(
-                f"third-component obstacle {idx} blocks the connecting edge"
-            )
 
 
 def _assert_live_weak_disjointness(comps):

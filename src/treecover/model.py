@@ -79,7 +79,7 @@ class Instance:
         return tuple(box_of(t.vertices) for t in self.trees)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Violation:
     rule: str
     message: str
@@ -198,10 +198,12 @@ def validate_instance(instance: Instance) -> list[Violation]:
     axis coordinates across trees) do not make the instance invalid.
 
     One pass over the trees checks their structure and builds the vertex
-    and segment tables. A union-find over global vertex ids joins the ends
-    of each edge, and k counts the edges whose ends it had already joined:
-    a tree with nv vertices and nv - 1 edges has 1 + k components, and only
-    a tree with k > 0 can have a self-loop or a repeated edge.
+    and segment tables; an edge with an index outside its tree's vertices
+    is reported and left out of both. A union-find over global vertex ids
+    joins the ends of each edge, and k counts the edges whose ends it had
+    already joined: a tree with nv vertices and nv - 1 edges has 1 + k
+    components, and only a tree with k > 0 can have a self-loop or a
+    repeated edge.
 
     A vertex strictly inside a segment s either ends another segment, which
     then meets s away from s's ends, so ``find_contacts`` reports the pair,
@@ -225,6 +227,10 @@ def validate_instance(instance: Instance) -> list[Violation]:
         parent += range(base, base + nv)
         k = 0
         for ei, (i, j) in enumerate(edges):
+            if not (0 <= i < nv and 0 <= j < nv):
+                msg = f"tree {ti}: edge {ei} ({i},{j}) index out of range"
+                out.append(Violation("edge-index", msg, (ti,)))
+                continue
             a, b = base + i, base + j
             if verts[i] != verts[j]:
                 seg_a.append(a)

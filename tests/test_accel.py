@@ -167,7 +167,7 @@ def test_grid_engine_scans_only_chord_candidates(monkeypatch):
     scan = _kernelpy.scan
 
     def counting_scan(*args):
-        scanned[0] += len(args[4])  # the ``kinds`` column
+        scanned[0] += len(args[4])  # the candidate records
         return scan(*args)
 
     monkeypatch.setattr(_kernelpy, "scan", counting_scan)
@@ -205,12 +205,11 @@ def extent_keys(shooter, i):
     """The cells of obstacle i's exact extent: its segment, its point, or
     its ray up to the end parameter tn / td."""
     s = shooter
-    x1, y1, x2, y2 = s.xs1[i], s.ys1[i], s.xs2[i], s.ys2[i]
-    if s.kinds[i] == OB_SEGMENT:
+    kind, x1, y1, x2, y2, tn, td, _ = s.obstacles[i]
+    if kind == OB_SEGMENT:
         return set(s._cells(x1, y1, x2, y2, 1))
-    if s.kinds[i] == OB_POINT:
+    if kind == OB_POINT:
         return set(s._cells(x1, y1, x1, y1, 1))
-    tn, td = s.tns[i], s.tds[i]
     return set(s._cells(x1 * td, y1 * td, x1 * td + x2 * tn, y1 * td + y2 * tn, td))
 
 
@@ -234,8 +233,9 @@ def test_grid_registers_each_obstacle_in_the_cells_of_its_extent(kind):
         shooter = kept[0]
         for i, keys in enumerate(registered_keys(shooter)):
             assert keys == extent_keys(shooter, i), (kind, seed, i)
-            if shooter.kinds[i] == OB_RAY:
-                rays["full" if shooter.tns[i] == shooter.tds[i] else "short"] += 1
+            ob_kind, _, _, _, _, tn, td, _ = shooter.obstacles[i]
+            if ob_kind == OB_RAY:
+                rays["full" if tn == td else "short"] += 1
     # every ray on nested ends at its chord's end
     assert rays["full"] > 0 and (rays["short"] > 0 or kind == "nested"), rays
 

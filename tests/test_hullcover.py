@@ -59,7 +59,7 @@ class TestShootContract:
         second = s.shoot((2, -3), (2, 1))
         assert second is not None
         assert second.point == (2, 0)
-        assert second.obstacle == len(s.kinds) - 2  # the inserted ray
+        assert second.obstacle == len(s) - 2  # the inserted ray
 
     def test_hits_at_t0_excluded(self):
         s = make_shooter([((0, -1), (0, 1))])  # passes through the origin
@@ -80,6 +80,27 @@ class TestShootContract:
         hit = s.shoot((0, 0), (1, 0))
         assert hit.point == (3, 0)
         assert hit.obstacle == 0
+
+
+@pytest.mark.parametrize("x, blocked", [(2, True), (4, False), (6, False)])
+def test_connecting_edge_check_flags_a_third_component_before_the_hit(x, blocked):
+    """Tree 0 shoots from (0, 0) through (8, 0) and merges with tree 1 at
+    (4, 0); tree 2's segment at x blocks the connecting edge only when it
+    lies strictly before that hit."""
+    comps = ComponentSet(3)
+    s = NaiveRayShooter(comps)
+    s.insert_segment((0, 0), (0, 1), 0)
+    s.insert_segment((4, -1), (4, 1), 1)
+    _, merge_hit = s.shoot_from((0, 0), (8, 0), 0)
+    assert merge_hit.point == (4, 0) and merge_hit.component == 1
+    third = s.insert_segment((x, -1), (x, 1), 2)
+    check = hullcover._assert_connecting_edge_clean
+    if blocked:
+        match = f"third-component obstacle {third} blocks"
+        with pytest.raises(hullcover.InternalInvariantError, match=match):
+            check(s, comps, (0, 0), (8, 0), merge_hit, 0, 1)
+    else:
+        check(s, comps, (0, 0), (8, 0), merge_hit, 0, 1)
 
 
 class TestComponentSet:

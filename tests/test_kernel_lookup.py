@@ -5,11 +5,13 @@ shooter reaches ``NaiveRayShooter.shoot_from``.
 
 perfbench's tracer times and counts them by patching ``scan``,
 ``find_contacts``, ``find_vertex_hits`` and ``seg_relation`` on that module,
-``query``, ``insert_box`` and ``delete_box`` on that class, and
-``shoot_from`` on ``NaiveRayShooter``. A caller that bound a kernel function
-at import, or a range index or shooter that overrode one of those methods,
-would bypass the patch, and the tracer's ``kernel.*``, ``box.*`` and
-``hull.shots`` metrics would read zero without any error.
+``query``, ``insert_box`` and ``delete_box`` on that class, ``shoot_from``
+on ``NaiveRayShooter``, and ``merge_convex_hulls`` on ``hullcover``, which
+the hull engine calls once per merge. A caller that bound a kernel function
+or ``merge_convex_hulls`` at import, or a range index or shooter that
+overrode one of those methods, would bypass the patch, and the tracer's
+``kernel.*``, ``box.*``, ``hull.shots`` and ``hull.merge*`` metrics would
+read zero without any error.
 """
 
 import json
@@ -94,3 +96,20 @@ def test_cli_hull_cover_reaches_the_patched_shooter(monkeypatch, tmp_path):
     argv = ["cover", "--phi", "hull", "--input", str(inp), "--output", str(out)]
     assert main(argv + ["--stats", str(stats)]) == 0
     assert len(shots) == json.loads(stats.read_text())["rays_shot"] > 0
+
+
+def test_cli_hull_cover_merges_through_the_patched_hull_merge(monkeypatch, tmp_path):
+    merges = [0]
+    fn = hullcover.merge_convex_hulls
+
+    def counting(*args):
+        merges[0] += 1
+        return fn(*args)
+
+    monkeypatch.setattr(hullcover, "merge_convex_hulls", counting)
+    inp = tmp_path / "in.json"
+    inp.write_text(serialize_instance(generate("combs", trees=4, size=4, seed=1)))
+    out, stats = tmp_path / "cover.json", tmp_path / "stats.json"
+    argv = ["cover", "--phi", "hull", "--input", str(inp), "--output", str(out)]
+    assert main(argv + ["--stats", str(stats)]) == 0
+    assert merges[0] == json.loads(stats.read_text())["merges"] > 0

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treecover.cli import main
 from treecover.geom import AABB, ConvexPolygon
 from treecover.model import (
     ARC_MAX_TREES,
@@ -168,6 +169,31 @@ class TestValidate:
             (GeometricTree(((0, 0), (2, 2), (0, 2), (2, 0)), ((0, 1), (2, 3), (1, 2))),)
         )
         assert any(e.rule == "edges-cross" for e in errors_only(validate_instance(bad)))
+
+    @pytest.mark.parametrize("bad", [(1, 3), (1, -1)])
+    def test_edge_index_reported_not_followed(self, bad):
+        # a negative index must not wrap to a vertex of the tree before: read
+        # as such, edge (1,-1) of tree 1 would cross tree 0's edge at (1,0)
+        inst = Instance(
+            (
+                GeometricTree(((0, 0), (1, 0)), ((0, 1),)),
+                GeometricTree(((0, 3), (4, 3), (2, 9)), ((0, 1), bad)),
+            )
+        )
+        msg = "tree 1: edge 1 ({},{}) index out of range".format(*bad)
+        errs = errors_only(validate_instance(inst))
+        assert [(e.rule, e.message, e.trees) for e in errs] == [("edge-index", msg, (1,))]
+
+    @pytest.mark.parametrize("bad", ["[1,3]", "[1,-1]"])
+    def test_cli_rejects_edge_index_at_parse(self, bad, tmp_path, capsys):
+        p = tmp_path / "bad.json"
+        p.write_text(
+            '{"trees":[{"vertices":[[0,0],[1,0]],"edges":[[0,1]]},'
+            '{"vertices":[[0,3],[4,3],[2,9]],"edges":[[0,1],%s]}]}' % bad
+        )
+        assert main(["validate", "--input", str(p)]) == 2
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", "error: tree 1 edge 1: index out of range\n")
 
     def test_adjacent_edges_sharing_endpoint_ok(self):
         ok = Instance((tree([(0, 0), (1, 0), (1, 1)]),))
