@@ -41,8 +41,11 @@ EXIT_WITNESS = 4
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as f:
-        return f.read()
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 text (byte {e.start})") from None
 
 
 def _write(path: str, text: str) -> None:
@@ -138,9 +141,12 @@ def cmd_oracle(args) -> int:
 def cmd_check_well_defined(args) -> int:
     from .phicover import PHI, check_well_defined
 
+    if not args.exhaustive and args.trials < 2:
+        print("error: --trials must be at least 2", file=sys.stderr)
+        return EXIT_USAGE
     inst = _load_valid_instance(args)
     if args.exhaustive and inst.m > 6:
-        print("--exhaustive requires m <= 6", file=sys.stderr)
+        print("error: --exhaustive requires m <= 6", file=sys.stderr)
         return EXIT_USAGE
     verdict = check_well_defined(
         inst, PHI[args.phi], trials=args.trials, seed=args.seed,
@@ -217,7 +223,11 @@ def cmd_bench(args) -> int:
     import statistics
 
     kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
-    sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+    try:
+        sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+    except ValueError:
+        print(f"error: --sizes must list integers, got {args.sizes!r}", file=sys.stderr)
+        return EXIT_USAGE
     per_tree = 5
     rows = ["kind,n,algo,wall_ms,ops,merges"]
     for kind in kinds:
@@ -338,7 +348,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except _ValidationFailed:
         return EXIT_INVALID
-    except (ParseError, GenerationError, FileNotFoundError) as e:
+    except (ParseError, GenerationError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except (InternalInvariantError, AssertionError) as e:

@@ -8,11 +8,14 @@ rays stop at it and discover the overlap from the other side. When the
 worklist drains the live hulls are pairwise disjoint or strictly nested; the
 maximal ones form the cover.
 
-The ray shooter is pluggable. The engine's default, `BucketGridShooter`,
-scans only the obstacles bucketed in the grid cells that the shot's hull
-edge crosses. `NaiveRayShooter` scans every stored obstacle per shot
-(exact, quadratic overall) and is the reference the tests compare against;
-both give identical results. A shot keeps its hits as the kernel's exact
+The ray shooter is pluggable. Every engine shot runs along an edge (p, q)
+of the shooter's own hull, and q is an obstacle of the shooter's own
+component, so the first hit lies on the chord [p, q]; both shooters serve
+only such shots. The engine's default, `BucketGridShooter`, scans only the
+obstacles bucketed in the grid cells that the chord crosses.
+`NaiveRayShooter` scans every stored obstacle per shot (exact, quadratic
+overall) and is the reference the tests compare against; both give
+identical results. A shot keeps its hits as the kernel's exact
 integers n / d and builds fractions only when a caller reads ``t`` or the
 hit point (traces and debug checks). A ray that ends at its chord's end q,
 as every engine ray stopped by its own hull vertex does, covers exactly the
@@ -38,7 +41,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 # ``_kernelpy.scan`` is looked up at each call, so a wrapper patched onto the
 # module (perfbench's tracer, the tests' counters) sees every shot.
@@ -66,8 +68,7 @@ class Hit:
     owner's component root at shot time.
 
     A shot keeps the kernel's integers: ``t`` and the hit ``point`` are
-    built as fractions only when read, and two hits are equal when their t,
-    point, obstacle and component are."""
+    built as fractions only when read."""
 
     n: int
     d: int
@@ -86,17 +87,6 @@ class Hit:
         (ox, oy), (tx, ty) = self.origin, self.through
         return (ox + t * (tx - ox), oy + t * (ty - oy))
 
-    def _key(self):
-        return (self.t, self.point, self.obstacle, self.component)
-
-    def __eq__(self, other):
-        if not isinstance(other, Hit):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
 
 class InternalInvariantError(AssertionError):
     """An engine invariant failed; indicates a bug, reported as exit 1."""
@@ -109,15 +99,10 @@ class ComponentSet:
     def __init__(self, m: int):
         self.parent = list(range(m))
         self._size = [1] * m
-        self.count = m
         self.hull: dict[int, ConvexPolygon] = {}
 
     def find(self, i: int) -> int:
-        p = self.parent
-        while p[i] != i:
-            p[i] = p[p[i]]
-            i = p[i]
-        return i
+        return _kernelpy._uf_find(self.parent, i)
 
     def union(self, a: int, b: int) -> int:
         ra, rb = self.find(a), self.find(b)
@@ -127,7 +112,6 @@ class ComponentSet:
             ra, rb = rb, ra
         self.parent[rb] = ra
         self._size[ra] += self._size[rb]
-        self.count -= 1
         return ra
 
 
@@ -137,8 +121,8 @@ class NaiveRayShooter:
     Obstacles are tree edges (integer segments), bare vertices (zero-length
     point obstacles), and previously shot rays (integer origin and direction
     with an exact rational end parameter). Every shot inserts its ray
-    segment [origin, hit point] as a new obstacle; rays that escape all
-    obstacles insert nothing.
+    segment [origin, hit point] as a new obstacle; a ray that escapes all
+    obstacles inserts nothing.
 
     ``obstacles`` holds one record ``(kind, x1, y1, x2, y2, tn, td, owner)``
     per obstacle, in the layout ``_kernelpy.scan`` reads; an obstacle's id
@@ -182,18 +166,6 @@ class NaiveRayShooter:
         owner = self.obstacles[idx][7]
         return Hit(n, d, origin, through, idx, self.components.find(owner))
 
-    def shoot(self, origin, through, owner: int = 0) -> Optional[Hit]:
-        """First obstacle intersection at t > 0 over all obstacles; the ray
-        [origin, hit point] is inserted as an obstacle owned by ``owner``.
-        Returns None when the ray escapes everything (nothing inserted)."""
-        ia, na, da, _, _, _ = self._scan(origin, through, -1)
-        if ia < 0:
-            return None
-        hit = self._hit(origin, through, ia, na, da)
-        e = (through[0] - origin[0], through[1] - origin[1])
-        self._insert_ray(origin, e, na, da, owner)
-        return hit
-
     def shoot_from(self, origin, through, own_root: int):
         """Engine shot: returns (hit_all, merge_hit) where merge_hit is the
         nearest hit owned by a foreign component when it lies at t <= 1 on
@@ -217,25 +189,26 @@ class BucketGridShooter(NaiveRayShooter):
     Every obstacle is registered in each cell it meets. A shot from origin
     through ``through`` scans only the obstacles registered in the cells
     that the chord [origin, through] meets, in obstacle-id order, so a hit
-    at t <= 1 is the one the full scan finds, tie-break included. When no
-    candidate is hit at t <= 1 the shot falls back to the full scan. Engine
-    shots never fall back: their chord ends at a vertex of the shooter's own
-    component, which is an obstacle. The foreign result of ``_scan`` is
-    exact only at t <= 1, the only place ``shoot_from`` reads it.
+    at t <= 1 is the one the full scan finds, tie-break included. A chord
+    must end on an obstacle, as every engine chord does: when no candidate
+    is hit at t <= 1 the shot reports no hit, like a ray that escapes, and
+    inserts nothing. The foreign result of ``_scan`` is exact only at
+    t <= 1, the only place ``shoot_from`` reads it.
 
     Cells are ``cell = (width, height)`` integer rectangles anchored at the
-    bounds' lower-left corner. A point belongs to the cell
-    ``floor((p - corner) / cell)``, clamped into the grid, so the outermost
-    cells also hold everything beyond the bounds. Rasterization is exact and
-    conservative: an object is registered in the cell of each of its
-    points, hence an obstacle and a chord sharing a point share that cell.
+    bounds' lower-left corner; a point belongs to the cell
+    ``floor((p - corner) / cell)``, keyed ``column * ny + row``.
+    Rasterization is exact and conservative: an object is registered in the
+    cell of each of its points, hence an obstacle and a chord sharing a
+    point share that cell. Engine obstacles and chords lie inside the
+    bounds, the vertices' bounding box; beyond them keys of neighbouring
+    columns may coincide, which only adds candidates.
     """
 
     def __init__(self, components: ComponentSet, bounds: AABB, cell):
         super().__init__(components)
         self.x0, self.y0 = bounds.xmin, bounds.ymin
         self.cw, self.ch = cell
-        self.nx = (bounds.xmax - bounds.xmin) // self.cw + 1
         self.ny = (bounds.ymax - bounds.ymin) // self.ch + 1
         self.cells: dict[int, list[int]] = {}
         # the chord of the last scan, (ox, oy, tx, ty), and its cell keys
@@ -270,17 +243,15 @@ class BucketGridShooter(NaiveRayShooter):
         between those of the segment's ends inside that column."""
         if bx < ax:
             ax, ay, bx, by = bx, by, ax, ay
-        nx, ny = self.nx, self.ny
+        ny = self.ny
         wd, hd = self.cw * d, self.ch * d
         x0, y0 = self.x0 * d, self.y0 * d
-        c0 = _clamp((ax - x0) // wd, nx)
-        c1 = _clamp((bx - x0) // wd, nx)
+        c0 = (ax - x0) // wd
+        c1 = (bx - x0) // wd
         if c0 == c1:
             lo, hi = (ay, by) if ay <= by else (by, ay)
             k = c0 * ny
-            return range(
-                k + _clamp((lo - y0) // hd, ny), k + _clamp((hi - y0) // hd, ny) + 1
-            )
+            return range(k + (lo - y0) // hd, k + (hi - y0) // hd + 1)
         # row at scaled abscissa x is (base + dy * x) // den
         dx, dy = bx - ax, by - ay
         den = hd * dx
@@ -291,7 +262,7 @@ class BucketGridShooter(NaiveRayShooter):
             rb = (base + dy * (bx if c == c1 else x0 + (c + 1) * wd)) // den
             lo, hi = (ra, rb) if ra <= rb else (rb, ra)
             k = c * ny
-            keys.extend(range(k + _clamp(lo, ny), k + _clamp(hi, ny) + 1))
+            keys.extend(range(k + lo, k + hi + 1))
             ra = rb
         return keys
 
@@ -328,12 +299,8 @@ class BucketGridShooter(NaiveRayShooter):
             ox, oy, tx, ty, candidates, self.components.parent, own_root
         )
         if ia < 0 or na > da:
-            return super()._scan(origin, through, own_root)
+            return -1, 0, 0, -1, 0, 0
         return ids[ia], na, da, ids[if_] if if_ >= 0 else -1, nf, df
-
-
-def _clamp(i: int, n: int) -> int:
-    return 0 if i < 0 else (i if i < n else n - 1)
 
 
 @dataclass(frozen=True)

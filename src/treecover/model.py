@@ -101,6 +101,8 @@ def _as_coord(v, scale: int, ti: int, vi: int, axis: str):
         iv = v * scale
     elif type(v) is float and scale != 1:
         scaled = v * scale
+        if not math.isfinite(scaled):
+            raise ParseError(f"tree {ti} vertex {vi} {axis}: {v} * {scale} is not finite")
         iv = round(scaled)
         if abs(scaled - iv) > 1e-9:
             raise ParseError(f"tree {ti} vertex {vi} {axis}: {v} * {scale} is not an integer")

@@ -17,6 +17,7 @@ from treecover.geom import AABB
 from treecover.hullcover import (
     BucketGridShooter,
     ComponentSet,
+    InternalInvariantError,
     NaiveRayShooter,
     hull_cover_fast,
 )
@@ -39,8 +40,9 @@ def same_hit(a, b):
     return b is not None and (a.t, a.point, a.obstacle) == (b.t, b.point, b.obstacle)
 
 
-# bounds smaller than the coordinate range put obstacles and origins in the
-# clamped border cells; (1, 1) and (1000, 1000) are the extreme cell sizes
+# bounds smaller than the coordinate range put obstacles and origins beyond
+# them, where keys of neighbouring columns coincide; (1, 1) and (1000, 1000)
+# are the extreme cell sizes
 GRIDS = (
     (AABB(-40, -40, 40, 40), (1, 1)),
     (AABB(-40, -40, 40, 40), (3, 7)),
@@ -55,9 +57,13 @@ def test_grid_shooter_matches_naive_on_random_shots():
     for trial in range(200):
         m = rng.randint(1, 5)
         naive, grid = pair(m, *GRIDS[trial % len(GRIDS)])
+        # every chord ends on a point of a stored obstacle, as an engine
+        # chord ends on its own hull vertex
+        ends = []
         for _ in range(rng.randint(0, 18)):
             x1, y1 = rng.randint(-35, 35), rng.randint(-35, 35)
             owner = rng.randrange(m)
+            ends.append((x1, y1))
             if rng.random() < 0.2:
                 naive.insert_point((x1, y1), owner)
                 grid.insert_point((x1, y1), owner)
@@ -66,53 +72,56 @@ def test_grid_shooter_matches_naive_on_random_shots():
                     x2, y2 = rng.randint(-35, 35), rng.randint(-35, 35)
                     if (x2, y2) != (x1, y1):
                         break
+                ends.append((x2, y2))
                 naive.insert_segment((x1, y1), (x2, y2), owner)
                 grid.insert_segment((x1, y1), (x2, y2), owner)
-        for _ in range(14):
-            ox, oy = rng.randint(-35, 35), rng.randint(-35, 35)
+        for _ in range(14 if ends else 0):
+            through = rng.choice(ends)
             while True:
-                tx, ty = rng.randint(-35, 35), rng.randint(-35, 35)
-                if (tx, ty) != (ox, oy):
+                origin = rng.randint(-35, 35), rng.randint(-35, 35)
+                if origin != through:
                     break
-            if rng.random() < 0.5:
-                ha = naive.shoot((ox, oy), (tx, ty), owner=0)
-                hb = grid.shoot((ox, oy), (tx, ty), owner=0)
-                assert same_hit(ha, hb)
-            else:
-                own = rng.randrange(m)
-                aa, am = naive.shoot_from((ox, oy), (tx, ty), own)
-                ba, bm = grid.shoot_from((ox, oy), (tx, ty), own)
-                assert same_hit(aa, ba)
-                assert same_hit(am, bm)
+            own = rng.randrange(m)
+            aa, am = naive.shoot_from(origin, through, own)
+            ba, bm = grid.shoot_from(origin, through, own)
+            assert aa is not None and aa.n <= aa.d
+            assert same_hit(aa, ba)
+            assert same_hit(am, bm)
+        assert naive.obstacles == grid.obstacles
 
 
-def test_grid_shoot_hits_beyond_through():
-    naive, grid = pair(2, AABB(0, 0, 40, 40), (2, 2))
-    for s in (naive, grid):
-        s.insert_segment((30, -5), (30, 5), 1)
-    ha = naive.shoot((0, 0), (1, 0))
-    hb = grid.shoot((0, 0), (1, 0))
-    assert ha.t == 30 and same_hit(ha, hb)
-    # the inserted ray [origin, hit] is an obstacle of both stores
-    ha = naive.shoot((10, 5), (10, -5))
-    hb = grid.shoot((10, 5), (10, -5))
-    assert ha.obstacle == 1 and same_hit(ha, hb)
-
-
-def test_grid_shoot_from_falls_back_past_an_empty_chord():
+def test_grid_reports_no_hit_on_a_chord_that_ends_on_no_obstacle():
+    """The grid serves only chords that end on an obstacle. Past any other
+    chord it reports no hit and inserts nothing, whether a candidate is hit
+    beyond the chord's end or none is hit at all; the full scan finds the
+    obstacle beyond."""
     naive, grid = pair(2, AABB(0, 0, 40, 40), (2, 2))
     for s in (naive, grid):
         s.insert_segment((20, -5), (20, 5), 1)
-        s.insert_point((3, 30), 0)
-    aa, am = naive.shoot_from((0, 0), (4, 0), 0)
-    ba, bm = grid.shoot_from((0, 0), (4, 0), 0)
-    assert aa.t == 5 and same_hit(aa, ba)
-    assert am is None and bm is None
-    # nothing on the whole ray: both escape and insert nothing
-    assert naive.shoot_from((0, 0), (0, -1), 0) == grid.shoot_from((0, 0), (0, -1), 0)
-    assert naive.shoot((0, 0), (-1, -1)) is None
-    assert grid.shoot((0, 0), (-1, -1)) is None
-    assert len(grid) == len(naive) == 3
+        s.insert_point((5, 0), 1)  # in the cell of the first chord's end
+    # the point is hit at t = 5/4; the second chord's cells hold nothing
+    for origin, through, t in (((0, 0), (4, 0), 1.25), ((0, 2), (4, 2), 5)):
+        hit_all, merge_hit = naive.shoot_from(origin, through, 0)
+        assert hit_all.t == t and merge_hit is None
+        assert grid.shoot_from(origin, through, 0) == (None, None)
+    assert len(naive) == 4 and len(grid) == 2
+
+
+class NoCellsShooter(BucketGridShooter):
+    """A grid that registers no obstacle in any cell, so every chord looks
+    empty."""
+
+    def _push(self, ob):
+        return NaiveRayShooter._push(self, ob)
+
+
+def test_engine_raises_when_the_grid_loses_an_obstacle():
+    inst = generate("strips", trees=3, size=4, seed=1)
+    with pytest.raises(InternalInvariantError, match="escaped"):
+        hull_cover_fast(
+            inst,
+            shooter_factory=lambda comps: NoCellsShooter(comps, AABB(0, 0, 0, 0), (1, 1)),
+        )
 
 
 def test_grid_equal_t_hits_keep_the_lowest_id():

@@ -32,6 +32,13 @@ def crossing(tmp_path):
     return str(p)
 
 
+def assert_usage_error(argv, capsys):
+    """The command exits 2 with a single ``error:`` line on stderr."""
+    assert main(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
 class TestValidate:
     def test_clean_instance(self, inst_d):
         assert main(["validate", "--input", inst_d]) == 0
@@ -47,6 +54,21 @@ class TestValidate:
 
     def test_missing_file(self, tmp_path):
         assert main(["validate", "--input", str(tmp_path / "none.json")]) == 2
+
+    @pytest.mark.parametrize("value", ["Infinity", "-Infinity", "NaN"])
+    def test_non_finite_coordinate_is_a_parse_error(self, tmp_path, capsys, value):
+        # Python's json reads these as floats, which --scale would round
+        p = tmp_path / "inf.json"
+        p.write_text('{"trees": [{"vertices": [[%s, 0]], "edges": []}]}' % value)
+        assert_usage_error(["validate", "--scale", "2", "--input", str(p)], capsys)
+
+    def test_non_utf8_input_is_a_parse_error(self, tmp_path, capsys):
+        p = tmp_path / "latin1.json"
+        p.write_bytes(b'{"trees": [{"vertices": [[0, 0]], "edges": []}]} \xe9')
+        assert_usage_error(["validate", "--input", str(p)], capsys)
+
+    def test_directory_input_is_a_usage_error(self, tmp_path, capsys):
+        assert_usage_error(["validate", "--input", str(tmp_path)], capsys)
 
 
 class TestCover:
@@ -138,6 +160,11 @@ class TestCheckWellDefined:
         ) == 2
 
 
+    def test_too_few_trials_usage_error(self, inst_d, capsys):
+        argv = ["check-well-defined", "--phi", "hull", "--input", inst_d]
+        assert_usage_error(argv + ["--trials", "1"], capsys)
+
+
 class TestGenOracle:
     def test_gen_nested_then_cover_single_region(self, tmp_path):
         inst = tmp_path / "n.json"
@@ -208,6 +235,12 @@ class TestBench:
         assert sorted({r[0] for r in rows}) == ["arc", "combs"]
         for kind, n, *_ in rows:
             assert 100 - {"arc": 3, "combs": 5}[kind] < int(n) <= 100, (kind, n)
+
+
+    def test_non_integer_sizes_usage_error(self, tmp_path, capsys):
+        argv = ["bench", "--phi", "hull", "--kinds", "combs", "--sizes", "10,x",
+                "--output", str(tmp_path / "bench.csv")]
+        assert_usage_error(argv, capsys)
 
 
 class TestRender:

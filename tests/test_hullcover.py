@@ -24,18 +24,25 @@ HULL = PHI["hull"]
 
 def make_shooter(obstacles):
     """Standalone shooter with integer-segment obstacles, one component per
-    obstacle (ids 0, 1, ...)."""
-    comps = ComponentSet(max(len(obstacles), 1))
+    obstacle (ids 0, 1, ...) and one more, the last, that owns none."""
+    comps = ComponentSet(len(obstacles) + 1)
     shooter = NaiveRayShooter(comps)
     for i, (a, b) in enumerate(obstacles):
         shooter.insert_segment(a, b, i)
     return shooter
 
 
+def first_hit(shooter, origin, through):
+    """The overall first hit of a shot by the last component, which owns
+    none of the obstacles."""
+    hit_all, _ = shooter.shoot_from(origin, through, len(shooter.components.parent) - 1)
+    return hit_all
+
+
 class TestShootContract:
     def test_nearer_of_two(self):
         s = make_shooter([((2, -1), (2, 1)), ((5, -1), (5, 1))])
-        hit = s.shoot((0, 0), (1, 0))
+        hit = first_hit(s, (0, 0), (1, 0))
         assert hit is not None
         assert hit.t == 2
         assert hit.point == (2, 0)
@@ -43,41 +50,42 @@ class TestShootContract:
 
     def test_endpoint_on_ray(self):
         s = make_shooter([((3, 0), (3, 5))])
-        hit = s.shoot((0, 0), (1, 0))
+        hit = first_hit(s, (0, 0), (1, 0))
         assert hit.t == 3
         assert hit.point == (3, 0)
 
     def test_escape_returns_none(self):
         s = make_shooter([((2, -1), (2, 1)), ((5, -1), (5, 1))])
-        assert s.shoot((0, 0), (0, 1)) is None
+        assert s.shoot_from((0, 0), (0, 1), 2) == (None, None)
+        assert len(s) == 2  # an escaping ray inserts nothing
 
     def test_shot_ray_becomes_obstacle(self):
         s = make_shooter([((4, -2), (4, 2))])
-        first = s.shoot((0, 0), (1, 0), owner=0)  # ray [0,0]..[4,0] inserted
+        first = first_hit(s, (0, 0), (1, 0))  # ray [0,0]..[4,0] inserted
         assert first.point == (4, 0)
         # a later vertical shot crossing the inserted ray stops at it
-        second = s.shoot((2, -3), (2, 1))
+        second = first_hit(s, (2, -3), (2, 1))
         assert second is not None
         assert second.point == (2, 0)
         assert second.obstacle == len(s) - 2  # the inserted ray
 
     def test_hits_at_t0_excluded(self):
         s = make_shooter([((0, -1), (0, 1))])  # passes through the origin
-        hit = s.shoot((0, 0), (1, 0))
+        hit = first_hit(s, (0, 0), (1, 0))
         assert hit is None
 
     def test_point_obstacle_hit_exactly(self):
         comps = ComponentSet(2)
         s = NaiveRayShooter(comps)
         s.insert_point((5, 0), 0)
-        hit = s.shoot((0, 0), (1, 0))
+        hit = first_hit(s, (0, 0), (1, 0))
         assert hit.t == 5 and hit.point == (5, 0)
-        assert s.shoot((0, 0), (1, 1)) is None
+        assert first_hit(s, (0, 0), (1, 1)) is None
 
     def test_tie_breaks_to_lowest_id(self):
         # two obstacles touching the ray at the same point
         s = make_shooter([((3, 0), (3, 4)), ((3, 0), (5, 4))])
-        hit = s.shoot((0, 0), (1, 0))
+        hit = first_hit(s, (0, 0), (1, 0))
         assert hit.point == (3, 0)
         assert hit.obstacle == 0
 
@@ -106,9 +114,9 @@ def test_connecting_edge_check_flags_a_third_component_before_the_hit(x, blocked
 class TestComponentSet:
     def test_union_find(self):
         c = ComponentSet(4)
-        assert c.count == 4
+        assert len({c.find(i) for i in range(4)}) == 4
         r = c.union(0, 1)
-        assert c.count == 3
+        assert len({c.find(i) for i in range(4)}) == 3
         assert c.find(0) == c.find(1) == r
         assert c.find(2) != r
         assert c.find(c.find(3)) == c.find(3)
