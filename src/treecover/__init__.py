@@ -32,14 +32,13 @@ from .model import (
     Cover,
     GeometricTree,
     Instance,
-    generate,
     parse_instance,
     serialize_instance,
     validate_instance,
 )
 
-# the naive process is resolved on first use (PEP 562), so importing the
-# package, or its CLI, does not compile it
+# the naive process and the generators are resolved on first use (PEP 562),
+# so importing the package, or its CLI, does not compile them
 _PHICOVER_NAMES = frozenset(
     ("PHI", "MergePolicy", "check_phi_properties", "check_well_defined", "naive_phi_cover")
 )
@@ -50,6 +49,10 @@ def __getattr__(name):
         from . import phicover
 
         return getattr(phicover, name)
+    if name == "generate":
+        from .generators import generate
+
+        return generate
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [

@@ -15,7 +15,7 @@ linear scan it is tested against. Both return identical results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .geom import AABB, box_of, box_union, boxes_intersect, outermost
 from .model import Cover, Instance
@@ -161,15 +161,19 @@ class BucketGridRangeIndex(LinearSegmentRangeIndex):
         return out
 
 
-@dataclass
 class BoxComponent:
-    id: int
-    box: AABB
-    members: list[int]
+    """A stored box and its member trees; absorbing another component swaps
+    or extends ``members`` in place."""
+
+    __slots__ = ("id", "box", "members")
+
+    def __init__(self, id: int, box: AABB, members: list[int]):
+        self.id = id
+        self.box = box
+        self.members = members
 
 
-@dataclass(frozen=True)
-class BoxStats:
+class BoxStats(NamedTuple):
     queries: int
     merges: int
 

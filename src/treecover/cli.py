@@ -10,7 +10,6 @@ non-well-defined witness found.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 import time
@@ -23,15 +22,14 @@ from .model import (
     GenerationError,
     ParseError,
     errors_only,
-    generate,
     parse_instance,
     serialize_instance,
     validate_instance,
 )
 
-# phicover, render and statistics serve the naive, oracle, well-definedness,
-# bench and render commands only; each imports them itself, so a plain
-# `cover` start does not compile them
+# generators, phicover, render and statistics serve the gen, naive, oracle,
+# well-definedness, bench and render commands only; each imports them
+# itself, so a plain `cover` start does not compile them
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -56,7 +54,9 @@ def _write(path: str, text: str) -> None:
 def _load_valid_instance(args):
     """Parse and validate the input instance, writing every violation to
     stderr, one per line; raise _ValidationFailed if any is an error."""
-    inst = parse_instance(_read(args.input), scale=getattr(args, "scale", 1))
+    if args.scale < 1:
+        raise ParseError(f"--scale must be at least 1, got {args.scale}")
+    inst = parse_instance(_read(args.input), scale=args.scale)
     violations = validate_instance(inst)
     sys.stderr.write("".join(f"{v}\n" for v in violations))
     if errors_only(violations):
@@ -78,6 +78,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    from .generators import generate
+
     inst = generate(args.kind, trees=args.trees, size=args.size, seed=args.seed)
     _write(args.output, serialize_instance(inst) + "\n")
     print(f"wrote {args.output} (m={inst.m}, n={inst.n})", file=sys.stderr)
@@ -95,7 +97,7 @@ def cmd_cover(args) -> int:
                 cover, stats = hull_cover_fast(inst)
         else:
             cover, stats = box_cover_fast(inst)
-        stats_obj = dataclasses.asdict(stats)
+        stats_obj = stats._asdict()
     else:
         from .phicover import PHI, MergePolicy, naive_phi_cover
 
@@ -222,6 +224,8 @@ def _bench_one(inst, phi_name: str, algo: str):
 def cmd_bench(args) -> int:
     import statistics
 
+    from .generators import generate
+
     kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
     try:
         sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
@@ -252,13 +256,17 @@ def cmd_render(args) -> int:
 
     inst = _load_valid_instance(args)
     cover = None
-    trace = None
+    rays = None
     if args.cover:
         text = _read(args.cover)
         cover = Cover.from_json(text)
-        obj = json.loads(text)
-        trace = obj.get("trace", {}).get("rays")
-    _write(args.output, render_svg(inst, cover, trace))
+        trace = json.loads(text).get("trace", {})
+        if not isinstance(trace, dict):
+            raise ParseError("malformed cover: trace must be an object")
+        rays = trace.get("rays")
+        if rays is not None and not isinstance(rays, list):
+            raise ParseError("malformed cover: trace rays must be a list")
+    _write(args.output, render_svg(inst, cover, rays))
     print(f"wrote {args.output}", file=sys.stderr)
     return EXIT_OK
 
@@ -276,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--scale",
             type=int,
             default=1,
-            help="multiply decimal coordinates into integers",
+            help="multiply decimal coordinates into integers (at least 1)",
         )
 
     sp = sub.add_parser("validate", help="validate an instance file")

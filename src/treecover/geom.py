@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
-from fractions import Fraction
 from operator import sub
+from typing import TYPE_CHECKING, NamedTuple
 
 # Bound once at import: perfbench's tracer patches ``_kernelpy.seg_relation``
 # to count the pairs that ``find_contacts`` tests, and these calls stay out
@@ -26,8 +25,14 @@ from ._kernelpy import point_on_segment as _point_on_segment
 from ._kernelpy import polys_intersect as _polys_intersect
 from ._kernelpy import seg_relation as _seg_relation
 
+# ``fractions`` is imported only where a Fraction is built, so that a cover
+# run, which builds none, does not load it
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    RationalPoint = tuple[Fraction, Fraction]
+
 Point = tuple[int, int]
-RationalPoint = tuple[Fraction, Fraction]
 Segment = tuple[Point, Point]
 
 COORD_LIMIT = 1 << 30
@@ -58,18 +63,40 @@ def segments_intersect(s: Segment, t: Segment) -> str:
     return _SEG_RELATION_NAMES[rel]
 
 
-@dataclass(frozen=True)
 class ConvexPolygon:
     """Canonical convex polygon: CCW vertices starting at the lexicographic
     minimum, strict turns everywhere; 1 and 2 vertices are the degenerate
-    point and segment polygons."""
+    point and segment polygons.
 
-    vertices: tuple[Point, ...]
-    flat: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    Immutable; ``flat`` is the vertices' coordinates in one tuple, derived
+    at construction, and equality and hashing read ``vertices`` only."""
 
-    def __post_init__(self):
-        flat = tuple(c for v in self.vertices for c in v)
-        object.__setattr__(self, "flat", flat)
+    __slots__ = ("vertices", "flat")
+
+    def __init__(self, vertices: tuple[Point, ...]):
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "flat", tuple(c for v in vertices for c in v))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.vertices == other.vertices
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.vertices,))
+
+    def __repr__(self):
+        return f"ConvexPolygon(vertices={self.vertices!r})"
+
+    # copy and pickle would write the slots through __setattr__; rebuild
+    def __reduce__(self):
+        return ConvexPolygon, (self.vertices,)
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -130,12 +157,12 @@ def polygons_intersect(p: ConvexPolygon, q: ConvexPolygon) -> bool:
     return _polys_intersect(p.flat, q.flat)
 
 
-@dataclass(frozen=True)
-class BoundaryIntersections:
+class BoundaryIntersections(NamedTuple):
     points: tuple[RationalPoint, ...]
     overlap: bool
 
     def __len__(self) -> int:
+        """The number of points, not of fields."""
         return len(self.points)
 
 
@@ -148,6 +175,8 @@ def _segment_intersection_set(a: Point, b: Point, c: Point, d: Point):
     rel = _seg_relation(a[0], a[1], b[0], b[1], c[0], c[1], d[0], d[1])
     if rel == 0:
         return (), False
+    from fractions import Fraction
+
     d1 = orient(c, d, a)
     d2 = orient(c, d, b)
     d3 = orient(a, b, c)
@@ -192,6 +221,8 @@ def boundary_intersection_points(p: ConvexPolygon, q: ConvexPolygon) -> Boundary
     """All points of the two polygon boundaries' intersection, deduplicated;
     collinear boundary overlap is reported by its two endpoints plus a flag."""
     if len(p) == 1:
+        from fractions import Fraction
+
         pt = p.vertices[0]
         on = point_in_convex_polygon(pt, q) == BOUNDARY
         return BoundaryIntersections(
@@ -215,16 +246,23 @@ def merge_convex_hulls(p: ConvexPolygon, q: ConvexPolygon) -> ConvexPolygon:
     return convex_hull(p.vertices + q.vertices)
 
 
-@dataclass(frozen=True)
-class AABB:
+class _AABBFields(NamedTuple):
     xmin: int
     ymin: int
     xmax: int
     ymax: int
 
-    def __post_init__(self):
-        if self.xmin > self.xmax or self.ymin > self.ymax:
-            raise ValueError(f"inverted box {self}")
+
+class AABB(_AABBFields):
+    """Closed axis-aligned box; an inverted one raises ValueError."""
+
+    __slots__ = ()
+
+    def __new__(cls, xmin, ymin, xmax, ymax):
+        if xmin > xmax or ymin > ymax:
+            fields = f"xmin={xmin!r}, ymin={ymin!r}, xmax={xmax!r}, ymax={ymax!r}"
+            raise ValueError(f"inverted box AABB({fields})")
+        return tuple.__new__(cls, (xmin, ymin, xmax, ymax))
 
     def contains_point(self, p) -> bool:
         return self.xmin <= p[0] <= self.xmax and self.ymin <= p[1] <= self.ymax
@@ -339,15 +377,21 @@ def outermost(regions: list, boxes: list[AABB], contains) -> list[int]:
     return home
 
 
-@dataclass(frozen=True)
-class Circle:
+class _CircleFields(NamedTuple):
     cx: float
     cy: float
     r: float
 
-    def __post_init__(self):
-        if self.r < 0:
+
+class Circle(_CircleFields):
+    """Closed disk; a negative radius raises ValueError."""
+
+    __slots__ = ()
+
+    def __new__(cls, cx, cy, r):
+        if r < 0:
             raise ValueError("negative radius")
+        return tuple.__new__(cls, (cx, cy, r))
 
     def contains_point(self, p, eps: float = MEC_EPS) -> bool:
         dx = p[0] - self.cx

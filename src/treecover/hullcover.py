@@ -39,8 +39,7 @@ count plus two tangents per merge.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING, NamedTuple
 
 # ``_kernelpy.scan`` is looked up at each call, so a wrapper patched onto the
 # module (perfbench's tracer, the tests' counters) sees every shot.
@@ -59,8 +58,10 @@ from .geom import (
 )
 from .model import Cover, Instance
 
+if TYPE_CHECKING:
+    from fractions import Fraction
 
-@dataclass(eq=False, slots=True)
+
 class Hit:
     """First obstacle met by a shot ray from ``origin`` along the direction
     (through - origin), at the exact parameter t = n / d > 0 (d > 0, not
@@ -68,17 +69,23 @@ class Hit:
     owner's component root at shot time.
 
     A shot keeps the kernel's integers: ``t`` and the hit ``point`` are
-    built as fractions only when read."""
+    built as fractions only when read, and only then is ``fractions``
+    imported."""
 
-    n: int
-    d: int
-    origin: tuple[int, int]
-    through: tuple[int, int]
-    obstacle: int
-    component: int
+    __slots__ = ("n", "d", "origin", "through", "obstacle", "component")
+
+    def __init__(self, n, d, origin, through, obstacle, component):
+        self.n = n
+        self.d = d
+        self.origin = origin
+        self.through = through
+        self.obstacle = obstacle
+        self.component = component
 
     @property
     def t(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self.n, self.d)
 
     @property
@@ -303,8 +310,7 @@ class BucketGridShooter(NaiveRayShooter):
         return ids[ia], na, da, ids[if_] if if_ >= 0 else -1, nf, df
 
 
-@dataclass(frozen=True)
-class HullStats:
+class HullStats(NamedTuple):
     rays_shot: int
     merges: int
     initial_edges: int

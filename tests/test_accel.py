@@ -13,6 +13,7 @@ from treecover.boxcover import (
     LinearSegmentRangeIndex,
     box_cover_fast,
 )
+from treecover.generators import generate
 from treecover.geom import AABB
 from treecover.hullcover import (
     BucketGridShooter,
@@ -21,7 +22,7 @@ from treecover.hullcover import (
     NaiveRayShooter,
     hull_cover_fast,
 )
-from treecover.model import GeometricTree, Instance, generate
+from treecover.model import GeometricTree, Instance
 from treecover.phicover import PHI, naive_phi_cover
 
 from instances import INSTANCE_A, INSTANCE_B, INSTANCE_D

@@ -12,9 +12,10 @@ import time
 import pytest
 
 from treecover.boxcover import BucketGridRangeIndex, box_cover_fast
+from treecover.generators import generate
 from treecover.geom import boundary_intersection_points
 from treecover.hullcover import hull_cover_fast
-from treecover.model import generate, serialize_instance, validate_instance
+from treecover.model import serialize_instance, validate_instance
 from treecover.phicover import (
     PHI,
     MergePolicy,

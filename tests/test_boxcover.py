@@ -8,8 +8,9 @@ from treecover.boxcover import (
     box_cover_fast,
     maximal_boxes,
 )
+from treecover.generators import generate
 from treecover.geom import AABB
-from treecover.model import Instance, generate
+from treecover.model import Instance
 from treecover.phicover import PHI, naive_phi_cover
 
 from instances import INSTANCE_A, INSTANCE_B, INSTANCE_E, tree

@@ -26,6 +26,14 @@ def inst_e(tmp_path):
 
 
 @pytest.fixture
+def segment(tmp_path):
+    """One two-vertex tree: valid, and validated without warnings."""
+    p = tmp_path / "seg.json"
+    p.write_text('{"trees":[{"vertices":[[0,0],[1,1]],"edges":[[0,1]]}]}')
+    return str(p)
+
+
+@pytest.fixture
 def crossing(tmp_path):
     p = tmp_path / "x.json"
     p.write_text(serialize_instance(CROSSING_TREES))
@@ -69,6 +77,12 @@ class TestValidate:
 
     def test_directory_input_is_a_usage_error(self, tmp_path, capsys):
         assert_usage_error(["validate", "--input", str(tmp_path)], capsys)
+
+    @pytest.mark.parametrize("scale", ["0", "-3"])
+    def test_scale_below_one_is_a_usage_error(self, segment, capsys, scale):
+        # 0 would collapse every vertex onto the origin and a negative
+        # scale would mirror the instance
+        assert_usage_error(["validate", "--input", segment, "--scale", scale], capsys)
 
 
 class TestCover:
@@ -263,6 +277,16 @@ class TestRender:
         assert main(["render", "--input", inst_d, "--output", str(svg)]) == 0
         assert "<svg" in svg.read_text()
 
+    @pytest.mark.parametrize("trace", ["[1]", "null", '{"rays":{}}', '{"rays":3}'])
+    def test_malformed_trace_is_a_parse_error(self, segment, tmp_path, capsys, trace):
+        cov = tmp_path / "c.json"
+        cov.write_text(
+            '{"phi":"hull","regions":[],"membership":[],"trace":' + trace + "}"
+        )
+        argv = ["render", "--input", segment, "--cover", str(cov),
+                "--output", str(tmp_path / "out.svg")]
+        assert_usage_error(argv, capsys)
+
     def test_deterministic_bytes(self, inst_d, tmp_path):
         a = tmp_path / "a.svg"
         b = tmp_path / "b.svg"
@@ -288,10 +312,36 @@ def test_cli_import_leaves_naive_process_and_renderer_unloaded():
     code = (
         "import sys, treecover.cli; "
         "print([m for m in ('treecover.phicover', 'treecover.render') if m in sys.modules]); "
-        "from treecover import PHI, naive_phi_cover; print(naive_phi_cover.__module__)"
+        "from treecover import PHI, naive_phi_cover; print(naive_phi_cover.__module__); "
+        "from treecover import generate; print(generate.__module__)"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:2] == ["[]", "treecover.phicover"]
+    assert proc.stdout.split("\n")[:3] == ["[]", "treecover.phicover", "treecover.generators"]
+
+
+def test_cover_runs_load_only_what_they_execute(tmp_path):
+    # A `cover` start compiles what it imports, so importing the CLI and
+    # running both fast engines must leave out the records' code generator,
+    # rational arithmetic, the generators and the naive-process commands.
+    # -S keeps site-packages' start-up imports out of the child.
+    inp = tmp_path / "d.json"
+    inp.write_text(serialize_instance(INSTANCE_D))
+    unused = ("dataclasses", "fractions", "treecover.generators",
+              "treecover.phicover", "treecover.render")
+    code = (
+        "import sys; import treecover.cli as cli; "
+        f"unused = {unused!r}; "
+        "print([m for m in unused if m in sys.modules]); "
+        "codes = [cli.main(['cover', '--phi', phi, '--input', 'd.json', '--output', "
+        "phi + '.json', '--stats', phi + '-stats.json']) for phi in ('hull', 'box')]; "
+        "print(codes, [m for m in unused if m in sys.modules])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True,
+        env=child_env(), cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "[0, 0] []"]

@@ -18,8 +18,9 @@ from math import gcd
 import pytest
 
 from treecover import _kernelpy, model
+from treecover.generators import generate
 from treecover.geom import sweep_along_y
-from treecover.model import GeometricTree, Instance, generate, validate_instance
+from treecover.model import GeometricTree, Instance, validate_instance
 
 from helpers import cross
 

@@ -1,9 +1,11 @@
+import fractions
 import hashlib
 import json
 
 import pytest
 
 from treecover import hullcover
+from treecover.generators import generate
 from treecover.geom import ConvexPolygon, convex_hull
 from treecover.hullcover import (
     ComponentSet,
@@ -14,7 +16,7 @@ from treecover.hullcover import (
     maximal_regions,
     weakly_disjoint,
 )
-from treecover.model import Instance, generate
+from treecover.model import Instance
 from treecover.phicover import PHI, MergePolicy, naive_phi_cover
 
 from instances import INSTANCE_A, INSTANCE_B, INSTANCE_D, tree
@@ -371,13 +373,15 @@ def test_shots_build_fractions_only_when_read(kind, seed, monkeypatch):
     """An engine run builds no Fraction unless it records a trace or runs
     its debug checks; the recorded trace is unchanged."""
     made = []
-    fraction = hullcover.Fraction
+    new = fractions.Fraction.__new__
 
-    def counting(*args):
+    def counting(cls, *args, **kwargs):
         made.append(args)
-        return fraction(*args)
+        return new(cls, *args, **kwargs)
 
-    monkeypatch.setattr(hullcover, "Fraction", counting)
+    # on the class itself, so that every Fraction is counted however its
+    # builder imported the name (``Hit.t`` imports it when it is read)
+    monkeypatch.setattr(fractions.Fraction, "__new__", staticmethod(counting))
     inst = generate(kind, trees=12, size=5, seed=seed)
     cover, stats = hull_cover_fast(inst)
     assert made == []

@@ -21,7 +21,8 @@ import pytest
 
 from treecover import _kernelpy, boxcover, geom, hullcover
 from treecover.cli import main
-from treecover.model import generate, serialize_instance
+from treecover.generators import generate
+from treecover.model import serialize_instance
 
 HOOKS = ("scan", "find_contacts", "find_vertex_hits", "seg_relation")
 INDEX_HOOKS = ("query", "insert_box", "delete_box")

@@ -1,20 +1,24 @@
+import copy
 import json
+import pickle
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treecover.cli import main
-from treecover.geom import AABB, ConvexPolygon
+from treecover.boxcover import BoxStats
+from treecover.generators import ARC_MAX_TREES, generate
+from treecover.geom import AABB, BoundaryIntersections, Circle, ConvexPolygon
+from treecover.hullcover import HullStats
 from treecover.model import (
-    ARC_MAX_TREES,
     Cover,
     GenerationError,
     GeometricTree,
     Instance,
     ParseError,
     errors_only,
-    generate,
     parse_instance,
     serialize_instance,
     validate_instance,
@@ -306,3 +310,62 @@ class TestCover:
         assert obj["phi"] == "hull"
         assert obj["regions"] == [{"vertices": [[0, 0], [1, 0], [0, 1]]}]
         assert obj["membership"] == [[0]]
+
+
+# for each immutable record: a builder of one value, a builder of a value
+# that differs from it, and a field
+RECORDS = [
+    (lambda: GeometricTree(((0, 0), (1, 1)), ((0, 1),)),
+     lambda: GeometricTree(((0, 0), (1, 2)), ((0, 1),)), "vertices"),
+    (lambda: Instance(INSTANCE_D.trees), lambda: Instance(CROSSING_TREES.trees), "trees"),
+    (lambda: Cover("box", (AABB(0, 0, 1, 1),), ((0,),)),
+     lambda: Cover("box", (AABB(0, 0, 1, 1),), ((1,),)), "membership"),
+    (lambda: ConvexPolygon(((0, 0), (2, 0), (0, 2))),
+     lambda: ConvexPolygon(((0, 0), (2, 0), (0, 3))), "vertices"),
+    (lambda: BoundaryIntersections(((Fraction(1, 2), Fraction(0)),), False),
+     lambda: BoundaryIntersections(((Fraction(1, 2), Fraction(0)),), True), "overlap"),
+    (lambda: AABB(0, 0, 1, 1), lambda: AABB(0, 0, 1, 2), "ymax"),
+    (lambda: Circle(0.0, 0.0, 1.0), lambda: Circle(0.0, 0.0, 2.0), "r"),
+    (lambda: HullStats(4, 1, 6), lambda: HullStats(4, 2, 6), "merges"),
+    (lambda: BoxStats(2, 1), lambda: BoxStats(2, 0), "merges"),
+]
+
+
+@pytest.mark.parametrize(
+    "make, make_other, field", RECORDS, ids=[type(make()).__name__ for make, _, _ in RECORDS]
+)
+def test_records_compare_by_value_copy_and_refuse_assignment(make, make_other, field):
+    record, twin, other = make(), make(), make_other()
+    assert twin is not record
+    assert twin == record and hash(twin) == hash(record)
+    assert other != record
+    assert copy.deepcopy(record) == record
+    assert pickle.loads(pickle.dumps(record)) == record
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(other, field))
+    assert record == twin
+
+
+def test_convex_polygon_compares_by_vertices_only():
+    p = ConvexPolygon(((0, 0), (2, 0), (0, 2)))
+    assert p.flat == (0, 0, 2, 0, 0, 2)
+    with pytest.raises(AttributeError):
+        p.flat = ()
+    assert p != p.vertices
+    # the hash of the former frozen dataclass, so set orders stay the same
+    assert hash(p) == hash((p.vertices,))
+
+
+def test_boundary_intersections_len_counts_points():
+    points = ((Fraction(1), Fraction(2)), (Fraction(3), Fraction(4)), (Fraction(5), Fraction(6)))
+    assert len(BoundaryIntersections(points, False)) == 3
+    assert len(BoundaryIntersections((), True)) == 0
+
+
+def test_records_reject_inverted_boxes_and_negative_radii():
+    with pytest.raises(ValueError, match=r"inverted box AABB\(xmin=1, ymin=0, xmax=0, ymax=0\)"):
+        AABB(1, 0, 0, 0)
+    with pytest.raises(ValueError, match="inverted box"):
+        AABB(xmin=0, ymin=1, xmax=0, ymax=0)
+    with pytest.raises(ValueError, match="negative radius"):
+        Circle(0.0, 0.0, -1.0)

@@ -17,13 +17,13 @@ from treecover.boxcover import (
     maximal_boxes,
 )
 from treecover.cli import main
+from treecover.generators import generate
 from treecover.geom import AABB, ConvexPolygon, convex_hull, sweep_along_y
 from treecover.hullcover import contained_in, hull_cover_fast, maximal_regions
 from treecover.model import (
     GeometricTree,
     Instance,
     errors_only,
-    generate,
     serialize_instance,
     validate_instance,
 )

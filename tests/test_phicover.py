@@ -2,8 +2,9 @@ import itertools
 
 import pytest
 
+from treecover.generators import generate
 from treecover.geom import AABB, ConvexPolygon, box_of, convex_hull
-from treecover.model import Instance, generate
+from treecover.model import Instance
 from treecover.phicover import (
     PHI,
     MergePolicy,

@@ -8,8 +8,8 @@ bookkeeping became one set of live hull edges.
 import pytest
 
 from treecover.boxcover import box_cover_fast
+from treecover.generators import generate
 from treecover.hullcover import hull_cover_fast
-from treecover.model import generate
 
 # (kind, seed) -> ((rays_shot, merges, initial_edges), (queries, merges))
 # for generate(kind, trees=12, size=5, seed=seed)
