@@ -161,18 +161,6 @@ class BucketGridRangeIndex(LinearSegmentRangeIndex):
         return out
 
 
-class BoxComponent:
-    """A stored box and its member trees; absorbing another component swaps
-    or extends ``members`` in place."""
-
-    __slots__ = ("id", "box", "members")
-
-    def __init__(self, id: int, box: AABB, members: list[int]):
-        self.id = id
-        self.box = box
-        self.members = members
-
-
 class BoxStats(NamedTuple):
     queries: int
     merges: int
@@ -193,8 +181,9 @@ def box_cover_fast(instance: Instance, index_factory=BucketGridRangeIndex):
     The cover equals the naive merge-fixpoint box cover exactly.
     """
     index = index_factory()
-    store: dict[int, BoxComponent] = {}
-    next_id = 0
+    # stored box id, the index of the tree whose query stored it ->
+    # (the box, its member trees)
+    store: dict[int, tuple[AABB, list[int]]] = {}
     queries = 0
     merges = 0
 
@@ -213,26 +202,25 @@ def box_cover_fast(instance: Instance, index_factory=BucketGridRangeIndex):
             grown = q
             for hid in sorted(hits):
                 index.delete_box(hid)
-                comp = store.pop(hid)
-                # adopt the larger member list so accumulation stays linear
-                if len(comp.members) > len(members):
-                    members, comp.members = comp.members, members
-                members.extend(comp.members)
-                grown = box_union(grown, comp.box)
+                box, absorbed = store.pop(hid)
+                # extend the larger member list so accumulation stays linear
+                if len(absorbed) > len(members):
+                    members, absorbed = absorbed, members
+                members.extend(absorbed)
+                grown = box_union(grown, box)
             merges += len(hits)
             if not grown.contains_box(q):
                 raise AssertionError("query box shrank")
             q = grown
-        index.insert_box(next_id, q)
-        store[next_id] = BoxComponent(next_id, q, members)
-        next_id += 1
+        index.insert_box(i, q)
+        store[i] = (q, members)
 
-    comps = [store[k] for k in sorted(store)]
-    boxes = [c.box for c in comps]
+    ids = sorted(store)
+    boxes = [store[k][0] for k in ids]
     home = maximal_boxes(boxes)
     groups: dict[int, list[int]] = {i: [] for i, h in enumerate(home) if h == i}
-    for c, h in zip(comps, home):
-        groups[h].extend(c.members)
+    for k, h in zip(ids, home):
+        groups[h].extend(store[k][1])
 
     cover = Cover.build("box", ((boxes[i], tuple(ms)) for i, ms in groups.items()))
     return cover, BoxStats(queries, merges)

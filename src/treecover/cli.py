@@ -91,10 +91,8 @@ def cmd_cover(args) -> int:
     trace = None
     if args.algo == "fast":
         if args.phi == "hull":
-            if args.emit_trace:
-                cover, stats, trace = hull_cover_fast(inst, record_trace=True)
-            else:
-                cover, stats = hull_cover_fast(inst)
+            trace = [] if args.emit_trace else None
+            cover, stats = hull_cover_fast(inst, trace=trace)
         else:
             cover, stats = box_cover_fast(inst)
         stats_obj = stats._asdict()
@@ -177,28 +175,19 @@ def cmd_check_well_defined(args) -> int:
 
 
 class _CountingPhi:
-    """Wraps a region function and counts intersection tests (bench ops)."""
+    """Wraps a region function and counts intersection tests (bench ops);
+    every other attribute is the wrapped function's."""
 
     def __init__(self, inner):
         self._inner = inner
-        self.tag = inner.tag
         self.tests = 0
 
-    def apply_to_points(self, pts):
-        return self._inner.apply_to_points(pts)
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
 
     def intersects(self, a, b):
         self.tests += 1
         return self._inner.intersects(a, b)
-
-    def merge(self, a, b):
-        return self._inner.merge(a, b)
-
-    def contains_point(self, r, p):
-        return self._inner.contains_point(r, p)
-
-    def region_contains(self, outer, inner):
-        return self._inner.region_contains(outer, inner)
 
 
 def _bench_one(inst, phi_name: str, algo: str):
@@ -221,10 +210,31 @@ def _bench_one(inst, phi_name: str, algo: str):
     return wall_ms, ops, merges
 
 
+def _bench_instance(kind: str, n_target: int, seed: int):
+    """The instance of ``kind`` with the most trees m >= 2 whose n is at most
+    n_target (m = 2 when none is). Its n / m never falls as m grows, so an m
+    that fits bounds the answer by n_target * m // n; m doubles towards that
+    bound, and the last step is bisected."""
+    from .generators import generate
+
+    def make(m):
+        return generate(kind, trees=m, size=5, seed=seed)
+
+    lo, best = 2, make(2)
+    hi = n_target * lo // best.n + 1  # no m >= hi fits
+    while hi - lo > 1:
+        mid = min(2 * lo, (lo + hi) // 2)
+        inst = make(mid)
+        if inst.n <= n_target:
+            lo, best = mid, inst
+            hi = min(hi, n_target * mid // inst.n + 1)
+        else:
+            hi = mid
+    return best
+
+
 def cmd_bench(args) -> int:
     import statistics
-
-    from .generators import generate
 
     kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
     try:
@@ -232,14 +242,10 @@ def cmd_bench(args) -> int:
     except ValueError:
         print(f"error: --sizes must list integers, got {args.sizes!r}", file=sys.stderr)
         return EXIT_USAGE
-    per_tree = 5
     rows = ["kind,n,algo,wall_ms,ops,merges"]
     for kind in kinds:
-        # a kind's own vertices per tree: arc trees have 3 whatever the size
-        tree_n = generate(kind, trees=1, size=per_tree, seed=args.seed).n
         for n_target in sizes:
-            m = max(2, n_target // tree_n)
-            inst = generate(kind, trees=m, size=per_tree, seed=args.seed)
+            inst = _bench_instance(kind, n_target, args.seed)
             for algo in ("fast", "naive"):
                 _bench_one(inst, args.phi, algo)  # warmup, excluded
                 samples = [_bench_one(inst, args.phi, algo) for _ in range(3)]
@@ -249,6 +255,15 @@ def cmd_bench(args) -> int:
     _write(args.output, "\n".join(rows) + "\n")
     print(f"wrote {args.output} ({len(rows) - 1} rows)", file=sys.stderr)
     return EXIT_OK
+
+
+def _is_point(v) -> bool:
+    """A pair [x, y] of finite numbers; a bool is no number here."""
+    return (
+        isinstance(v, list)
+        and len(v) == 2
+        and all(type(c) in (int, float) and abs(c) <= sys.float_info.max for c in v)
+    )
 
 
 def cmd_render(args) -> int:
@@ -266,6 +281,18 @@ def cmd_render(args) -> int:
         rays = trace.get("rays")
         if rays is not None and not isinstance(rays, list):
             raise ParseError("malformed cover: trace rays must be a list")
+        for i, r in enumerate(rays or ()):
+            if not (
+                isinstance(r, dict)
+                and r.keys() == {"from", "to", "merge"}
+                and _is_point(r["from"])
+                and _is_point(r["to"])
+                and type(r["merge"]) is bool
+            ):
+                raise ParseError(
+                    f"malformed cover: trace ray {i} must be an object of "
+                    "from: [x, y], to: [x, y] and merge: true or false"
+                )
     _write(args.output, render_svg(inst, cover, rays))
     print(f"wrote {args.output}", file=sys.stderr)
     return EXIT_OK

@@ -15,12 +15,13 @@ only such shots. The engine's default, `BucketGridShooter`, scans only the
 obstacles bucketed in the grid cells that the chord crosses.
 `NaiveRayShooter` scans every stored obstacle per shot (exact, quadratic
 overall) and is the reference the tests compare against; both give
-identical results. A shot keeps its hits as the kernel's exact
-integers n / d and builds fractions only when a caller reads ``t`` or the
-hit point (traces and debug checks). A ray that ends at its chord's end q,
-as every engine ray stopped by its own hull vertex does, covers exactly the
-grid cells the shot scanned and is registered under those keys; a ray that
-stops short is rasterized on its own.
+identical results. A shot returns each hit as the kernel's integers
+``(obstacle, n, d)``, the obstacle's id and the exact parameter t = n / d
+along the chord; the engine and its trace read them without building a
+fraction. A ray that ends at its chord's end q, as every engine ray stopped
+by its own hull vertex does, covers exactly the grid cells the shot scanned
+and is registered under those keys; a ray that stops short is rasterized on
+its own.
 
 Two engine details differ from the naive definition but provably preserve
 the cover. First, the per-shot merge test uses the nearest *foreign* hit
@@ -39,7 +40,7 @@ count plus two tangents per merge.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 # ``_kernelpy.scan`` is looked up at each call, so a wrapper patched onto the
 # module (perfbench's tracer, the tests' counters) sees every shot.
@@ -57,42 +58,6 @@ from .geom import (
     polygons_intersect,
 )
 from .model import Cover, Instance
-
-if TYPE_CHECKING:
-    from fractions import Fraction
-
-
-class Hit:
-    """First obstacle met by a shot ray from ``origin`` along the direction
-    (through - origin), at the exact parameter t = n / d > 0 (d > 0, not
-    necessarily in lowest terms), with the obstacle id and the obstacle
-    owner's component root at shot time.
-
-    A shot keeps the kernel's integers: ``t`` and the hit ``point`` are
-    built as fractions only when read, and only then is ``fractions``
-    imported."""
-
-    __slots__ = ("n", "d", "origin", "through", "obstacle", "component")
-
-    def __init__(self, n, d, origin, through, obstacle, component):
-        self.n = n
-        self.d = d
-        self.origin = origin
-        self.through = through
-        self.obstacle = obstacle
-        self.component = component
-
-    @property
-    def t(self) -> Fraction:
-        from fractions import Fraction
-
-        return Fraction(self.n, self.d)
-
-    @property
-    def point(self) -> tuple[Fraction, Fraction]:
-        t = self.t
-        (ox, oy), (tx, ty) = self.origin, self.through
-        return (ox + t * (tx - ox), oy + t * (ty - oy))
 
 
 class InternalInvariantError(AssertionError):
@@ -169,25 +134,22 @@ class NaiveRayShooter:
             own_root,
         )
 
-    def _hit(self, origin, through, idx: int, n: int, d: int) -> Hit:
-        owner = self.obstacles[idx][7]
-        return Hit(n, d, origin, through, idx, self.components.find(owner))
-
     def shoot_from(self, origin, through, own_root: int):
-        """Engine shot: returns (hit_all, merge_hit) where merge_hit is the
-        nearest hit owned by a foreign component when it lies at t <= 1 on
-        the chord, else None. Inserts the ray up to the merge hit when
-        merging, else up to the overall first hit."""
+        """Engine shot: returns (hit, merge_hit), each ``(obstacle, n, d)``
+        for a hit at t = n / d (d > 0, not necessarily in lowest terms) or
+        None. hit is the overall first hit; merge_hit is the nearest hit
+        owned by a foreign component when it lies at t <= 1 on the chord.
+        Inserts the ray up to the merge hit when merging, else up to the
+        first hit."""
         ia, na, da, if_, nf, df = self._scan(origin, through, own_root)
         if ia < 0:
             return None, None
-        hit_all = self._hit(origin, through, ia, na, da)
         e = (through[0] - origin[0], through[1] - origin[1])
         if if_ >= 0 and nf <= df:  # foreign hit with t <= 1
             self._insert_ray(origin, e, nf, df, own_root)
-            return hit_all, self._hit(origin, through, if_, nf, df)
+            return (ia, na, da), (if_, nf, df)
         self._insert_ray(origin, e, na, da, own_root)
-        return hit_all, None
+        return (ia, na, da), None
 
 
 class BucketGridShooter(NaiveRayShooter):
@@ -348,10 +310,11 @@ def hull_cover_fast(
     instance: Instance,
     shooter_factory=None,
     debug: bool = False,
-    record_trace: bool = False,
+    trace: list | None = None,
 ):
-    """Compute the hull-cover; returns (Cover, HullStats) or
-    (Cover, HullStats, trace) when record_trace is set.
+    """Compute the hull-cover; returns (Cover, HullStats). When ``trace`` is
+    a list, one ray record ``{"from", "to", "merge"}`` is appended to it per
+    shot.
 
     The cover equals the naive merge-fixpoint hull cover exactly.
     """
@@ -381,7 +344,6 @@ def hull_cover_fast(
 
     rays_shot = 0
     merges = 0
-    trace = [] if record_trace else None
 
     while worklist:
         p, q, rep = worklist.popleft()
@@ -389,30 +351,29 @@ def hull_cover_fast(
             continue
         root = comps.find(rep)
         rays_shot += 1
-        hit_all, merge_hit = shooter.shoot_from(p, q, root)
-        if hit_all is None:
+        hit, merge_hit = shooter.shoot_from(p, q, root)
+        if hit is None:
             raise InternalInvariantError(
                 f"hull-edge shot from {p} through {q} escaped all obstacles"
             )
-        merged = merge_hit is not None
         if trace is not None:
-            end = merge_hit.point if merged else hit_all.point
+            _, n, d = merge_hit or hit
+            # the end point p + (n / d)(q - p); int / int rounds correctly,
+            # as float(Fraction) does
+            to = [(p[k] * d + n * (q[k] - p[k])) / d for k in (0, 1)]
             trace.append(
-                {
-                    "from": [p[0], p[1]],
-                    "to": [float(end[0]), float(end[1])],
-                    "merge": merged,
-                }
+                {"from": [p[0], p[1]], "to": to, "merge": merge_hit is not None}
             )
-        if merged:
-            other = merge_hit.component
+        if merge_hit is not None:
+            obstacle, n, d = merge_hit
+            other = comps.find(shooter.obstacles[obstacle][7])
             if debug:
-                if not (0 < merge_hit.n < merge_hit.d):
+                if not (0 < n < d):
                     raise InternalInvariantError(
-                        f"merging hit at t={merge_hit.t}, expected strictly "
-                        "inside the shot edge"
+                        f"merging hit at t={n}/{d}, expected strictly inside "
+                        "the shot edge"
                     )
-                _assert_connecting_edge_clean(shooter, comps, p, q, merge_hit, root, other)
+                _assert_connecting_edge_clean(shooter, comps, p, q, n, d, root, other)
             old = set(comps.hull[root].directed_edges())
             old.update(comps.hull[other].directed_edges())
             new_hull = merge_convex_hulls(comps.hull[root], comps.hull[other])
@@ -433,7 +394,7 @@ def hull_cover_fast(
                 raise InternalInvariantError("more than m - 1 merges")
             if debug:
                 ray_owner = comps.find(shooter.obstacles[-1][7])
-                hit_owner = comps.find(shooter.obstacles[merge_hit.obstacle][7])
+                hit_owner = comps.find(shooter.obstacles[obstacle][7])
                 if ray_owner != hit_owner or ray_owner != winner:
                     raise InternalInvariantError(
                         "merging ray and hit obstacle ended up in different "
@@ -452,15 +413,12 @@ def hull_cover_fast(
     cover = Cover.build(
         "hull", ((comps.hull[r], tuple(ms)) for r, ms in members.items())
     )
-    stats = HullStats(rays_shot, merges, initial_edges)
-    if record_trace:
-        return cover, stats, trace
-    return cover, stats
+    return cover, HullStats(rays_shot, merges, initial_edges)
 
 
-def _assert_connecting_edge_clean(shooter, comps, origin, through, hit, root_a, root_b):
+def _assert_connecting_edge_clean(shooter, comps, origin, through, n, d, root_a, root_b):
     """Debug check (brute re-scan): no obstacle of a third component sits
-    strictly before the merging hit along the shot ray."""
+    strictly before the merging hit at t = n / d along the shot ray."""
     ids = [
         idx
         for idx, ob in enumerate(shooter.obstacles)
@@ -470,7 +428,7 @@ def _assert_connecting_edge_clean(shooter, comps, origin, through, hit, root_a, 
     ia, na, da, _, _, _ = _kernelpy.scan(
         origin[0], origin[1], through[0], through[1], third, comps.parent, -1
     )
-    if ia >= 0 and na * hit.d < hit.n * da:
+    if ia >= 0 and na * d < n * da:
         raise InternalInvariantError(
             f"third-component obstacle {ids[ia]} blocks the connecting edge"
         )

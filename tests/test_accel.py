@@ -2,6 +2,7 @@
 baselines: same hits (including tie-breaks), same covers, same stats."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -36,9 +37,12 @@ def pair(m, bounds, cell):
 
 
 def same_hit(a, b):
+    """Both shots hit nothing, or the same obstacle at the same exact t."""
     if a is None:
         return b is None
-    return b is not None and (a.t, a.point, a.obstacle) == (b.t, b.point, b.obstacle)
+    return (
+        b is not None and a[0] == b[0] and Fraction(a[1], a[2]) == Fraction(b[1], b[2])
+    )
 
 
 # bounds smaller than the coordinate range put obstacles and origins beyond
@@ -85,7 +89,7 @@ def test_grid_shooter_matches_naive_on_random_shots():
             own = rng.randrange(m)
             aa, am = naive.shoot_from(origin, through, own)
             ba, bm = grid.shoot_from(origin, through, own)
-            assert aa is not None and aa.n <= aa.d
+            assert aa is not None and aa[1] <= aa[2]
             assert same_hit(aa, ba)
             assert same_hit(am, bm)
         assert naive.obstacles == grid.obstacles
@@ -102,8 +106,8 @@ def test_grid_reports_no_hit_on_a_chord_that_ends_on_no_obstacle():
         s.insert_point((5, 0), 1)  # in the cell of the first chord's end
     # the point is hit at t = 5/4; the second chord's cells hold nothing
     for origin, through, t in (((0, 0), (4, 0), 1.25), ((0, 2), (4, 2), 5)):
-        hit_all, merge_hit = naive.shoot_from(origin, through, 0)
-        assert hit_all.t == t and merge_hit is None
+        hit, merge_hit = naive.shoot_from(origin, through, 0)
+        assert Fraction(hit[1], hit[2]) == t and merge_hit is None
         assert grid.shoot_from(origin, through, 0) == (None, None)
     assert len(naive) == 4 and len(grid) == 2
 
@@ -141,7 +145,7 @@ def test_grid_equal_t_hits_keep_the_lowest_id():
         aa, am = naive.shoot_from((0, 0), (20, 0), own)
         ba, bm = grid.shoot_from((0, 0), (20, 0), own)
         assert same_hit(aa, ba) and same_hit(am, bm)
-        assert ba.obstacle == 3 and bm.obstacle == (40 if own == 2 else 3)
+        assert ba[0] == 3 and bm[0] == (40 if own == 2 else 3)
 
 
 @pytest.mark.parametrize("kind", ["points", "vertical"])

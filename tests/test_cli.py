@@ -250,6 +250,17 @@ class TestBench:
         for kind, n, *_ in rows:
             assert 100 - {"arc": 3, "combs": 5}[kind] < int(n) <= 100, (kind, n)
 
+    def test_nested_sized_by_its_real_n(self, tmp_path):
+        # nested rings grow with the ring count, so one ring's vertex count
+        # (8) would build n = 400 for a target of 200
+        out = tmp_path / "bench.csv"
+        assert main(
+            ["bench", "--phi", "hull", "--kinds", "nested", "--sizes", "200",
+             "--output", str(out)]
+        ) == 0
+        rows = [r.split(",") for r in out.read_text().strip().splitlines()[1:]]
+        assert [r[0] for r in rows] == ["nested", "nested"]
+        assert all(100 < int(r[1]) <= 200 for r in rows), rows
 
     def test_non_integer_sizes_usage_error(self, tmp_path, capsys):
         argv = ["bench", "--phi", "hull", "--kinds", "combs", "--sizes", "10,x",
@@ -277,7 +288,27 @@ class TestRender:
         assert main(["render", "--input", inst_d, "--output", str(svg)]) == 0
         assert "<svg" in svg.read_text()
 
-    @pytest.mark.parametrize("trace", ["[1]", "null", '{"rays":{}}', '{"rays":3}'])
+    @pytest.mark.parametrize(
+        "trace",
+        [
+            "[1]",
+            "null",
+            '{"rays":{}}',
+            '{"rays":3}',
+            '{"rays":[1]}',
+            '{"rays":[{"from":[0,0]}]}',
+            '{"rays":[{"from":[0,0],"to":[1,1],"merge":1}]}',
+            '{"rays":[{"from":[0,0],"to":[1,1],"merge":true,"tag":0}]}',
+            '{"rays":[{"from":[0,0,0],"to":[1,1],"merge":true}]}',
+            '{"rays":[{"from":{"x":0},"to":[1,1],"merge":true}]}',
+            '{"rays":[{"from":[0,"0"],"to":[1,1],"merge":true}]}',
+            '{"rays":[{"from":[0,0],"to":[true,1],"merge":false}]}',
+            '{"rays":[{"from":[0,0],"to":[NaN,1],"merge":false}]}',
+            '{"rays":[{"from":[0,0],"to":[1e999,1],"merge":false}]}',
+            '{"rays":[{"from":[0,0],"to":[1,1],"merge":false},'
+            '{"from":[0,0],"to":[1,1]}]}',
+        ],
+    )
     def test_malformed_trace_is_a_parse_error(self, segment, tmp_path, capsys, trace):
         cov = tmp_path / "c.json"
         cov.write_text(
@@ -345,3 +376,23 @@ def test_cover_runs_load_only_what_they_execute(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "[0, 0] []"]
+
+
+def test_traced_hull_cover_leaves_fractions_unloaded(tmp_path):
+    # a trace's end points come from the shots' integers n / d, so
+    # --emit-trace needs no rational arithmetic either
+    inp = tmp_path / "d.json"
+    inp.write_text(serialize_instance(INSTANCE_D))
+    code = (
+        "import sys; import treecover.cli as cli; "
+        "code = cli.main(['cover', '--phi', 'hull', '--input', 'd.json', "
+        "'--output', 'hull.json', '--emit-trace']); "
+        "print(code, 'fractions' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True,
+        env=child_env(), cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["0 False"]
+    assert json.loads((tmp_path / "hull.json").read_text())["trace"]["rays"]

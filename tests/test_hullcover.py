@@ -1,6 +1,7 @@
 import fractions
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -35,10 +36,18 @@ def make_shooter(obstacles):
 
 
 def first_hit(shooter, origin, through):
-    """The overall first hit of a shot by the last component, which owns
-    none of the obstacles."""
-    hit_all, _ = shooter.shoot_from(origin, through, len(shooter.components.parent) - 1)
-    return hit_all
+    """The overall first hit ``(obstacle, n, d)`` of a shot by the last
+    component, which owns none of the obstacles."""
+    hit, _ = shooter.shoot_from(origin, through, len(shooter.components.parent) - 1)
+    return hit
+
+
+def t_point(origin, through, hit):
+    """The exact parameter t = n / d of a hit and the point it names."""
+    _, n, d = hit
+    t = Fraction(n, d)
+    (ox, oy), (tx, ty) = origin, through
+    return t, (ox + t * (tx - ox), oy + t * (ty - oy))
 
 
 class TestShootContract:
@@ -46,15 +55,13 @@ class TestShootContract:
         s = make_shooter([((2, -1), (2, 1)), ((5, -1), (5, 1))])
         hit = first_hit(s, (0, 0), (1, 0))
         assert hit is not None
-        assert hit.t == 2
-        assert hit.point == (2, 0)
-        assert hit.obstacle == 0
+        assert t_point((0, 0), (1, 0), hit) == (2, (2, 0))
+        assert hit[0] == 0
 
     def test_endpoint_on_ray(self):
         s = make_shooter([((3, 0), (3, 5))])
         hit = first_hit(s, (0, 0), (1, 0))
-        assert hit.t == 3
-        assert hit.point == (3, 0)
+        assert t_point((0, 0), (1, 0), hit) == (3, (3, 0))
 
     def test_escape_returns_none(self):
         s = make_shooter([((2, -1), (2, 1)), ((5, -1), (5, 1))])
@@ -64,12 +71,12 @@ class TestShootContract:
     def test_shot_ray_becomes_obstacle(self):
         s = make_shooter([((4, -2), (4, 2))])
         first = first_hit(s, (0, 0), (1, 0))  # ray [0,0]..[4,0] inserted
-        assert first.point == (4, 0)
+        assert t_point((0, 0), (1, 0), first)[1] == (4, 0)
         # a later vertical shot crossing the inserted ray stops at it
         second = first_hit(s, (2, -3), (2, 1))
         assert second is not None
-        assert second.point == (2, 0)
-        assert second.obstacle == len(s) - 2  # the inserted ray
+        assert t_point((2, -3), (2, 1), second)[1] == (2, 0)
+        assert second[0] == len(s) - 2  # the inserted ray
 
     def test_hits_at_t0_excluded(self):
         s = make_shooter([((0, -1), (0, 1))])  # passes through the origin
@@ -81,15 +88,15 @@ class TestShootContract:
         s = NaiveRayShooter(comps)
         s.insert_point((5, 0), 0)
         hit = first_hit(s, (0, 0), (1, 0))
-        assert hit.t == 5 and hit.point == (5, 0)
+        assert t_point((0, 0), (1, 0), hit) == (5, (5, 0))
         assert first_hit(s, (0, 0), (1, 1)) is None
 
     def test_tie_breaks_to_lowest_id(self):
         # two obstacles touching the ray at the same point
         s = make_shooter([((3, 0), (3, 4)), ((3, 0), (5, 4))])
         hit = first_hit(s, (0, 0), (1, 0))
-        assert hit.point == (3, 0)
-        assert hit.obstacle == 0
+        assert t_point((0, 0), (1, 0), hit)[1] == (3, 0)
+        assert hit[0] == 0
 
 
 @pytest.mark.parametrize("x, blocked", [(2, True), (4, False), (6, False)])
@@ -102,15 +109,16 @@ def test_connecting_edge_check_flags_a_third_component_before_the_hit(x, blocked
     s.insert_segment((0, 0), (0, 1), 0)
     s.insert_segment((4, -1), (4, 1), 1)
     _, merge_hit = s.shoot_from((0, 0), (8, 0), 0)
-    assert merge_hit.point == (4, 0) and merge_hit.component == 1
+    obstacle, n, d = merge_hit  # tree 1's segment, at (4, 0)
+    assert obstacle == 1 and Fraction(n, d) == Fraction(1, 2)
     third = s.insert_segment((x, -1), (x, 1), 2)
     check = hullcover._assert_connecting_edge_clean
     if blocked:
         match = f"third-component obstacle {third} blocks"
         with pytest.raises(hullcover.InternalInvariantError, match=match):
-            check(s, comps, (0, 0), (8, 0), merge_hit, 0, 1)
+            check(s, comps, (0, 0), (8, 0), n, d, 0, 1)
     else:
-        check(s, comps, (0, 0), (8, 0), merge_hit, 0, 1)
+        check(s, comps, (0, 0), (8, 0), n, d, 0, 1)
 
 
 class TestComponentSet:
@@ -258,7 +266,8 @@ class TestHullCoverFast:
         assert len(cover.regions) == 1
 
     def test_trace_recording(self):
-        cover, stats, trace = hull_cover_fast(INSTANCE_D, record_trace=True)
+        trace = []
+        cover, stats = hull_cover_fast(INSTANCE_D, trace=trace)
         assert len(trace) == stats.rays_shot
         assert sum(1 for t in trace if t["merge"]) == stats.merges
         for t in trace:
@@ -356,8 +365,8 @@ def test_every_live_hull_edge_is_shot_exactly_once(kind):
 
 
 # sha256 of json.dumps(trace) for generate(kind, trees=12, size=5, seed=seed),
-# recorded before shots kept their hits as exact integers; the combs traces
-# end rays at non-integer points
+# recorded while shots still built fractions for the trace's end points; the
+# combs traces end rays at non-integer points
 TRACE_GOLDEN = {
     ("combs", 0): "ab75100215e7b1a528ec2bc2468cbab41c77ee3db00f4c60a210564235f100b6",
     ("combs", 1): "187aefcc81f3f446c206e2e65516399b1d0497432a932d4d4542ddc656fdd771",
@@ -370,8 +379,8 @@ TRACE_GOLDEN = {
 
 @pytest.mark.parametrize("kind, seed", sorted(TRACE_GOLDEN))
 def test_shots_build_fractions_only_when_read(kind, seed, monkeypatch):
-    """An engine run builds no Fraction unless it records a trace or runs
-    its debug checks; the recorded trace is unchanged."""
+    """An engine run builds no Fraction, whether or not it records a trace
+    (only the debug checks build them); the recorded trace is unchanged."""
     made = []
     new = fractions.Fraction.__new__
 
@@ -380,13 +389,12 @@ def test_shots_build_fractions_only_when_read(kind, seed, monkeypatch):
         return new(cls, *args, **kwargs)
 
     # on the class itself, so that every Fraction is counted however its
-    # builder imported the name (``Hit.t`` imports it when it is read)
+    # builder imported the name
     monkeypatch.setattr(fractions.Fraction, "__new__", staticmethod(counting))
     inst = generate(kind, trees=12, size=5, seed=seed)
     cover, stats = hull_cover_fast(inst)
+    trace = []
+    assert hull_cover_fast(inst, trace=trace) == (cover, stats)
     assert made == []
-    traced_cover, traced_stats, trace = hull_cover_fast(inst, record_trace=True)
-    assert made
-    assert (traced_cover, traced_stats) == (cover, stats)
     digest = hashlib.sha256(json.dumps(trace).encode()).hexdigest()
     assert digest == TRACE_GOLDEN[kind, seed]
