@@ -214,7 +214,8 @@ def _bench_instance(kind: str, n_target: int, seed: int):
     """The instance of ``kind`` with the most trees m >= 2 whose n is at most
     n_target (m = 2 when none is). Its n / m never falls as m grows, so an m
     that fits bounds the answer by n_target * m // n; m doubles towards that
-    bound, and the last step is bisected."""
+    bound, and the last step is bisected. An m above the kind's tree cap
+    (``GenerationError``) counts as too large."""
     from .generators import generate
 
     def make(m):
@@ -224,7 +225,11 @@ def _bench_instance(kind: str, n_target: int, seed: int):
     hi = n_target * lo // best.n + 1  # no m >= hi fits
     while hi - lo > 1:
         mid = min(2 * lo, (lo + hi) // 2)
-        inst = make(mid)
+        try:
+            inst = make(mid)
+        except GenerationError:
+            hi = mid
+            continue
         if inst.n <= n_target:
             lo, best = mid, inst
             hi = min(hi, n_target * mid // inst.n + 1)

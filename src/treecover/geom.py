@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import math
 import random
-from operator import sub
+from bisect import bisect_left
+from operator import index, sub
 from typing import TYPE_CHECKING, NamedTuple
 
 # Bound once at import: perfbench's tracer patches ``_kernelpy.seg_relation``
@@ -116,34 +117,110 @@ class ConvexPolygon:
         return box_of(self.vertices)
 
 
+def hull_chains(points) -> tuple[list[Point], list[Point]]:
+    """Andrew's monotone chain: the lower and upper hull chains of a point
+    collection, each ascending in (x, y) with strict turns; a point gives
+    ([p], [p]), collinear points ([a, b], [a, b]), and the canonical
+    polygon is ``lower + upper[-2:0:-1]``."""
+    lower: list = []
+    upper: list = []
+    for p in sorted(set(points)):
+        px, py = p
+        while len(lower) > 1:
+            (ox, oy), (ax, ay) = lower[-2:]
+            if (ax - ox) * (py - oy) > (ay - oy) * (px - ox):
+                break
+            lower.pop()
+        lower.append(p)
+        while len(upper) > 1:
+            (ox, oy), (ax, ay) = upper[-2:]
+            if (ax - ox) * (py - oy) < (ay - oy) * (px - ox):
+                break
+            upper.pop()
+        upper.append(p)
+    return lower, upper
+
+
+def chains_polygon(lower, upper) -> ConvexPolygon:
+    return ConvexPolygon(tuple(lower + upper[-2:0:-1]))
+
+
+def chain_edges(lower, upper) -> list[tuple[Point, Point]]:
+    """Directed edges in ``ConvexPolygon.directed_edges`` order: the lower
+    pairs left to right, then the upper pairs right to left."""
+    return [*zip(lower, lower[1:]), *zip(upper[:0:-1], upper[-2::-1])]
+
+
+def merge_hull_chains(h, g):
+    """Merge two hulls, each (lower, upper) chains, with disjoint vertices by
+    Preparata's insertion-only hull (CACM 1979): in place, the smaller
+    hull's lower (upper) chain enters the larger's lower (upper) chain, as
+    the outward normals that pick a vertex's chain only shrink. A vertex is
+    bisected into place, skipped when on or inside the chain, else spliced
+    in, popping neighbours that stop turning strictly. Returns (hull, added,
+    dropped): the merged chains, their directed edges that neither hull had
+    in canonical CCW order, and the edges either hull lost, each once."""
+    if len(h[0]) + len(h[1]) < len(g[0]) + len(g[1]):
+        h, g = g, h
+    # per chain, the new edges still present; a lower pair (u, v) is the
+    # edge (u, v), an upper pair the edge (v, u)
+    made, dropped = (set(), set()), []
+    for chain, s, small, mine in ((h[0], 1, g[0], made[0]), (h[1], -1, g[1], made[1])):
+        # q precedes p in the small chain; their edge can only stay when p
+        # lands right after q, as later vertices land further right
+        q = None
+        for p in small:
+            px, py = p
+            a = b = bisect_left(chain, p)
+            n = len(chain)
+            if 0 < a < n:
+                (ox, oy), (ax, ay) = chain[a - 1], chain[a]
+                if s * ((ax - ox) * (py - oy) - (ay - oy) * (px - ox)) >= 0:
+                    if q:
+                        dropped.append((q, p) if s > 0 else (p, q))
+                    q = p
+                    continue
+            while a > 1:
+                (ox, oy), (ax, ay) = chain[a - 2], chain[a - 1]
+                if s * ((ax - ox) * (py - oy) - (ay - oy) * (px - ox)) > 0:
+                    break
+                a -= 1
+            while b < n - 1:
+                (ax, ay), (bx, by) = chain[b], chain[b + 1]
+                if s * ((ax - px) * (by - py) - (ay - py) * (bx - px)) > 0:
+                    break
+                b += 1
+            # the pairs that part: new ones vanish, old ones are dropped
+            k, end = (a - 1 if a else 0), (b if b < n else n - 1)
+            while k < end:
+                e = (chain[k], chain[k + 1]) if s > 0 else (chain[k + 1], chain[k])
+                if e in mine:
+                    mine.remove(e)
+                else:
+                    dropped.append(e)
+                k += 1
+            if a and chain[a - 1] is q:
+                q = None
+            elif a:
+                mine.add((chain[a - 1], p) if s > 0 else (p, chain[a - 1]))
+            if q:
+                dropped.append((q, p) if s > 0 else (p, q))
+            if b < n:
+                mine.add((p, chain[b]) if s > 0 else (chain[b], p))
+            chain[a:b] = (p,)
+            q = p
+    # chain order is x order: lower edges ascending, upper edges descending
+    return h, sorted(made[0]) + sorted(made[1], reverse=True), dropped
+
+
 def convex_hull(points) -> ConvexPolygon:
-    """Convex hull of a nonempty point collection, collinear points and
-    duplicates collapsed, canonical vertex order."""
-    pts = sorted(set((int(x), int(y)) for x, y in points))
+    """Convex hull of a nonempty collection of integer points, collinear
+    points and duplicates collapsed, canonical vertex order; a coordinate
+    that is not an integer raises TypeError (``operator.index``)."""
+    pts = [(index(x), index(y)) for x, y in points]
     if not pts:
         raise ValueError("convex_hull of empty point set")
-    if len(pts) == 1:
-        return ConvexPolygon((pts[0],))
-
-    def chain(seq):
-        out = []
-        for p in seq:
-            while len(out) >= 2:
-                ox, oy = out[-2]
-                ax, ay = out[-1]
-                if (ax - ox) * (p[1] - oy) - (ay - oy) * (p[0] - ox) <= 0:
-                    out.pop()
-                else:
-                    break
-            out.append(p)
-        return out
-
-    lower = chain(pts)
-    upper = chain(reversed(pts))
-    verts = tuple(lower[:-1] + upper[:-1])
-    if len(verts) == 0:  # all collinear collapses to the two extremes
-        verts = (pts[0], pts[-1])
-    return ConvexPolygon(verts)
+    return chains_polygon(*hull_chains(pts))
 
 
 def point_in_convex_polygon(p, poly: ConvexPolygon) -> str:

@@ -31,8 +31,14 @@ foreign blockage behind it). Second, each directed hull edge is shot at
 most once, while it is an edge of a live hull: tree obstacles never change,
 so a shot's verdict is permanent. A merge only grows a hull, so an edge
 that leaves a live hull never returns to one (if (p, q) is an edge of H'
-and H' contains H with p and q in H, then (p, q) is an edge of H). So a
-merge enqueues only the edges its new hull gained, a popped edge that is no
+and H' contains H with p and q in H, then (p, q) is an edge of H). A live
+hull is kept as its lower and upper monotone chains, and a merge inserts
+the smaller hull's vertices into the larger hull's chains, so it costs the
+smaller hull (``geom.merge_hull_chains``, called as ``merge_convex_hulls``,
+the name perfbench's tracer and the tests patch). It reports the edges it
+added, each at an inserted vertex, and the old edges it dropped: dropped
+edges leave ``live``, and only added ones are enqueued, in canonical hull
+order, so the shots are those of a full rebuild. A popped edge that is no
 longer live is skipped, and the ray count is capped at the initial edge
 count plus two tangents per merge.
 """
@@ -52,7 +58,10 @@ from .geom import (
     OUTSIDE,
     ConvexPolygon,
     boundary_intersection_points,
-    merge_convex_hulls,
+    chain_edges,
+    chains_polygon,
+    hull_chains,
+    merge_hull_chains as merge_convex_hulls,
     outermost,
     point_in_convex_polygon,
     polygons_intersect,
@@ -66,12 +75,12 @@ class InternalInvariantError(AssertionError):
 
 class ComponentSet:
     """Union-find over tree indices; each root carries the component's
-    current hull."""
+    current hull as its (lower, upper) chains (``geom.hull_chains``)."""
 
     def __init__(self, m: int):
         self.parent = list(range(m))
         self._size = [1] * m
-        self.hull: dict[int, ConvexPolygon] = {}
+        self.hull: dict[int, tuple[list, list]] = {}
 
     def find(self, i: int) -> int:
         return _kernelpy._uf_find(self.parent, i)
@@ -335,11 +344,11 @@ def hull_cover_fast(
     # an edge names its component and one set serves them all
     live: set = set()
     worklist: deque = deque()
-    for i, hull in enumerate(instance.tree_hulls()):
-        comps.hull[i] = hull
-        for p, q in hull.directed_edges():
-            live.add((p, q))
-            worklist.append((p, q, i))
+    for i, tree in enumerate(instance.trees):
+        hull = comps.hull[i] = hull_chains(tree.vertices)
+        edges = chain_edges(*hull)
+        live.update(edges)
+        worklist.extend((p, q, i) for p, q in edges)
     initial_edges = len(worklist)
 
     rays_shot = 0
@@ -374,21 +383,15 @@ def hull_cover_fast(
                         "the shot edge"
                     )
                 _assert_connecting_edge_clean(shooter, comps, p, q, n, d, root, other)
-            old = set(comps.hull[root].directed_edges())
-            old.update(comps.hull[other].directed_edges())
-            new_hull = merge_convex_hulls(comps.hull[root], comps.hull[other])
+            hull, added, dropped = merge_convex_hulls(comps.hull[root], comps.hull[other])
             winner = comps.union(root, other)
             del comps.hull[other if winner == root else root]
-            comps.hull[winner] = new_hull
+            comps.hull[winner] = hull
             # an edge of an old hull was shot already or is still queued; an
             # edge the merge removed never returns to a hull
-            for e2 in new_hull.directed_edges():
-                if e2 in old:
-                    old.discard(e2)
-                else:
-                    live.add(e2)
-                    worklist.append((e2[0], e2[1], winner))
-            live -= old
+            live.difference_update(dropped)
+            live.update(added)
+            worklist.extend((p2, q2, winner) for p2, q2 in added)
             merges += 1
             if merges > m - 1:
                 raise InternalInvariantError("more than m - 1 merges")
@@ -403,7 +406,7 @@ def hull_cover_fast(
                 _assert_live_weak_disjointness(comps)
 
     roots = sorted({comps.find(i) for i in range(m)})
-    hulls = [comps.hull[r] for r in roots]
+    hulls = [chains_polygon(*comps.hull[r]) for r in roots]
     if debug:
         _assert_nested_or_disjoint(hulls)
     home = dict(zip(roots, (roots[h] for h in maximal_regions(hulls))))
@@ -411,7 +414,7 @@ def hull_cover_fast(
     for i in range(m):
         members[home[comps.find(i)]].append(i)
     cover = Cover.build(
-        "hull", ((comps.hull[r], tuple(ms)) for r, ms in members.items())
+        "hull", ((h, tuple(members[r])) for r, h in zip(roots, hulls) if home[r] == r)
     )
     return cover, HullStats(rays_shot, merges, initial_edges)
 
@@ -438,8 +441,8 @@ def _assert_live_weak_disjointness(comps):
     roots = sorted(set(comps.find(i) for i in range(len(comps.parent))))
     for i in range(len(roots)):
         for j in range(i + 1, len(roots)):
-            p = comps.hull[roots[i]]
-            q = comps.hull[roots[j]]
+            p = chains_polygon(*comps.hull[roots[i]])
+            q = chains_polygon(*comps.hull[roots[j]])
             if weakly_disjoint(p, q):
                 continue
             if contained_in(p, q) or contained_in(q, p):

@@ -23,7 +23,6 @@ from .geom import (
     COORD_LIMIT,
     _segment_intersection_set,
     box_of,
-    convex_hull,
     sweep_along_y,
 )
 
@@ -68,9 +67,6 @@ class Instance(NamedTuple):
     @property
     def n(self) -> int:
         return sum(t.n for t in self.trees)
-
-    def tree_hulls(self) -> tuple[ConvexPolygon, ...]:
-        return tuple(convex_hull(t.vertices) for t in self.trees)
 
     def tree_boxes(self) -> tuple[AABB, ...]:
         return tuple(box_of(t.vertices) for t in self.trees)

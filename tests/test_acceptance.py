@@ -13,7 +13,7 @@ import pytest
 
 from treecover.boxcover import BucketGridRangeIndex, box_cover_fast
 from treecover.generators import generate
-from treecover.geom import boundary_intersection_points
+from treecover.geom import boundary_intersection_points, convex_hull
 from treecover.hullcover import hull_cover_fast
 from treecover.model import serialize_instance, validate_instance
 from treecover.phicover import (
@@ -164,7 +164,7 @@ def test_criterion_6_boundary_crossings_at_most_two(corpus):
     checked = 0
     violations = 0
     for inst in corpus:
-        hulls = inst.tree_hulls()
+        hulls = [convex_hull(t.vertices) for t in inst.trees]
         for i in range(len(hulls)):
             for j in range(i + 1, len(hulls)):
                 res = boundary_intersection_points(hulls[i], hulls[j])
@@ -286,18 +286,24 @@ def _best_of_two(fn, *args, **kwargs):
 def test_criterion_10_scaling_subquadratic():
     # combs collapses to one region; strips keeps every tree its own region,
     # so extraction sees m components there; ladder's rungs all overlap in
-    # x, so the validator and the nesting sweep must sweep y there.
+    # x, so the validator and the nesting sweep must sweep y there; arc
+    # (3 vertices per tree) merges into one hull that keeps about m / 3
+    # vertices, so a merge that rebuilt both hulls would go quadratic.
     ladders = (
         ("combs", (1000, 10_000, 100_000)),
         ("strips", (1000, 10_000)),
         ("ladder", (1000, 10_000)),
+        ("arc", (1000, 10_000)),
     )
     ratios = []
     report = []
     for kind, sizes in ladders:
         times = {phase: [] for phase in ("validate", "hull", "box")}
         for n in sizes:
-            inst = generate(kind, trees=n // 5, size=5, seed=0)
+            if kind == "arc":
+                inst = generate(kind, trees=n // 3)
+            else:
+                inst = generate(kind, trees=n // 5, size=5, seed=0)
             t, _ = _best_of_two(validate_instance, inst)
             times["validate"].append(t)
             # default shooter and range index
@@ -321,7 +327,7 @@ def test_criterion_10_scaling_subquadratic():
     assert all(r < 25 for r in ratios), (report, ratios)
     print(
         "ACCEPTANCE 10 PASS: validator and accelerated engines on combs at "
-        "n=1e3/1e4/1e5, strips and ladder at n=1e3/1e4, "
+        "n=1e3/1e4/1e5, strips, ladder and arc at n=1e3/1e4, "
         f"{'; '.join(report)}, "
         f"growth ratios {['%.1f' % r for r in ratios]} all < 25"
     )

@@ -262,6 +262,14 @@ class TestBench:
         assert [r[0] for r in rows] == ["nested", "nested"]
         assert all(100 < int(r[1]) <= 200 for r in rows), rows
 
+    def test_arc_sized_up_to_its_tree_cap(self, monkeypatch):
+        # the doubling search probes m = 64 past the cap of 40 trees; a
+        # generator that refuses an m means that m is too large
+        from treecover import cli, generators
+
+        monkeypatch.setattr(generators, "ARC_MAX_TREES", 40)
+        assert cli._bench_instance("arc", 1000, 0).m == 40
+
     def test_non_integer_sizes_usage_error(self, tmp_path, capsys):
         argv = ["bench", "--phi", "hull", "--kinds", "combs", "--sizes", "10,x",
                 "--output", str(tmp_path / "bench.csv")]

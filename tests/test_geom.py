@@ -19,10 +19,14 @@ from treecover.geom import (
     box_of,
     box_union,
     boxes_intersect,
+    chain_edges,
+    chains_polygon,
     circles_intersect,
     convex_hull,
     enclosing_circle_of_two,
+    hull_chains,
     merge_convex_hulls,
+    merge_hull_chains,
     min_enclosing_circle,
     orient,
     point_in_convex_polygon,
@@ -106,6 +110,15 @@ class TestConvexHull:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             convex_hull([])
+
+    @pytest.mark.parametrize("half", [0.5, Fraction(1, 2)], ids=["float", "fraction"])
+    def test_non_integer_coordinate_rejected(self, half):
+        # truncating would give the triangle (0, 0), (3, 0), (0, 3)
+        with pytest.raises(TypeError):
+            convex_hull([(half, half), (3, 0), (0, 3)])
+
+    def test_bool_coordinates_are_integers(self):
+        assert convex_hull([(True, False), (3, 0)]).vertices == ((1, 0), (3, 0))
 
     @given(st.lists(points, min_size=1, max_size=40))
     @settings(max_examples=150)
@@ -209,6 +222,39 @@ class TestMergeConvexHulls:
         q = convex_hull(pb)
         assert merge_convex_hulls(p, q) == convex_hull(list(p.vertices) + list(q.vertices))
         assert merge_convex_hulls(p, q) == convex_hull(pa + pb)
+
+
+# distinct points on a 5 x 5 grid, cut into two disjoint sets by the tests:
+# the draws include collinear runs, shared coordinates, points and segments
+grid_points = st.lists(
+    st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=2, max_size=14, unique=True
+)
+
+
+class TestHullChains:
+    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=1, max_size=10))
+    @settings(max_examples=200)
+    def test_chains_give_the_canonical_hull(self, pts):
+        hull = convex_hull(pts)
+        assert chains_polygon(*hull_chains(pts)) == hull
+        assert chain_edges(*hull_chains(pts)) == list(hull.directed_edges())
+
+    def test_degenerate_chains(self):
+        assert hull_chains([(2, 1)]) == ([(2, 1)], [(2, 1)])
+        assert hull_chains([(2, 2), (0, 0), (1, 1)]) == ([(0, 0), (2, 2)], [(0, 0), (2, 2)])
+
+    @given(grid_points, st.data())
+    @settings(max_examples=400)
+    def test_merge_inserts_into_the_larger_hull(self, pts, data):
+        cut = data.draw(st.integers(1, len(pts) - 1))
+        a, b = pts[:cut], pts[cut:]
+        old = set(convex_hull(a).directed_edges()) | set(convex_hull(b).directed_edges())
+        hull, added, dropped = merge_hull_chains(hull_chains(a), hull_chains(b))
+        new = convex_hull(a + b)
+        assert chains_polygon(*hull) == new
+        assert added == [e for e in new.directed_edges() if e not in old]
+        assert len(dropped) == len(set(dropped))
+        assert set(dropped) == old - set(new.directed_edges())
 
 
 class TestPolygonsIntersect:
