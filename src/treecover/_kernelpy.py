@@ -1,14 +1,14 @@
-"""The exact-arithmetic kernel: predicates and the batch searches under the
-engines and the validator.
+"""The exact-arithmetic kernel: the batch searches under the engines and
+the validator, and the segment predicates they call.
 
-All functions take plain integers / flat coordinate sequences and rely on
-Python's arbitrary-precision ints, so they are exact for every coordinate.
-The module keeps its name because perfbench's tracer patches its functions
-by name (``treecover._kernelpy.scan`` and others).
+All functions take plain integers and rely on Python's arbitrary-precision
+ints, so they are exact for every coordinate. The module keeps its name
+because perfbench's tracer patches its functions by name
+(``treecover._kernelpy.scan`` and others).
 
 ``scan`` reads obstacles as records ``(kind, x1, y1, x2, y2, tn, td,
-owner)``. Kind 0 is a segment from (x1, y1) to (x2, y2), kind 1 a point at
-(x1, y1), kind 2 a ray from origin (x1, y1) along the integer direction
+owner)``. Kind 0 is a segment from (x1, y1) to (x2, y2), zero-length for a
+bare vertex; kind 1 a ray from origin (x1, y1) along the integer direction
 (x2, y2) up to the rational end parameter tn/td, td > 0. ``owner`` is the
 tree index of the obstacle's owner.
 """
@@ -16,8 +16,7 @@ tree index of the obstacle's owner.
 BACKEND = "pure"
 
 OB_SEGMENT = 0
-OB_POINT = 1
-OB_RAY = 2
+OB_RAY = 1
 
 
 def orient(ax, ay, bx, by, cx, cy):
@@ -37,13 +36,6 @@ def _on_segment_collinear(px, py, ax, ay, bx, by):
         return lo <= px <= hi
     lo, hi = (ay, by) if ay <= by else (by, ay)
     return lo <= py <= hi
-
-
-def point_on_segment(px, py, ax, ay, bx, by):
-    """True iff (px, py) lies on the closed segment a-b."""
-    if orient(ax, ay, bx, by, px, py) != 0:
-        return False
-    return _on_segment_collinear(px, py, ax, ay, bx, by)
 
 
 def seg_relation(p1x, p1y, p2x, p2y, q1x, q1y, q2x, q2y):
@@ -105,81 +97,6 @@ def _from_shared_end(ux, uy, wx, wy):
     return 2 if ux * wy == uy * wx and ux * wx + uy * wy > 0 else 1
 
 
-def point_in_convex(px, py, poly):
-    """Classify an exact point against a canonical convex polygon.
-
-    ``poly`` is a flat (x0, y0, x1, y1, ...) sequence in CCW order.
-    Returns 0 outside, 1 on the boundary, 2 strictly inside.
-    """
-    n = len(poly) // 2
-    if n == 1:
-        return 1 if (px == poly[0] and py == poly[1]) else 0
-    if n == 2:
-        return 1 if point_on_segment(px, py, poly[0], poly[1], poly[2], poly[3]) else 0
-    on_edge = False
-    for i in range(n):
-        ax = poly[2 * i]
-        ay = poly[2 * i + 1]
-        j = i + 1 if i + 1 < n else 0
-        bx = poly[2 * j]
-        by = poly[2 * j + 1]
-        o = orient(ax, ay, bx, by, px, py)
-        if o < 0:
-            return 0
-        if o == 0 and _on_segment_collinear(px, py, ax, ay, bx, by):
-            on_edge = True
-    return 1 if on_edge else 2
-
-
-def _poly_bbox(poly):
-    xs = poly[0::2]
-    ys = poly[1::2]
-    return min(xs), min(ys), max(xs), max(ys)
-
-
-def _edges(poly):
-    n = len(poly) // 2
-    if n == 1:
-        return ()
-    if n == 2:
-        return ((poly[0], poly[1], poly[2], poly[3]),)
-    out = []
-    for i in range(n):
-        j = i + 1 if i + 1 < n else 0
-        out.append((poly[2 * i], poly[2 * i + 1], poly[2 * j], poly[2 * j + 1]))
-    return tuple(out)
-
-
-def polys_intersect(p, q):
-    """Closed-set intersection test for two canonical convex polygons.
-
-    Degenerate 1- and 2-vertex polygons are handled; touching counts.
-    """
-    pxmin, pymin, pxmax, pymax = _poly_bbox(p)
-    qxmin, qymin, qxmax, qymax = _poly_bbox(q)
-    if pxmax < qxmin or qxmax < pxmin or pymax < qymin or qymax < pymin:
-        return False
-
-    np_ = len(p) // 2
-    nq = len(q) // 2
-    if np_ == 1:
-        return point_in_convex(p[0], p[1], q) != 0
-    if nq == 1:
-        return point_in_convex(q[0], q[1], p) != 0
-
-    for i in range(np_):
-        if point_in_convex(p[2 * i], p[2 * i + 1], q) != 0:
-            return True
-    for i in range(nq):
-        if point_in_convex(q[2 * i], q[2 * i + 1], p) != 0:
-            return True
-    for ax, ay, bx, by in _edges(p):
-        for cx, cy, dx, dy in _edges(q):
-            if seg_relation(ax, ay, bx, by, cx, cy, dx, dy) != 0:
-                return True
-    return False
-
-
 def _uf_find(parent, i):
     while parent[i] != i:
         parent[i] = parent[parent[i]]
@@ -207,14 +124,7 @@ def scan(ox, oy, tx, ty, obstacles, parent, own_root):
     for idx, (kind, x1, y1, x2, y2, tn, td, owner) in enumerate(obstacles):
         wx = x1 - ox
         wy = y1 - oy
-        if kind == OB_POINT:
-            if ex * wy - ey * wx != 0:
-                continue
-            n = ex * wx + ey * wy
-            if n <= 0:
-                continue
-            d = ex * ex + ey * ey
-        elif kind == OB_SEGMENT:
+        if kind == OB_SEGMENT:
             vx = x2 - x1
             vy = y2 - y1
             den = ex * vy - ey * vx

@@ -6,7 +6,10 @@ points carry exact rational coordinates. Only the minimum-enclosing-circle
 corner works in floating point, with a documented epsilon; its values never
 feed the exact engines.
 
-All values are immutable and all operations are pure functions.
+All values are immutable and all operations are pure functions. A
+``ConvexPolygon`` is its canonical vertex tuple, and the polygon predicates
+walk its vertex pairs; only the orientation and segment predicates come
+from the kernel, ``_kernelpy``.
 """
 
 from __future__ import annotations
@@ -20,10 +23,8 @@ from typing import TYPE_CHECKING, NamedTuple
 # Bound once at import: perfbench's tracer patches ``_kernelpy.seg_relation``
 # to count the pairs that ``find_contacts`` tests, and these calls stay out
 # of that count.
+from ._kernelpy import _on_segment_collinear as _on_segment
 from ._kernelpy import orient as _orient
-from ._kernelpy import point_in_convex as _point_in_convex
-from ._kernelpy import point_on_segment as _point_on_segment
-from ._kernelpy import polys_intersect as _polys_intersect
 from ._kernelpy import seg_relation as _seg_relation
 
 # ``fractions`` is imported only where a Fraction is built, so that a cover
@@ -47,7 +48,6 @@ BOUNDARY = "boundary"
 INSIDE = "inside"
 
 _SEG_RELATION_NAMES = (DISJOINT, TOUCHING, CROSSING)
-_CONTAINMENT_NAMES = (OUTSIDE, BOUNDARY, INSIDE)
 
 MEC_EPS = 1e-9
 
@@ -64,42 +64,15 @@ def segments_intersect(s: Segment, t: Segment) -> str:
     return _SEG_RELATION_NAMES[rel]
 
 
-class ConvexPolygon:
+class ConvexPolygon(NamedTuple):
     """Canonical convex polygon: CCW vertices starting at the lexicographic
     minimum, strict turns everywhere; 1 and 2 vertices are the degenerate
-    point and segment polygons.
+    point and segment polygons."""
 
-    Immutable; ``flat`` is the vertices' coordinates in one tuple, derived
-    at construction, and equality and hashing read ``vertices`` only."""
-
-    __slots__ = ("vertices", "flat")
-
-    def __init__(self, vertices: tuple[Point, ...]):
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "flat", tuple(c for v in vertices for c in v))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.vertices == other.vertices
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.vertices,))
-
-    def __repr__(self):
-        return f"ConvexPolygon(vertices={self.vertices!r})"
-
-    # copy and pickle would write the slots through __setattr__; rebuild
-    def __reduce__(self):
-        return ConvexPolygon, (self.vertices,)
+    vertices: tuple[Point, ...]
 
     def __len__(self) -> int:
+        """The number of vertices, not of fields."""
         return len(self.vertices)
 
     def directed_edges(self) -> tuple[tuple[Point, Point], ...]:
@@ -226,12 +199,40 @@ def convex_hull(points) -> ConvexPolygon:
 def point_in_convex_polygon(p, poly: ConvexPolygon) -> str:
     """Exact classification of an integer or rational point against the
     closed region of a canonical convex polygon."""
-    return _CONTAINMENT_NAMES[_point_in_convex(p[0], p[1], poly.flat)]
+    px, py = p
+    v = poly.vertices
+    if len(v) < 3:
+        # the point or the segment from v[0] to v[-1]: p on its line and box
+        (ax, ay), (bx, by) = v[0], v[-1]
+        on = _orient(ax, ay, bx, by, px, py) == 0 and poly.bbox().contains_point(p)
+        return BOUNDARY if on else OUTSIDE
+    # turns are strict, so a point on an edge's line beyond the edge lies
+    # right of a neighbouring edge: o == 0 and no o < 0 is the boundary
+    on_edge = False
+    ax, ay = v[-1]
+    for bx, by in v:
+        o = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
+        if o < 0:
+            return OUTSIDE
+        on_edge = on_edge or o == 0
+        ax, ay = bx, by
+    return BOUNDARY if on_edge else INSIDE
 
 
 def polygons_intersect(p: ConvexPolygon, q: ConvexPolygon) -> bool:
-    """Closed-set intersection test; touching counts as intersecting."""
-    return _polys_intersect(p.flat, q.flat)
+    """Closed-set intersection test; touching counts as intersecting. The
+    polygons meet iff a vertex of one lies in the other or two edges meet."""
+    if not boxes_intersect(p.bbox(), q.bbox()):
+        return False
+    if any(point_in_convex_polygon(v, q) != OUTSIDE for v in p.vertices):
+        return True
+    if any(point_in_convex_polygon(v, p) != OUTSIDE for v in q.vertices):
+        return True
+    return any(
+        _seg_relation(ax, ay, bx, by, cx, cy, dx, dy)
+        for (ax, ay), (bx, by) in p.directed_edges()
+        for (cx, cy), (dx, dy) in q.directed_edges()
+    )
 
 
 class BoundaryIntersections(NamedTuple):
@@ -283,13 +284,13 @@ def _segment_intersection_set(a: Point, b: Point, c: Point, d: Point):
         return ((a[0] + t * rx, a[1] + t * ry),), False
     # touching at an endpoint of one of the segments
     pts = set()
-    if d1 == 0 and _point_on_segment(a[0], a[1], c[0], c[1], d[0], d[1]):
+    if d1 == 0 and _on_segment(a[0], a[1], c[0], c[1], d[0], d[1]):
         pts.add((Fraction(a[0]), Fraction(a[1])))
-    if d2 == 0 and _point_on_segment(b[0], b[1], c[0], c[1], d[0], d[1]):
+    if d2 == 0 and _on_segment(b[0], b[1], c[0], c[1], d[0], d[1]):
         pts.add((Fraction(b[0]), Fraction(b[1])))
-    if d3 == 0 and _point_on_segment(c[0], c[1], a[0], a[1], b[0], b[1]):
+    if d3 == 0 and _on_segment(c[0], c[1], a[0], a[1], b[0], b[1]):
         pts.add((Fraction(c[0]), Fraction(c[1])))
-    if d4 == 0 and _point_on_segment(d[0], d[1], a[0], a[1], b[0], b[1]):
+    if d4 == 0 and _on_segment(d[0], d[1], a[0], a[1], b[0], b[1]):
         pts.add((Fraction(d[0]), Fraction(d[1])))
     return tuple(sorted(pts)), False
 

@@ -51,7 +51,7 @@ from typing import NamedTuple
 # ``_kernelpy.scan`` is looked up at each call, so a wrapper patched onto the
 # module (perfbench's tracer, the tests' counters) sees every shot.
 from . import _kernelpy
-from ._kernelpy import OB_POINT, OB_RAY, OB_SEGMENT
+from ._kernelpy import OB_RAY, OB_SEGMENT
 from .geom import (
     AABB,
     INSIDE,
@@ -100,10 +100,10 @@ class NaiveRayShooter:
     """Baseline shooter: permanent obstacle store, linear scan per shot.
 
     Obstacles are tree edges (integer segments), bare vertices (zero-length
-    point obstacles), and previously shot rays (integer origin and direction
-    with an exact rational end parameter). Every shot inserts its ray
-    segment [origin, hit point] as a new obstacle; a ray that escapes all
-    obstacles inserts nothing.
+    segments from the vertex to itself), and previously shot rays (integer
+    origin and direction with an exact rational end parameter). Every shot
+    inserts its ray segment [origin, hit point] as a new obstacle; a ray
+    that escapes all obstacles inserts nothing.
 
     ``obstacles`` holds one record ``(kind, x1, y1, x2, y2, tn, td, owner)``
     per obstacle, in the layout ``_kernelpy.scan`` reads; an obstacle's id
@@ -123,9 +123,6 @@ class NaiveRayShooter:
 
     def insert_segment(self, a, b, owner: int) -> int:
         return self._push((OB_SEGMENT, a[0], a[1], b[0], b[1], 0, 1, owner))
-
-    def insert_point(self, p, owner: int) -> int:
-        return self._push((OB_POINT, p[0], p[1], 0, 0, 0, 1, owner))
 
     def _insert_ray(self, origin, direction, tn: int, td: int, owner: int) -> int:
         return self._push(
@@ -249,8 +246,6 @@ class BucketGridShooter(NaiveRayShooter):
         kind, x1, y1, x2, y2, tn, td, _ = ob
         if kind == OB_SEGMENT:
             keys = self._cells(x1, y1, x2, y2, 1)
-        elif kind == OB_POINT:
-            keys = self._cells(x1, y1, x1, y1, 1)
         elif tn == td and self._chord[:4] == (x1, y1, x1 + x2, y1 + y2):
             keys = self._chord[4]  # a ray that ends at t = 1 is the chord scanned
         else:  # ray: origin (x1, y1), direction (x2, y2), end parameter tn/td
@@ -334,11 +329,9 @@ def hull_cover_fast(
     shooter = shooter_factory(comps)
 
     for i, tree in enumerate(instance.trees):
-        if tree.n == 1:
-            shooter.insert_point(tree.vertices[0], i)
-        else:
-            for a, b in tree.segments():
-                shooter.insert_segment(a, b, i)
+        # a bare vertex is the zero-length segment from it to itself
+        for a, b in tree.segments() or ((tree.vertices[0],) * 2,):
+            shooter.insert_segment(a, b, i)
 
     # directed edges of every live hull; vertices are globally distinct, so
     # an edge names its component and one set serves them all

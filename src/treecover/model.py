@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+from operator import index
 from typing import Iterable, NamedTuple
 
 from . import _kernelpy
@@ -411,14 +412,20 @@ class Cover(NamedTuple):
             phi = obj["phi"]
             regions = []
             for robj in obj["regions"]:
+                # polygon and box coordinates are integers: a float, a
+                # string or 1e400 (read as inf) raises TypeError
                 if "vertices" in robj:
-                    regions.append(
-                        ConvexPolygon(tuple((int(x), int(y)) for x, y in robj["vertices"]))
-                    )
+                    vertices = tuple((index(x), index(y)) for x, y in robj["vertices"])
+                    if not vertices:
+                        raise ValueError("a polygon needs at least one vertex")
+                    regions.append(ConvexPolygon(vertices))
                 elif "box" in robj:
-                    regions.append(AABB(*robj["box"]))
+                    regions.append(AABB(*map(index, robj["box"])))
                 else:
-                    regions.append(Circle(*robj["circle"]))
+                    circle = Circle(*robj["circle"])
+                    if not all(map(math.isfinite, circle)):
+                        raise ValueError("circle values must be finite")
+                    regions.append(circle)
             membership = tuple(tuple(ms) for ms in obj["membership"])
         except (KeyError, TypeError, ValueError) as e:
             raise ParseError(f"malformed cover: {e}") from None

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from treecover import _kernelpy
-from treecover._kernelpy import OB_POINT, OB_RAY, OB_SEGMENT
+from treecover._kernelpy import OB_RAY, OB_SEGMENT
 from treecover.boxcover import (
     SMALL_STORE,
     BucketGridRangeIndex,
@@ -69,9 +69,9 @@ def test_grid_shooter_matches_naive_on_random_shots():
             x1, y1 = rng.randint(-35, 35), rng.randint(-35, 35)
             owner = rng.randrange(m)
             ends.append((x1, y1))
-            if rng.random() < 0.2:
-                naive.insert_point((x1, y1), owner)
-                grid.insert_point((x1, y1), owner)
+            if rng.random() < 0.2:  # a bare vertex
+                naive.insert_segment((x1, y1), (x1, y1), owner)
+                grid.insert_segment((x1, y1), (x1, y1), owner)
             else:
                 while True:
                     x2, y2 = rng.randint(-35, 35), rng.randint(-35, 35)
@@ -103,7 +103,7 @@ def test_grid_reports_no_hit_on_a_chord_that_ends_on_no_obstacle():
     naive, grid = pair(2, AABB(0, 0, 40, 40), (2, 2))
     for s in (naive, grid):
         s.insert_segment((20, -5), (20, 5), 1)
-        s.insert_point((5, 0), 1)  # in the cell of the first chord's end
+        s.insert_segment((5, 0), (5, 0), 1)  # in the cell of the first chord's end
     # the point is hit at t = 5/4; the second chord's cells hold nothing
     for origin, through, t in (((0, 0), (4, 0), 1.25), ((0, 2), (4, 2), 5)):
         hit, merge_hit = naive.shoot_from(origin, through, 0)
@@ -136,9 +136,9 @@ def test_grid_equal_t_hits_keep_the_lowest_id():
     for s in (naive, grid):
         for k in range(40):
             if k == 3:
-                s.insert_point((10, 0), 2)
+                s.insert_segment((10, 0), (10, 0), 2)
             else:
-                s.insert_point((70, k), 0)  # filler far from the shot
+                s.insert_segment((70, k), (70, k), 0)  # filler far from the shot
         s.insert_segment((4, -3), (16, 3), 1)
         s.insert_segment((10, 0), (10, 25), 1)
     for own in (0, 1, 2):
@@ -216,14 +216,12 @@ def registered_keys(shooter):
 
 
 def extent_keys(shooter, i):
-    """The cells of obstacle i's exact extent: its segment, its point, or
-    its ray up to the end parameter tn / td."""
+    """The cells of obstacle i's exact extent: its segment, or its ray up
+    to the end parameter tn / td."""
     s = shooter
     kind, x1, y1, x2, y2, tn, td, _ = s.obstacles[i]
     if kind == OB_SEGMENT:
         return set(s._cells(x1, y1, x2, y2, 1))
-    if kind == OB_POINT:
-        return set(s._cells(x1, y1, x1, y1, 1))
     return set(s._cells(x1 * td, y1 * td, x1 * td + x2 * tn, y1 * td + y2 * tn, td))
 
 

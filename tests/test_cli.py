@@ -326,6 +326,26 @@ class TestRender:
                 "--output", str(tmp_path / "out.svg")]
         assert_usage_error(argv, capsys)
 
+    @pytest.mark.parametrize(
+        "region",
+        [
+            '{"vertices":[[0.5,0]]}',
+            '{"vertices":[[1e400,0]]}',
+            '{"vertices":[]}',
+            '{"box":["a","b","c","d"]}',
+            '{"box":[0,0,1e400,1]}',
+            '{"circle":[0,0,1e400]}',
+            '{"circle":[NaN,0,1]}',
+        ],
+    )
+    def test_malformed_region_is_a_parse_error(self, segment, tmp_path, capsys, region):
+        cov = tmp_path / "c.json"
+        cov.write_text('{"phi":"hull","regions":[' + region + '],"membership":[[0]]}')
+        argv = ["render", "--input", segment, "--cover", str(cov),
+                "--output", str(tmp_path / "out.svg")]
+        assert_usage_error(argv, capsys)
+        assert not (tmp_path / "out.svg").exists()
+
     def test_deterministic_bytes(self, inst_d, tmp_path):
         a = tmp_path / "a.svg"
         b = tmp_path / "b.svg"

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -156,6 +157,7 @@ class TestPointInConvexPolygon:
         pt = ConvexPolygon(((3, 3),))
         assert point_in_convex_polygon((3, 3), pt) == BOUNDARY
         assert point_in_convex_polygon((3, 4), pt) == OUTSIDE
+        assert point_in_convex_polygon((4, 3), pt) == OUTSIDE
 
 
 SQ1 = ConvexPolygon(((0, 0), (4, 0), (4, 4), (0, 4)))
@@ -298,6 +300,79 @@ class TestPolygonsIntersect:
         p = convex_hull(pa)
         q = convex_hull(pb)
         assert polygons_intersect(p, q) == polygons_intersect(q, p)
+
+
+def sat_axes(points):
+    """Separating-axis candidates for the hulls of these points: every
+    difference of two of them, its normal, and the coordinate axes. Disjoint
+    hulls project apart on the normal of an edge or on the vector between
+    their closest vertices, and both are among them."""
+    axes = {(1, 0), (0, 1)}
+    for (ax, ay), (bx, by) in itertools.combinations(points, 2):
+        axes.update(((bx - ax, by - ay), (ay - by, bx - ax)))
+    axes.discard((0, 0))
+    return axes
+
+
+def sat_separated(a, b):
+    """Whether the closed convex hulls of point lists a and b are disjoint:
+    some candidate axis projects them to disjoint intervals."""
+    for ux, uy in sat_axes(a + b):
+        pa = [ux * x + uy * y for x, y in a]
+        pb = [ux * x + uy * y for x, y in b]
+        if max(pa) < min(pb) or max(pb) < min(pa):
+            return True
+    return False
+
+
+def sat_classify(p, pts):
+    """p against the closed hull of pts: outside when an axis separates
+    them, else on the boundary when p projects to an end of the hull's
+    interval on some axis (a supporting line through p), else inside."""
+    if sat_separated([p], pts):
+        return OUTSIDE
+    for ux, uy in sat_axes(pts):
+        proj = [ux * x + uy * y for x, y in pts]
+        if ux * p[0] + uy * p[1] in (min(proj), max(proj)):
+            return BOUNDARY
+    return INSIDE
+
+
+small_points = st.tuples(st.integers(0, 4), st.integers(0, 4))
+
+
+@st.composite
+def hull_points(draw):
+    """Points on a 5 x 5 grid, about one time in three each: one point, two
+    distinct points, or three to seven points (mostly a polygon's hull)."""
+    a = draw(small_points)
+    shape = draw(st.sampled_from(("point", "segment", "polygon")))
+    if shape == "point":
+        return [a]
+    if shape == "segment":
+        return [a, draw(small_points.filter(lambda b: b != a))]
+    return [a] + draw(st.lists(small_points, min_size=2, max_size=6))
+
+
+class TestPredicatesAgainstSeparatingAxes:
+    @given(hull_points(), st.data())
+    @settings(max_examples=400)
+    def test_point_in_convex_polygon(self, pts, data):
+        poly = convex_hull(pts)
+        # a point sharing x or y with a vertex, or a half-integer point
+        vx, vy = data.draw(st.sampled_from(poly.vertices))
+        c = data.draw(st.integers(-1, 5))
+        hx, hy = data.draw(st.tuples(st.integers(-2, 10), st.integers(-2, 10)))
+        half = (Fraction(hx, 2), Fraction(hy, 2))
+        p = data.draw(st.sampled_from(((vx, c), (c, vy), half)))
+        assert point_in_convex_polygon(p, poly) == sat_classify(p, pts)
+
+    @given(hull_points(), hull_points())
+    @settings(max_examples=400)
+    def test_polygons_intersect(self, pa, pb):
+        assert polygons_intersect(convex_hull(pa), convex_hull(pb)) == (
+            not sat_separated(pa, pb)
+        )
 
 
 class TestBoxes:

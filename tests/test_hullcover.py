@@ -86,7 +86,7 @@ class TestShootContract:
     def test_point_obstacle_hit_exactly(self):
         comps = ComponentSet(2)
         s = NaiveRayShooter(comps)
-        s.insert_point((5, 0), 0)
+        s.insert_segment((5, 0), (5, 0), 0)  # a bare vertex
         hit = first_hit(s, (0, 0), (1, 0))
         assert t_point((0, 0), (1, 0), hit) == (5, (5, 0))
         assert first_hit(s, (0, 0), (1, 1)) is None
