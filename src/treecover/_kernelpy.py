@@ -6,17 +6,16 @@ ints, so they are exact for every coordinate. The module keeps its name
 because perfbench's tracer patches its functions by name
 (``treecover._kernelpy.scan`` and others).
 
-``scan`` reads obstacles as records ``(kind, x1, y1, x2, y2, tn, td,
-owner)``. Kind 0 is a segment from (x1, y1) to (x2, y2), zero-length for a
-bare vertex; kind 1 a ray from origin (x1, y1) along the integer direction
-(x2, y2) up to the rational end parameter tn/td, td > 0. ``owner`` is the
-tree index of the obstacle's owner.
+``scan`` reads obstacles as records ``(x, y, dx, dy, tn, td, owner)``:
+the points (x, y) + t (dx, dy) with 0 <= t <= tn/td, td > 0. A tree edge
+from a to b is ``(ax, ay, bx - ax, by - ay, 1, 1, owner)``, a ray that stops
+at t = 1; a bare vertex is the same with (dx, dy) = (0, 0); a shot ray runs
+from its integer origin along the integer direction of its chord up to the
+rational parameter of its stop. ``owner`` is the tree index of the
+obstacle's owner.
 """
 
 BACKEND = "pure"
-
-OB_SEGMENT = 0
-OB_RAY = 1
 
 
 def orient(ax, ay, bx, by, cx, cy):
@@ -121,58 +120,34 @@ def scan(ox, oy, tx, ty, obstacles, parent, own_root):
     na = da = 0
     if_ = -1
     nf = df = 0
-    for idx, (kind, x1, y1, x2, y2, tn, td, owner) in enumerate(obstacles):
-        wx = x1 - ox
-        wy = y1 - oy
-        if kind == OB_SEGMENT:
-            vx = x2 - x1
-            vy = y2 - y1
-            den = ex * vy - ey * vx
-            if den == 0:
-                if ex * wy - ey * wx != 0:
+    for idx, (x, y, vx, vy, tn, td, owner) in enumerate(obstacles):
+        wx = x - ox
+        wy = y - oy
+        den = ex * vy - ey * vx
+        if den == 0:
+            # collinear, or a bare vertex: the start lies at t = n / d and the
+            # end at t = m / (d td); the hit is the nearer end ahead, or the
+            # far end when the obstacle spans the origin
+            if ex * wy - ey * wx != 0:
+                continue
+            d = ex * ex + ey * ey
+            n = ex * wx + ey * wy
+            m = n * td + (ex * vx + ey * vy) * tn
+            if n <= 0 or 0 < m < n * td:
+                if m <= 0:
                     continue
-                d = ex * ex + ey * ey
-                n1 = ex * wx + ey * wy
-                n2 = ex * (x2 - ox) + ey * (y2 - oy)
-                if n1 > n2:
-                    n1, n2 = n2, n1
-                n = n1 if n1 > 0 else n2
-                if n <= 0:
-                    continue
-            else:
-                n = wx * vy - wy * vx
-                sn = wx * ey - wy * ex
-                if den < 0:
-                    den = -den
-                    n = -n
-                    sn = -sn
-                if n <= 0 or sn < 0 or sn > den:
-                    continue
-                d = den
-        else:  # OB_RAY: (x2, y2) is the direction
-            den = ex * y2 - ey * x2
-            if den == 0:
-                # collinear: only the ray's own origin can be the first hit;
-                # its far endpoint always coincides with the obstacle it
-                # stopped on, which reports the same parameter itself.
-                if ex * wy - ey * wx != 0:
-                    continue
-                n = ex * wx + ey * wy
-                if n <= 0:
-                    continue
-                d = ex * ex + ey * ey
-            else:
-                n = wx * y2 - wy * x2
-                sn = wx * ey - wy * ex
-                if den < 0:
-                    den = -den
-                    n = -n
-                    sn = -sn
-                if n <= 0 or sn < 0:
-                    continue
-                if sn * td > tn * den:
-                    continue
-                d = den
+                n = m
+                d *= td
+        else:
+            n = wx * vy - wy * vx
+            sn = wx * ey - wy * ex
+            if den < 0:
+                den = -den
+                n = -n
+                sn = -sn
+            if n <= 0 or sn < 0 or sn * td > tn * den:
+                continue
+            d = den
         if ia < 0 or n * da < na * d:
             ia = idx
             na = n

@@ -280,6 +280,10 @@ def cmd_render(args) -> int:
     if args.cover:
         text = _read(args.cover)
         cover = Cover.from_json(text)
+        if any(not 0 <= i < inst.m for ms in cover.membership for i in ms):
+            raise ParseError(
+                f"malformed cover: membership names a tree not in 0..{inst.m - 1}"
+            )
         trace = json.loads(text).get("trace", {})
         if not isinstance(trace, dict):
             raise ParseError("malformed cover: trace must be an object")

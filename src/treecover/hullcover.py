@@ -6,7 +6,8 @@ component: a ray blocked by a foreign component proves the two hulls overlap
 ray is permanently inserted as an obstacle owned by the shooter, so later
 rays stop at it and discover the overlap from the other side. When the
 worklist drains the live hulls are pairwise disjoint or strictly nested; the
-maximal ones form the cover.
+maximal ones form the cover. Obstacles are of one kind, a ray from an integer
+point that stops at a rational parameter: a tree edge stops at t = 1.
 
 The ray shooter is pluggable. Every engine shot runs along an edge (p, q)
 of the shooter's own hull, and q is an obstacle of the shooter's own
@@ -51,7 +52,6 @@ from typing import NamedTuple
 # ``_kernelpy.scan`` is looked up at each call, so a wrapper patched onto the
 # module (perfbench's tracer, the tests' counters) sees every shot.
 from . import _kernelpy
-from ._kernelpy import OB_RAY, OB_SEGMENT
 from .geom import (
     AABB,
     INSIDE,
@@ -99,15 +99,15 @@ class ComponentSet:
 class NaiveRayShooter:
     """Baseline shooter: permanent obstacle store, linear scan per shot.
 
-    Obstacles are tree edges (integer segments), bare vertices (zero-length
-    segments from the vertex to itself), and previously shot rays (integer
-    origin and direction with an exact rational end parameter). Every shot
-    inserts its ray segment [origin, hit point] as a new obstacle; a ray
-    that escapes all obstacles inserts nothing.
-
-    ``obstacles`` holds one record ``(kind, x1, y1, x2, y2, tn, td, owner)``
-    per obstacle, in the layout ``_kernelpy.scan`` reads; an obstacle's id
-    is its index in the list.
+    Obstacles are tree edges, bare vertices and previously shot rays, all
+    stored alike: ``obstacles`` holds one record ``(x, y, dx, dy, tn, td,
+    owner)`` per obstacle, the points (x, y) + t (dx, dy) with
+    0 <= t <= tn / td, in the layout ``_kernelpy.scan`` reads. A tree edge
+    is a ray that stops at t = 1, a bare vertex one with direction (0, 0),
+    and a shot ray runs from its integer origin along its chord's integer
+    direction up to the exact rational parameter of its hit. Every shot
+    inserts its ray as a new obstacle; a ray that escapes all obstacles
+    inserts nothing. An obstacle's id is its index in the list.
     """
 
     def __init__(self, components: ComponentSet):
@@ -122,12 +122,10 @@ class NaiveRayShooter:
         return len(self.obstacles) - 1
 
     def insert_segment(self, a, b, owner: int) -> int:
-        return self._push((OB_SEGMENT, a[0], a[1], b[0], b[1], 0, 1, owner))
+        return self._push((a[0], a[1], b[0] - a[0], b[1] - a[1], 1, 1, owner))
 
     def _insert_ray(self, origin, direction, tn: int, td: int, owner: int) -> int:
-        return self._push(
-            (OB_RAY, origin[0], origin[1], direction[0], direction[1], tn, td, owner)
-        )
+        return self._push((*origin, *direction, tn, td, owner))
 
     def _scan(self, origin, through, own_root: int):
         return _kernelpy.scan(
@@ -243,14 +241,12 @@ class BucketGridShooter(NaiveRayShooter):
 
     def _push(self, ob: tuple) -> int:
         idx = super()._push(ob)
-        kind, x1, y1, x2, y2, tn, td, _ = ob
-        if kind == OB_SEGMENT:
-            keys = self._cells(x1, y1, x2, y2, 1)
-        elif tn == td and self._chord[:4] == (x1, y1, x1 + x2, y1 + y2):
+        x, y, dx, dy, tn, td, _ = ob
+        if tn == td and self._chord[:4] == (x, y, x + dx, y + dy):
             keys = self._chord[4]  # a ray that ends at t = 1 is the chord scanned
-        else:  # ray: origin (x1, y1), direction (x2, y2), end parameter tn/td
-            ax, ay = x1 * td, y1 * td
-            keys = self._cells(ax, ay, ax + x2 * tn, ay + y2 * tn, td)
+        else:
+            ax, ay = x * td, y * td
+            keys = self._cells(ax, ay, ax + dx * tn, ay + dy * tn, td)
         for key in keys:
             self.cells.setdefault(key, []).append(idx)
         return idx
@@ -368,7 +364,7 @@ def hull_cover_fast(
             )
         if merge_hit is not None:
             obstacle, n, d = merge_hit
-            other = comps.find(shooter.obstacles[obstacle][7])
+            other = comps.find(shooter.obstacles[obstacle][6])
             if debug:
                 if not (0 < n < d):
                     raise InternalInvariantError(
@@ -389,8 +385,8 @@ def hull_cover_fast(
             if merges > m - 1:
                 raise InternalInvariantError("more than m - 1 merges")
             if debug:
-                ray_owner = comps.find(shooter.obstacles[-1][7])
-                hit_owner = comps.find(shooter.obstacles[obstacle][7])
+                ray_owner = comps.find(shooter.obstacles[-1][6])
+                hit_owner = comps.find(shooter.obstacles[obstacle][6])
                 if ray_owner != hit_owner or ray_owner != winner:
                     raise InternalInvariantError(
                         "merging ray and hit obstacle ended up in different "
@@ -418,7 +414,7 @@ def _assert_connecting_edge_clean(shooter, comps, origin, through, n, d, root_a,
     ids = [
         idx
         for idx, ob in enumerate(shooter.obstacles)
-        if comps.find(ob[7]) not in (root_a, root_b)
+        if comps.find(ob[6]) not in (root_a, root_b)
     ]
     third = [shooter.obstacles[idx] for idx in ids]
     ia, na, da, _, _, _ = _kernelpy.scan(

@@ -24,6 +24,7 @@ from .geom import (
     COORD_LIMIT,
     _segment_intersection_set,
     box_of,
+    convex_hull,
     sweep_along_y,
 )
 
@@ -416,8 +417,11 @@ class Cover(NamedTuple):
                 # string or 1e400 (read as inf) raises TypeError
                 if "vertices" in robj:
                     vertices = tuple((index(x), index(y)) for x, y in robj["vertices"])
-                    if not vertices:
-                        raise ValueError("a polygon needs at least one vertex")
+                    if not vertices or convex_hull(vertices).vertices != vertices:
+                        raise ValueError(
+                            "a polygon must list its convex hull's vertices in "
+                            "canonical counter-clockwise order"
+                        )
                     regions.append(ConvexPolygon(vertices))
                 elif "box" in robj:
                     regions.append(AABB(*map(index, robj["box"])))
@@ -426,7 +430,9 @@ class Cover(NamedTuple):
                     if not all(map(math.isfinite, circle)):
                         raise ValueError("circle values must be finite")
                     regions.append(circle)
-            membership = tuple(tuple(ms) for ms in obj["membership"])
+            membership = tuple(tuple(map(index, ms)) for ms in obj["membership"])
+            if len(membership) != len(regions):
+                raise ValueError("membership must hold one list of trees per region")
         except (KeyError, TypeError, ValueError) as e:
             raise ParseError(f"malformed cover: {e}") from None
         return Cover(phi, tuple(regions), membership)

@@ -115,16 +115,17 @@ class MergeNode:
     children: Optional[tuple["MergeNode", "MergeNode"]] = None
 
     def leaf_set(self) -> frozenset[int]:
-        if self.children is None:
-            return frozenset((self.leaf,))
-        a, b = self.children
-        return a.leaf_set() | b.leaf_set()
+        return frozenset(n.leaf for n in self.walk() if n.children is None)
 
     def walk(self):
-        yield self
-        if self.children is not None:
-            for c in self.children:
-                yield from c.walk()
+        """The subtree's nodes in pre-order, without recursion: a history
+        can be a chain m - 1 merges deep."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            if node.children is not None:
+                stack.extend(reversed(node.children))
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from treecover import _kernelpy
-from treecover._kernelpy import OB_RAY, OB_SEGMENT
 from treecover.boxcover import (
     SMALL_STORE,
     BucketGridRangeIndex,
@@ -23,10 +22,11 @@ from treecover.hullcover import (
     NaiveRayShooter,
     hull_cover_fast,
 )
-from treecover.model import GeometricTree, Instance
+from treecover.model import GeometricTree, Instance, errors_only, validate_instance
 from treecover.phicover import PHI, naive_phi_cover
 
 from instances import INSTANCE_A, INSTANCE_B, INSTANCE_D
+from scan_oracle import OB_RAY, two_kind_record, two_kind_scan
 
 
 def pair(m, bounds, cell):
@@ -148,6 +148,28 @@ def test_grid_equal_t_hits_keep_the_lowest_id():
         assert ba[0] == 3 and bm[0] == (40 if own == 2 else 3)
 
 
+def test_collinear_ray_ties_the_obstacle_that_stopped_it():
+    """A ray's far end lies on the obstacle that stopped it. A chord along
+    the ray that starts inside it hits both there at one parameter, and the
+    obstacle, stored first, wins the tie."""
+    naive, grid = pair(2, AABB(0, -10, 30, 10), (3, 3))
+    for s in (naive, grid):
+        o = s.insert_segment((10, -5), (10, 5), 1)
+        s.insert_segment((20, 0), (20, 0), 0)  # the chords' end
+        hit, merge_hit = s.shoot_from((0, 0), (20, 0), 0)
+        assert merge_hit == hit == (o, 100, 200)
+        ray = s.obstacles[-1]
+        assert ray == (0, 0, 20, 0, 100, 200, 0)
+        s.components.union(0, 1)
+        root = s.components.find(0)
+        # (4, 0) lies inside the ray, which ends at h = (10, 0), t = 3/8
+        hit, merge_hit = s.shoot_from((4, 0), (20, 0), root)
+        assert merge_hit is None and hit[0] == o
+        assert Fraction(hit[1], hit[2]) == Fraction(3, 8)
+        ia, na, da, _, _, _ = _kernelpy.scan(4, 0, 20, 0, [ray], s.components.parent, -1)
+        assert ia == 0 and Fraction(na, da) == Fraction(3, 8)
+
+
 @pytest.mark.parametrize("kind", ["points", "vertical"])
 def test_grid_engine_on_degenerate_forests(kind):
     rng = random.Random(kind)
@@ -216,13 +238,10 @@ def registered_keys(shooter):
 
 
 def extent_keys(shooter, i):
-    """The cells of obstacle i's exact extent: its segment, or its ray up
-    to the end parameter tn / td."""
-    s = shooter
-    kind, x1, y1, x2, y2, tn, td, _ = s.obstacles[i]
-    if kind == OB_SEGMENT:
-        return set(s._cells(x1, y1, x2, y2, 1))
-    return set(s._cells(x1 * td, y1 * td, x1 * td + x2 * tn, y1 * td + y2 * tn, td))
+    """The cells of obstacle i's exact extent, from (x, y) to its end
+    (x, y) + (tn / td) (dx, dy)."""
+    x, y, dx, dy, tn, td, _ = shooter.obstacles[i]
+    return set(shooter._cells(x * td, y * td, x * td + dx * tn, y * td + dy * tn, td))
 
 
 @pytest.mark.parametrize("kind", ["strips", "combs", "nested", "ladder"])
@@ -243,10 +262,12 @@ def test_grid_registers_each_obstacle_in_the_cells_of_its_extent(kind):
 
         hull_cover_fast(inst, shooter_factory=factory)
         shooter = kept[0]
+        # the rays come after one obstacle per tree edge or bare vertex
+        first_ray = sum(max(1, len(t.edges)) for t in inst.trees)
         for i, keys in enumerate(registered_keys(shooter)):
             assert keys == extent_keys(shooter, i), (kind, seed, i)
-            ob_kind, _, _, _, _, tn, td, _ = shooter.obstacles[i]
-            if ob_kind == OB_RAY:
+            if i >= first_ray:
+                _, _, _, _, tn, td, _ = shooter.obstacles[i]
                 rays["full" if tn == td else "short"] += 1
     # every ray on nested ends at its chord's end
     assert rays["full"] > 0 and (rays["short"] > 0 or kind == "nested"), rays
@@ -391,3 +412,61 @@ def test_grid_shooter_oracle_equivalence():
         cover, _ = hull_cover_fast(inst)
         oracle, _ = naive_phi_cover(inst, PHI["hull"])
         assert cover.canonical() == oracle.canonical()
+
+
+def lattice_forest(rng):
+    """A valid forest of bare points and short paths on the 8 x 8 lattice,
+    so vertices are often collinear and share coordinates."""
+    trees = []
+    for _ in range(rng.randint(2, 8)):
+        for _ in range(20):
+            k = rng.choice((1, 1, 2, 3))
+            pts = tuple((rng.randrange(8), rng.randrange(8)) for _ in range(k))
+            tree = GeometricTree(pts, tuple((i, i + 1) for i in range(k - 1)))
+            if len(set(pts)) == k and not errors_only(
+                validate_instance(Instance((*trees, tree)))
+            ):
+                trees.append(tree)
+                break
+    return Instance(tuple(trees))
+
+
+def test_scan_matches_the_two_kind_scan_on_every_shot(monkeypatch):
+    """On every engine scan, with both shooters, the single-kind scan gives
+    the two-kind scan's 6-tuple. The two differ on a collinear ray alone,
+    which reports its far end where the two-kind scan reports nothing or
+    its origin, and the test sees such rays."""
+    rays = {}  # id -> record of every shot ray, kept alive
+    insert_ray = NaiveRayShooter._insert_ray
+
+    def recording_insert_ray(self, *args):
+        idx = insert_ray(self, *args)
+        rays[id(self.obstacles[idx])] = self.obstacles[idx]
+        return idx
+
+    scan = _kernelpy.scan
+    seen = {"scans": 0, "ray_differs": 0}
+
+    def checked_scan(ox, oy, tx, ty, obstacles, parent, own_root):
+        got = scan(ox, oy, tx, ty, obstacles, parent, own_root)
+        old = [two_kind_record(ob, rays.get(id(ob)) is ob) for ob in obstacles]
+        assert got == two_kind_scan(ox, oy, tx, ty, old, parent, own_root)
+        seen["scans"] += 1
+        for ob, ob_old in zip(obstacles, old):
+            if ob_old[0] == OB_RAY and (tx - ox) * ob[3] == (ty - oy) * ob[2]:
+                a = scan(ox, oy, tx, ty, [ob], parent, -1)
+                seen["ray_differs"] += a != two_kind_scan(ox, oy, tx, ty, [ob_old], parent, -1)
+        return got
+
+    monkeypatch.setattr(NaiveRayShooter, "_insert_ray", recording_insert_ray)
+    monkeypatch.setattr(_kernelpy, "scan", checked_scan)
+    rng = random.Random(17)
+    instances = [
+        generate(kind, trees=2 + seed % 6, size=3 + seed % 4, seed=seed)
+        for kind in ("strips", "combs", "nested", "ladder", "arc")
+        for seed in range(10)
+    ] + [lattice_forest(rng) for _ in range(300)]
+    for inst in instances:
+        base = hull_cover_fast(inst, shooter_factory=NaiveRayShooter, debug=True)
+        assert hull_cover_fast(inst, debug=True) == base
+    assert seen["scans"] > 1000 and seen["ray_differs"] > 0, seen

@@ -336,11 +336,26 @@ class TestRender:
             '{"box":[0,0,1e400,1]}',
             '{"circle":[0,0,1e400]}',
             '{"circle":[NaN,0,1]}',
+            '{"vertices":[[0,0],[5,5],[1,0]]}',  # clockwise
         ],
     )
     def test_malformed_region_is_a_parse_error(self, segment, tmp_path, capsys, region):
         cov = tmp_path / "c.json"
         cov.write_text('{"phi":"hull","regions":[' + region + '],"membership":[[0]]}')
+        argv = ["render", "--input", segment, "--cover", str(cov),
+                "--output", str(tmp_path / "out.svg")]
+        assert_usage_error(argv, capsys)
+        assert not (tmp_path / "out.svg").exists()
+
+    @pytest.mark.parametrize("membership", ['[["a"]]', "[[0],[1]]", "[[99]]"])
+    def test_malformed_membership_is_a_parse_error(
+        self, segment, tmp_path, capsys, membership
+    ):
+        cov = tmp_path / "c.json"
+        cov.write_text(
+            '{"phi":"hull","regions":[{"vertices":[[0,0],[1,1]]}],'
+            '"membership":' + membership + "}"
+        )
         argv = ["render", "--input", segment, "--cover", str(cov),
                 "--output", str(tmp_path / "out.svg")]
         assert_usage_error(argv, capsys)

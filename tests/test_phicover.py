@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from treecover.boxcover import box_cover_fast
 from treecover.generators import generate
 from treecover.geom import AABB, ConvexPolygon, box_of, convex_hull
 from treecover.model import Instance
@@ -128,6 +129,16 @@ class TestPolicies:
         cover, forest = naive_phi_cover(inst, HULL, MergePolicy.random_order(5))
         replay, _ = naive_phi_cover(inst, HULL, MergePolicy.scripted(forest.script()))
         assert replay == cover
+
+    def test_history_deeper_than_the_recursion_limit(self):
+        """A chain of m - 1 merges, each node the child of the next: the
+        leaf sets and the forest walk must not recurse per level."""
+        m = 1100
+        inst = generate("combs", trees=m, size=3, seed=1)
+        chain = [(0, 1)] + [(k, m + k - 2) for k in range(2, m)]
+        cover, forest = naive_phi_cover(inst, BOX, MergePolicy.scripted(chain))
+        assert cover == box_cover_fast(inst)[0]
+        assert len(forest.script()) == m - 1
 
     def test_scripted_invalid_pair_rejected(self):
         inst = generate("combs", trees=4, size=4, seed=2)
