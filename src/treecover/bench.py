@@ -1,0 +1,103 @@
+"""The ``bench`` command: fast and naive cover times over a size ladder.
+
+``cli`` imports this module only to run ``bench``, so other commands do not
+compile it.
+"""
+
+from __future__ import annotations
+
+import statistics
+import sys
+import time
+
+from .boxcover import box_cover_fast
+from .cli import EXIT_OK, EXIT_USAGE, _write
+from .hullcover import hull_cover_fast
+from .model import GenerationError
+
+
+class _CountingPhi:
+    """Wraps a region function and counts intersection tests (bench ops);
+    every other attribute is the wrapped function's."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.tests = 0
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def intersects(self, a, b):
+        self.tests += 1
+        return self._inner.intersects(a, b)
+
+
+def _bench_one(inst, phi_name: str, algo: str):
+    """One measured run; returns (wall_ms, ops, merges)."""
+    t0 = time.perf_counter()
+    if algo == "fast":
+        if phi_name == "hull":
+            _, stats = hull_cover_fast(inst)
+            ops, merges = stats.rays_shot, stats.merges
+        else:
+            _, stats = box_cover_fast(inst)
+            ops, merges = stats.queries, stats.merges
+    else:
+        from .phicover import PHI, naive_phi_cover
+
+        phi = _CountingPhi(PHI[phi_name])
+        _, forest = naive_phi_cover(inst, phi)
+        ops, merges = phi.tests, len(forest.script())
+    wall_ms = (time.perf_counter() - t0) * 1000.0
+    return wall_ms, ops, merges
+
+
+def _bench_instance(kind: str, n_target: int, seed: int):
+    """The instance of ``kind`` with the most trees m >= 2 whose n is at most
+    n_target (m = 2 when none is). Its n / m never falls as m grows, so an m
+    that fits bounds the answer by n_target * m // n; m doubles towards that
+    bound, and the last step is bisected. An m above the kind's tree cap
+    (``GenerationError``) counts as too large."""
+    from .generators import generate
+
+    def make(m):
+        return generate(kind, trees=m, size=5, seed=seed)
+
+    lo, best = 2, make(2)
+    hi = n_target * lo // best.n + 1  # no m >= hi fits
+    while hi - lo > 1:
+        mid = min(2 * lo, (lo + hi) // 2)
+        try:
+            inst = make(mid)
+        except GenerationError:
+            hi = mid
+            continue
+        if inst.n <= n_target:
+            lo, best = mid, inst
+            hi = min(hi, n_target * mid // inst.n + 1)
+        else:
+            hi = mid
+    return best
+
+
+def run(args) -> int:
+    """The ``bench`` command."""
+    kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
+    try:
+        sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+    except ValueError:
+        print(f"error: --sizes must list integers, got {args.sizes!r}", file=sys.stderr)
+        return EXIT_USAGE
+    rows = ["kind,n,algo,wall_ms,ops,merges"]
+    for kind in kinds:
+        for n_target in sizes:
+            inst = _bench_instance(kind, n_target, args.seed)
+            for algo in ("fast", "naive"):
+                _bench_one(inst, args.phi, algo)  # warmup, excluded
+                samples = [_bench_one(inst, args.phi, algo) for _ in range(3)]
+                wall = statistics.median(s[0] for s in samples)
+                ops, merges = samples[0][1], samples[0][2]
+                rows.append(f"{kind},{inst.n},{algo},{wall:.3f},{ops},{merges}")
+    _write(args.output, "\n".join(rows) + "\n")
+    print(f"wrote {args.output} ({len(rows) - 1} rows)", file=sys.stderr)
+    return EXIT_OK

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .geom import AABB, box_of, box_union, boxes_intersect, outermost
+from .geom import AABB, box_union, boxes_intersect, outermost
 from .model import Cover, Instance
 
 
@@ -186,16 +186,16 @@ def box_cover_fast(instance: Instance, index_factory=BucketGridRangeIndex):
     store: dict[int, tuple[AABB, list[int]]] = {}
     queries = 0
     merges = 0
+    m = instance.m
 
-    for i, tree in enumerate(instance.trees):
-        q = box_of(tree.vertices)
+    for i, q in enumerate(instance.tree_boxes()):
         members = [i]
         rounds = 0
         while True:
             hits = index.query(q)
             queries += 1
             rounds += 1
-            if rounds > instance.m + 1:
+            if rounds > m + 1:
                 raise AssertionError("box absorption loop exceeded m iterations")
             if not hits:
                 break

@@ -10,15 +10,14 @@ non-well-defined witness found.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
-import time
 
 from .boxcover import box_cover_fast
 from .hullcover import InternalInvariantError, hull_cover_fast
 from .model import (
     GENERATOR_KINDS,
-    Cover,
     GenerationError,
     ParseError,
     errors_only,
@@ -27,7 +26,7 @@ from .model import (
     validate_instance,
 )
 
-# generators, phicover, render and statistics serve the gen, naive, oracle,
+# bench, generators, phicover and render serve the gen, naive, oracle,
 # well-definedness, bench and render commands only; each imports them
 # itself, so a plain `cover` start does not compile them
 
@@ -174,134 +173,17 @@ def cmd_check_well_defined(args) -> int:
     return EXIT_WITNESS
 
 
-class _CountingPhi:
-    """Wraps a region function and counts intersection tests (bench ops);
-    every other attribute is the wrapped function's."""
-
-    def __init__(self, inner):
-        self._inner = inner
-        self.tests = 0
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-    def intersects(self, a, b):
-        self.tests += 1
-        return self._inner.intersects(a, b)
-
-
-def _bench_one(inst, phi_name: str, algo: str):
-    """One measured run; returns (wall_ms, ops, merges)."""
-    t0 = time.perf_counter()
-    if algo == "fast":
-        if phi_name == "hull":
-            _, stats = hull_cover_fast(inst)
-            ops, merges = stats.rays_shot, stats.merges
-        else:
-            _, stats = box_cover_fast(inst)
-            ops, merges = stats.queries, stats.merges
-    else:
-        from .phicover import PHI, naive_phi_cover
-
-        phi = _CountingPhi(PHI[phi_name])
-        _, forest = naive_phi_cover(inst, phi)
-        ops, merges = phi.tests, len(forest.script())
-    wall_ms = (time.perf_counter() - t0) * 1000.0
-    return wall_ms, ops, merges
-
-
-def _bench_instance(kind: str, n_target: int, seed: int):
-    """The instance of ``kind`` with the most trees m >= 2 whose n is at most
-    n_target (m = 2 when none is). Its n / m never falls as m grows, so an m
-    that fits bounds the answer by n_target * m // n; m doubles towards that
-    bound, and the last step is bisected. An m above the kind's tree cap
-    (``GenerationError``) counts as too large."""
-    from .generators import generate
-
-    def make(m):
-        return generate(kind, trees=m, size=5, seed=seed)
-
-    lo, best = 2, make(2)
-    hi = n_target * lo // best.n + 1  # no m >= hi fits
-    while hi - lo > 1:
-        mid = min(2 * lo, (lo + hi) // 2)
-        try:
-            inst = make(mid)
-        except GenerationError:
-            hi = mid
-            continue
-        if inst.n <= n_target:
-            lo, best = mid, inst
-            hi = min(hi, n_target * mid // inst.n + 1)
-        else:
-            hi = mid
-    return best
-
-
 def cmd_bench(args) -> int:
-    import statistics
+    from .bench import run
 
-    kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
-    try:
-        sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-    except ValueError:
-        print(f"error: --sizes must list integers, got {args.sizes!r}", file=sys.stderr)
-        return EXIT_USAGE
-    rows = ["kind,n,algo,wall_ms,ops,merges"]
-    for kind in kinds:
-        for n_target in sizes:
-            inst = _bench_instance(kind, n_target, args.seed)
-            for algo in ("fast", "naive"):
-                _bench_one(inst, args.phi, algo)  # warmup, excluded
-                samples = [_bench_one(inst, args.phi, algo) for _ in range(3)]
-                wall = statistics.median(s[0] for s in samples)
-                ops, merges = samples[0][1], samples[0][2]
-                rows.append(f"{kind},{inst.n},{algo},{wall:.3f},{ops},{merges}")
-    _write(args.output, "\n".join(rows) + "\n")
-    print(f"wrote {args.output} ({len(rows) - 1} rows)", file=sys.stderr)
-    return EXIT_OK
-
-
-def _is_point(v) -> bool:
-    """A pair [x, y] of finite numbers; a bool is no number here."""
-    return (
-        isinstance(v, list)
-        and len(v) == 2
-        and all(type(c) in (int, float) and abs(c) <= sys.float_info.max for c in v)
-    )
+    return run(args)
 
 
 def cmd_render(args) -> int:
-    from .render import render_svg
+    from .render import read_overlay, render_svg
 
     inst = _load_valid_instance(args)
-    cover = None
-    rays = None
-    if args.cover:
-        text = _read(args.cover)
-        cover = Cover.from_json(text)
-        if any(not 0 <= i < inst.m for ms in cover.membership for i in ms):
-            raise ParseError(
-                f"malformed cover: membership names a tree not in 0..{inst.m - 1}"
-            )
-        trace = json.loads(text).get("trace", {})
-        if not isinstance(trace, dict):
-            raise ParseError("malformed cover: trace must be an object")
-        rays = trace.get("rays")
-        if rays is not None and not isinstance(rays, list):
-            raise ParseError("malformed cover: trace rays must be a list")
-        for i, r in enumerate(rays or ()):
-            if not (
-                isinstance(r, dict)
-                and r.keys() == {"from", "to", "merge"}
-                and _is_point(r["from"])
-                and _is_point(r["to"])
-                and type(r["merge"]) is bool
-            ):
-                raise ParseError(
-                    f"malformed cover: trace ray {i} must be an object of "
-                    "from: [x, y], to: [x, y] and merge: true or false"
-                )
+    cover, rays = read_overlay(_read(args.cover), inst.m) if args.cover else (None, None)
     _write(args.output, render_svg(inst, cover, rays))
     print(f"wrote {args.output}", file=sys.stderr)
     return EXIT_OK
@@ -388,6 +270,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # a cover or validate run makes no reference cycles beyond argparse's
+    # few hundred, so the cyclic collector's passes would find nothing: it
+    # is paused, and every exit restores the caller's state
+    enabled = gc.isenabled()
+    if args.func in (cmd_cover, cmd_validate):
+        gc.disable()
     try:
         return args.func(args)
     except _ValidationFailed:
@@ -398,6 +286,9 @@ def main(argv=None) -> int:
     except (InternalInvariantError, AssertionError) as e:
         print(f"internal invariant breach: {e}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -192,14 +192,14 @@ class BucketGridShooter(NaiveRayShooter):
         """Engine shooter_factory for the instance: the grid spans its
         bounding box, and cells start as wide and tall as twice the mean
         tree edge, doubled together until there are at most 4n of them."""
-        xs = [x for t in instance.trees for x, _ in t.vertices] or [0]
-        ys = [y for t in instance.trees for _, y in t.vertices] or [0]
-        bounds = AABB(min(xs), min(ys), max(xs), max(ys))
-        segs = [s for t in instance.trees for s in t.segments()]
+        cols = instance.columns
+        px, py = cols.px or (0,), cols.py or (0,)
+        bounds = AABB(min(px), min(py), max(px), max(py))
+        ga, gb = cols.edge_ends()
         cw = ch = 1
-        if segs:
-            cw = max(1, 2 * sum(abs(b[0] - a[0]) for a, b in segs) // len(segs))
-            ch = max(1, 2 * sum(abs(b[1] - a[1]) for a, b in segs) // len(segs))
+        if ga:
+            cw = max(1, 2 * sum(abs(px[b] - px[a]) for a, b in zip(ga, gb)) // len(ga))
+            ch = max(1, 2 * sum(abs(py[b] - py[a]) for a, b in zip(ga, gb)) // len(ga))
         w, h = bounds.xmax - bounds.xmin, bounds.ymax - bounds.ymin
         while (w // cw + 1) * (h // ch + 1) > max(1, 4 * instance.n):
             cw *= 2
@@ -324,17 +324,19 @@ def hull_cover_fast(
         shooter_factory = BucketGridShooter.factory_for(instance)
     shooter = shooter_factory(comps)
 
-    for i, tree in enumerate(instance.trees):
-        # a bare vertex is the zero-length segment from it to itself
-        for a, b in tree.segments() or ((tree.vertices[0],) * 2,):
-            shooter.insert_segment(a, b, i)
-
     # directed edges of every live hull; vertices are globally distinct, so
     # an edge names its component and one set serves them all
     live: set = set()
     worklist: deque = deque()
-    for i, tree in enumerate(instance.trees):
-        hull = comps.hull[i] = hull_chains(tree.vertices)
+    px, py, voff, ea, eb, eoff = instance.columns
+    for i in range(m):
+        pts = list(zip(px[voff[i] : voff[i + 1]], py[voff[i] : voff[i + 1]]))
+        if eoff[i] == eoff[i + 1]:
+            # a bare vertex is the zero-length segment from it to itself
+            shooter.insert_segment(pts[0], pts[0], i)
+        for e in range(eoff[i], eoff[i + 1]):
+            shooter.insert_segment(pts[ea[e]], pts[eb[e]], i)
+        hull = comps.hull[i] = hull_chains(pts)
         edges = chain_edges(*hull)
         live.update(edges)
         worklist.extend((p, q, i) for p, q in edges)

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import json
 import math
-from operator import index
+from itertools import accumulate, chain, repeat
+from operator import add, index, itemgetter, lt
 from typing import Iterable, NamedTuple
 
 from . import _kernelpy
@@ -23,7 +24,6 @@ from .geom import (
     ConvexPolygon,
     COORD_LIMIT,
     _segment_intersection_set,
-    box_of,
     convex_hull,
     sweep_along_y,
 )
@@ -57,21 +57,96 @@ class GeometricTree(NamedTuple):
         return tuple((v[i], v[j]) for i, j in self.edges)
 
 
-class Instance(NamedTuple):
-    """A forest of pairwise disjoint geometric trees."""
+_first, _second = itemgetter(0), itemgetter(1)
 
-    trees: tuple[GeometricTree, ...]
+
+class Columns(NamedTuple):
+    """An instance as flat columns. Vertex v is (px[v], py[v]); tree t owns
+    vertices voff[t]:voff[t + 1] and edges eoff[t]:eoff[t + 1], and edge e
+    joins its tree's vertices ea[e] and eb[e], numbered from 0 in the tree."""
+
+    px: tuple[int, ...]
+    py: tuple[int, ...]
+    voff: tuple[int, ...]
+    ea: tuple[int, ...]
+    eb: tuple[int, ...]
+    eoff: tuple[int, ...]
+
+    def edge_ends(self) -> tuple[list[int], list[int]]:
+        """The global vertex ids of every edge's two ends."""
+        voff, eoff = self.voff, self.eoff
+        base: list[int] = []
+        for t in range(len(voff) - 1):
+            base += [voff[t]] * (eoff[t + 1] - eoff[t])
+        return list(map(add, self.ea, base)), list(map(add, self.eb, base))
+
+
+class Instance:
+    """A forest of pairwise disjoint geometric trees, held as ``columns``,
+    which the validator and both engines read. Its trees are built from
+    them on first use, unless the instance was made from trees; two
+    instances are equal when their trees are."""
+
+    __slots__ = ("_columns", "_trees")
+
+    def __init__(self, trees: Iterable[GeometricTree]):
+        self._trees = trees = tuple(trees)
+        px, py, voff, ea, eb, eoff = [], [], [0], [], [], [0]
+        for t in trees:
+            px += map(_first, t.vertices)
+            py += map(_second, t.vertices)
+            ea += map(_first, t.edges)
+            eb += map(_second, t.edges)
+            voff.append(len(px))
+            eoff.append(len(ea))
+        self._columns = Columns(*map(tuple, (px, py, voff, ea, eb, eoff)))
+
+    @classmethod
+    def from_columns(cls, columns: Columns) -> "Instance":
+        inst = object.__new__(cls)
+        inst._columns, inst._trees = columns, None
+        return inst
+
+    @property
+    def columns(self) -> Columns:
+        return self._columns
+
+    @property
+    def trees(self) -> tuple[GeometricTree, ...]:
+        if self._trees is None:
+            px, py, voff, ea, eb, eoff = self._columns
+            pts, ends = list(zip(px, py)), list(zip(ea, eb))
+            self._trees = tuple(
+                GeometricTree(tuple(pts[v0:v1]), tuple(ends[e0:e1]))
+                for v0, v1, e0, e1 in zip(voff, voff[1:], eoff, eoff[1:])
+            )
+        return self._trees
 
     @property
     def m(self) -> int:
-        return len(self.trees)
+        return len(self._columns.voff) - 1
 
     @property
     def n(self) -> int:
-        return sum(t.n for t in self.trees)
+        return len(self._columns.px)
 
     def tree_boxes(self) -> tuple[AABB, ...]:
-        return tuple(box_of(t.vertices) for t in self.trees)
+        px, py, voff = self._columns[:3]
+        xs = [px[a:b] for a, b in zip(voff, voff[1:])]
+        ys = [py[a:b] for a, b in zip(voff, voff[1:])]
+        # each min is at most its max, so ``_make`` skips AABB's inversion check
+        return tuple(map(AABB._make, zip(map(min, xs), map(min, ys), map(max, xs), map(max, ys))))
+
+    def __eq__(self, other):
+        if not isinstance(other, Instance):
+            return NotImplemented
+        return self.trees == other.trees
+
+    def __hash__(self):
+        return hash(self.trees)
+
+    def __repr__(self):
+        return f"Instance({self.trees!r})"
 
 
 class Violation(NamedTuple):
@@ -112,11 +187,17 @@ def _as_coord(v, scale: int, ti: int, vi: int, axis: str):
 
 
 def parse_instance(text: str, scale: int = 1) -> Instance:
-    """Parse the JSON wire format; rejects malformed input before validation."""
+    """Parse the JSON wire format; rejects malformed input before validation.
+
+    The columns are built and checked in bulk; input that fails a check, or
+    whose coordinates need scaling from decimals, is parsed again item by
+    item, which converts the decimals and names the first fault."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"syntax error at line {e.lineno}, column {e.colno}: {e.msg}") from None
+    except RecursionError:
+        raise ParseError("JSON nested too deeply") from None
     if not isinstance(obj, dict):
         raise ParseError("top level must be an object")
     extra = set(obj) - {"trees"}
@@ -126,8 +207,55 @@ def parse_instance(text: str, scale: int = 1) -> Instance:
         raise ParseError('missing "trees" list')
     if not obj["trees"]:
         raise ParseError("empty forest")
+    columns = _bulk_columns(obj["trees"], scale)
+    if columns is None:
+        return Instance(_parse_trees(obj["trees"], scale))
+    return Instance.from_columns(columns)
+
+
+def _bulk_columns(tobjs: list, scale: int) -> Columns | None:
+    """The columns of the wire trees, or None unless every coordinate is an
+    integer and the input passes every check of ``_parse_trees``."""
+    # each tree has two keys, both lists: exactly "vertices" and "edges"
+    if not set(map(type, tobjs)) <= {dict} or not set(map(len, tobjs)) <= {2}:
+        return None
+    try:
+        vlists = list(map(itemgetter("vertices"), tobjs))
+        elists = list(map(itemgetter("edges"), tobjs))
+    except KeyError:
+        return None
+    if not {*map(type, vlists), *map(type, elists)} <= {list}:
+        return None
+    vlen, elen = list(map(len, vlists)), list(map(len, elists))
+    if 0 in vlen:
+        return None
+    verts, edges = list(chain.from_iterable(vlists)), list(chain.from_iterable(elists))
+    # a pair of length 2 flattens to two items, which must be ints; a
+    # non-list of length 2 (an object, a string) flattens to non-ints
+    try:
+        if not set(map(len, verts)) <= {2} or not set(map(len, edges)) <= {2}:
+            return None
+        xy, ends = tuple(chain.from_iterable(verts)), tuple(chain.from_iterable(edges))
+    except TypeError:  # a number or null where a pair belongs
+        return None
+    if not {*map(type, xy), *map(type, ends)} <= {int}:
+        return None
+    if scale != 1:
+        xy = tuple([c * scale for c in xy])
+    if min(xy) < -COORD_LIMIT or max(xy) > COORD_LIMIT:
+        return None
+    ea, eb = ends[0::2], ends[1::2]
+    # per edge, its tree's vertex count
+    cap = list(chain.from_iterable(map(repeat, vlen, elen)))
+    if ends and (min(ends) < 0 or not (all(map(lt, ea, cap)) and all(map(lt, eb, cap)))):
+        return None
+    return Columns(xy[0::2], xy[1::2], (0, *accumulate(vlen)), ea, eb, (0, *accumulate(elen)))
+
+
+def _parse_trees(tobjs: list, scale: int) -> list[GeometricTree]:
+    """The wire trees parsed item by item; raises on the first fault."""
     trees = []
-    for ti, tobj in enumerate(obj["trees"]):
+    for ti, tobj in enumerate(tobjs):
         if not isinstance(tobj, dict):
             raise ParseError(f"tree {ti}: expected object")
         extra = set(tobj) - {"vertices", "edges"}
@@ -163,7 +291,7 @@ def parse_instance(text: str, scale: int = 1) -> Instance:
                 raise ParseError(f"tree {ti} edge {ei}: index out of range")
             edges.append((i, j))
         trees.append(GeometricTree(tuple(verts), tuple(edges)))
-    return Instance(tuple(trees))
+    return trees
 
 
 def instance_to_obj(instance: Instance) -> dict:
@@ -193,11 +321,11 @@ def validate_instance(instance: Instance) -> list[Violation]:
     Violations are data, not exceptions; entries with warning=True (shared
     axis coordinates across trees) do not make the instance invalid.
 
-    One pass over the trees checks their structure and builds the vertex
-    and segment tables; an edge with an index outside its tree's vertices
-    is reported and left out of both. A union-find over global vertex ids
-    joins the ends of each edge, and k counts the edges whose ends it had
-    already joined: a tree with nv vertices and nv - 1 edges has 1 + k
+    One pass over the instance's columns checks each tree's structure and
+    builds the segment table; an edge with an index outside its tree's
+    vertices is reported and left out of it. A union-find over global
+    vertex ids joins the ends of each edge, and k counts the edges whose
+    ends it had already joined: a tree with nv vertices and nv - 1 edges has 1 + k
     components, and only a tree with k > 0 can have a self-loop or a
     repeated edge.
 
@@ -210,29 +338,28 @@ def validate_instance(instance: Instance) -> list[Violation]:
     rule.
     """
     out: list[Violation] = []
-    pts: list[tuple[int, int]] = []
+    px, py, voff, ea, eb, eoff = instance.columns
     p_tree: list[int] = []
-    parent: list[int] = []
+    parent = list(range(len(px)))
     # edges of nonzero length: the global ids of their ends, tree and index
     seg_a, seg_b, seg_tree, seg_idx = [], [], [], []
-    for ti, tree in enumerate(instance.trees):
-        verts, edges = tree.vertices, tree.edges
-        nv, base = len(verts), len(pts)
-        pts += verts
+    for ti in range(len(voff) - 1):
+        base, e0, e1 = voff[ti], eoff[ti], eoff[ti + 1]
+        nv = voff[ti + 1] - base
         p_tree += [ti] * nv
-        parent += range(base, base + nv)
         k = 0
-        for ei, (i, j) in enumerate(edges):
+        for e in range(e0, e1):
+            i, j = ea[e], eb[e]
             if not (0 <= i < nv and 0 <= j < nv):
-                msg = f"tree {ti}: edge {ei} ({i},{j}) index out of range"
+                msg = f"tree {ti}: edge {e - e0} ({i},{j}) index out of range"
                 out.append(Violation("edge-index", msg, (ti,)))
                 continue
             a, b = base + i, base + j
-            if verts[i] != verts[j]:
+            if px[a] != px[b] or py[a] != py[b]:
                 seg_a.append(a)
                 seg_b.append(b)
                 seg_tree.append(ti)
-                seg_idx.append(ei)
+                seg_idx.append(e - e0)
             while parent[a] != a:
                 parent[a] = a = parent[parent[a]]
             while parent[b] != b:
@@ -243,7 +370,7 @@ def validate_instance(instance: Instance) -> list[Violation]:
                 parent[a] = b
         if k:
             seen = set()
-            for i, j in edges:
+            for i, j in zip(ea[e0:e1], eb[e0:e1]):
                 if i == j:
                     out.append(Violation("self-loop", f"tree {ti}: edge ({i},{i})", (ti,)))
                 key = (min(i, j), max(i, j))
@@ -251,26 +378,24 @@ def validate_instance(instance: Instance) -> list[Violation]:
                     msg = f"tree {ti}: edge {key} repeated"
                     out.append(Violation("duplicate-edge", msg, (ti,)))
                 seen.add(key)
-        if len(edges) != nv - 1:
-            msg = f"tree {ti}: {len(edges)} edges for {nv} vertices"
+        if e1 - e0 != nv - 1:
+            msg = f"tree {ti}: {e1 - e0} edges for {nv} vertices"
             out.append(Violation("edge-count", msg, (ti,)))
         elif k:
             out.append(Violation("not-connected", f"tree {ti}: {1 + k} components", (ti,)))
 
-    px = [x for x, _ in pts]
-    py = [y for _, y in pts]
     if max(map(abs, px), default=0) > COORD_LIMIT or max(map(abs, py), default=0) > COORD_LIMIT:
         out += [
             Violation("coordinate-range", f"tree {ti}: ({x},{y}) exceeds 2^30", (ti,))
-            for (x, y), ti in zip(pts, p_tree)
+            for x, y, ti in zip(px, py, p_tree)
             if abs(x) > COORD_LIMIT or abs(y) > COORD_LIMIT
         ]
         # stable, so each tree's range errors follow its other errors
         out.sort(key=lambda v: v.trees[0])
 
-    if len(set(pts)) != len(pts):
+    if len(set(zip(px, py))) != len(px):
         first: dict[tuple[int, int], int] = {}
-        for v, ti in zip(pts, p_tree):
+        for v, ti in zip(zip(px, py), p_tree):
             if v not in first:
                 first[v] = ti
             elif first[v] == ti:
@@ -289,7 +414,7 @@ def validate_instance(instance: Instance) -> list[Violation]:
     segs = (sy1, sx1, sy2, sx2) if along_y else (sx1, sy1, sx2, sy2)
     contacts = _kernelpy.find_contacts(*segs, seg_tree)
 
-    near = set(range(len(pts))).difference(seg_a, seg_b)
+    near = set(range(len(px))).difference(seg_a, seg_b)
     for i, j in contacts:
         near.update((seg_a[i], seg_b[i], seg_a[j], seg_b[j]))
     cand = sorted(near)
@@ -409,6 +534,8 @@ class Cover(NamedTuple):
             obj = json.loads(text)
         except json.JSONDecodeError as e:
             raise ParseError(f"syntax error at line {e.lineno}, column {e.colno}: {e.msg}") from None
+        except RecursionError:
+            raise ParseError("JSON nested too deeply") from None
         try:
             phi = obj["phi"]
             regions = []

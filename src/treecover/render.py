@@ -7,7 +7,47 @@ deterministic (fixed float formatting, stable element order).
 
 from __future__ import annotations
 
-from .model import Cover, Instance
+import json
+import sys
+
+from .model import Cover, Instance, ParseError
+
+
+def _is_point(v) -> bool:
+    """A pair [x, y] of finite numbers; a bool is no number here."""
+    return (
+        isinstance(v, list)
+        and len(v) == 2
+        and all(type(c) in (int, float) and abs(c) <= sys.float_info.max for c in v)
+    )
+
+
+def read_overlay(text: str, m: int):
+    """The cover and trace rays of cover JSON drawn over an instance of m
+    trees, as (Cover, list of rays or None); raises ParseError when either
+    is malformed or a membership names a tree outside the instance."""
+    cover = Cover.from_json(text)
+    if any(not 0 <= i < m for ms in cover.membership for i in ms):
+        raise ParseError(f"malformed cover: membership names a tree not in 0..{m - 1}")
+    trace = json.loads(text).get("trace", {})
+    if not isinstance(trace, dict):
+        raise ParseError("malformed cover: trace must be an object")
+    rays = trace.get("rays")
+    if rays is not None and not isinstance(rays, list):
+        raise ParseError("malformed cover: trace rays must be a list")
+    for i, r in enumerate(rays or ()):
+        if not (
+            isinstance(r, dict)
+            and r.keys() == {"from", "to", "merge"}
+            and _is_point(r["from"])
+            and _is_point(r["to"])
+            and type(r["merge"]) is bool
+        ):
+            raise ParseError(
+                f"malformed cover: trace ray {i} must be an object of "
+                "from: [x, y], to: [x, y] and merge: true or false"
+            )
+    return cover, rays
 
 
 def _fmt(v: float) -> str:

@@ -1,10 +1,13 @@
+import gc
 import json
 import subprocess
 import sys
 
 import pytest
 
+from treecover import cli
 from treecover.cli import main
+from treecover.hullcover import InternalInvariantError
 from treecover.model import serialize_instance
 
 from childenv import child_env
@@ -265,10 +268,10 @@ class TestBench:
     def test_arc_sized_up_to_its_tree_cap(self, monkeypatch):
         # the doubling search probes m = 64 past the cap of 40 trees; a
         # generator that refuses an m means that m is too large
-        from treecover import cli, generators
+        from treecover import bench, generators
 
         monkeypatch.setattr(generators, "ARC_MAX_TREES", 40)
-        assert cli._bench_instance("arc", 1000, 0).m == 40
+        assert bench._bench_instance("arc", 1000, 0).m == 40
 
     def test_non_integer_sizes_usage_error(self, tmp_path, capsys):
         argv = ["bench", "--phi", "hull", "--kinds", "combs", "--sizes", "10,x",
@@ -369,6 +372,65 @@ class TestRender:
         assert a.read_bytes() == b.read_bytes()
 
 
+# deeper than the interpreter's recursion limit, so json.loads raises
+# RecursionError on it
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("command", ["validate", "cover"])
+def test_deeply_nested_input_is_a_parse_error(tmp_path, capsys, command):
+    p = tmp_path / "deep.json"
+    p.write_text(DEEP)
+    argv = [command, "--input", str(p)]
+    if command == "cover":
+        argv += ["--phi", "box", "--output", str(tmp_path / "out.json")]
+    assert_usage_error(argv, capsys)
+
+
+def test_deeply_nested_cover_is_a_parse_error(segment, tmp_path, capsys):
+    cov = tmp_path / "c.json"
+    cov.write_text(DEEP)
+    argv = ["render", "--input", segment, "--cover", str(cov),
+            "--output", str(tmp_path / "out.svg")]
+    assert_usage_error(argv, capsys)
+    assert not (tmp_path / "out.svg").exists()
+
+
+def test_main_leaves_the_collector_as_it_found_it(
+    segment, crossing, tmp_path, monkeypatch, capsys
+):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{nope")
+    out = str(tmp_path / "out.json")
+    paused = []
+
+    def breach(instance, trace=None):
+        paused.append(not gc.isenabled())
+        raise InternalInvariantError("breach")
+
+    monkeypatch.setattr(cli, "hull_cover_fast", breach)
+    runs = [
+        (["validate", "--input", segment], 0),
+        (["validate", "--input", crossing], 3),
+        (["validate", "--input", str(bad)], 2),
+        (["cover", "--phi", "box", "--input", segment, "--output", out], 0),
+        (["cover", "--phi", "hull", "--input", segment, "--output", out], 1),
+        (["cover", "--phi", "box", "--input", str(bad), "--output", out], 2),
+        (["cover", "--phi", "box", "--input", crossing, "--output", out], 3),
+    ]
+    was_enabled = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            for argv, code in runs:
+                assert main(argv) == code, argv
+                assert gc.isenabled() == enabled, argv
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    # the engine ran with the collector paused, whatever the caller's state
+    assert paused == [True, True]
+
+
 def test_module_entrypoint_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "treecover", "--help"],
@@ -399,11 +461,12 @@ def test_cli_import_leaves_naive_process_and_renderer_unloaded():
 def test_cover_runs_load_only_what_they_execute(tmp_path):
     # A `cover` start compiles what it imports, so importing the CLI and
     # running both fast engines must leave out the records' code generator,
-    # rational arithmetic, the generators and the naive-process commands.
+    # rational arithmetic, the bench command, the generators and the
+    # naive-process commands.
     # -S keeps site-packages' start-up imports out of the child.
     inp = tmp_path / "d.json"
     inp.write_text(serialize_instance(INSTANCE_D))
-    unused = ("dataclasses", "fractions", "treecover.generators",
+    unused = ("dataclasses", "fractions", "treecover.bench", "treecover.generators",
               "treecover.phicover", "treecover.render")
     code = (
         "import sys; import treecover.cli as cli; "

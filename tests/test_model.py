@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from treecover.cli import main
 from treecover.boxcover import BoxStats
 from treecover.generators import ARC_MAX_TREES, generate
-from treecover.geom import AABB, BoundaryIntersections, Circle, ConvexPolygon
+from treecover.geom import AABB, BoundaryIntersections, Circle, ConvexPolygon, box_of
 from treecover.hullcover import HullStats
 from treecover.model import (
     Cover,
@@ -119,6 +119,21 @@ class TestRoundTrip:
     def test_roundtrip_on_generated(self, seed):
         inst = generate("strips", trees=3, size=4, seed=seed)
         assert parse_instance(serialize_instance(inst)) == inst
+
+    @pytest.mark.parametrize("kind", ["strips", "combs", "nested", "ladder", "arc"])
+    def test_instance_from_trees_matches_the_parsed_one(self, kind):
+        # the parser builds columns and the generators trees; each builds
+        # the other on demand, and both must read alike
+        built = generate(kind, trees=9, size=5, seed=4)
+        parsed = parse_instance(serialize_instance(built))
+        assert parsed == built and hash(parsed) == hash(built)
+        assert parsed.trees == built.trees
+        assert serialize_instance(parsed) == serialize_instance(built)
+        assert (parsed.m, parsed.n) == (built.m, built.n) == (9, sum(t.n for t in built.trees))
+        boxes = tuple(box_of(t.vertices) for t in built.trees)
+        assert parsed.tree_boxes() == built.tree_boxes() == boxes
+        assert parsed.columns == built.columns
+        assert Instance(parsed.trees).columns == parsed.columns
 
 
 class TestValidate:
