@@ -115,7 +115,7 @@ def cmd_cover(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    from .phicover import PHI, MergePolicy, naive_phi_cover
+    from .phicover import PHI, MergePolicy, compact_json, naive_phi_cover
 
     inst = _load_valid_instance(args)
     if args.policy == "random":
@@ -125,7 +125,7 @@ def cmd_oracle(args) -> int:
     cover, forest = naive_phi_cover(inst, PHI[args.phi], policy)
     _write(
         args.emit_forest,
-        json.dumps(forest.to_obj(args.phi), separators=(",", ":")) + "\n",
+        compact_json(forest.to_obj(args.phi)) + "\n",
     )
     if args.output:
         _write(args.output, cover.to_json() + "\n")

@@ -124,24 +124,30 @@ def chain_edges(lower, upper) -> list[tuple[Point, Point]]:
     return [*zip(lower, lower[1:]), *zip(upper[:0:-1], upper[-2::-1])]
 
 
+def chain_has_edge(hull, p, q) -> bool:
+    """Whether (p, q) is one of ``chain_edges(*hull)``: a lower pair when
+    p < q, else the upper pair (q, p), found by one bisection."""
+    chain, u, v = (hull[0], p, q) if p < q else (hull[1], q, p)
+    i = bisect_left(chain, u) + 1
+    return i < len(chain) and chain[i] == v and chain[i - 1] == u
+
+
 def merge_hull_chains(h, g):
     """Merge two hulls, each (lower, upper) chains, with disjoint vertices by
     Preparata's insertion-only hull (CACM 1979): in place, the smaller
     hull's lower (upper) chain enters the larger's lower (upper) chain, as
     the outward normals that pick a vertex's chain only shrink. A vertex is
     bisected into place, skipped when on or inside the chain, else spliced
-    in, popping neighbours that stop turning strictly. Returns (hull, added,
-    dropped): the merged chains, their directed edges that neither hull had
-    in canonical CCW order, and the edges either hull lost, each once."""
+    in, popping neighbours that stop turning strictly. Returns (hull,
+    added): the merged chains and only the directed edges that neither hull
+    had, in canonical CCW order; liveness is read off the chains
+    (``chain_has_edge``). A splice puts the inserted vertex next to both
+    ends of the gap it closes, so each new pair has an inserted vertex
+    still on the chain and is not a pair of the smaller chain."""
     if len(h[0]) + len(h[1]) < len(g[0]) + len(g[1]):
         h, g = g, h
-    # per chain, the new edges still present; a lower pair (u, v) is the
-    # edge (u, v), an upper pair the edge (v, u)
-    made, dropped = (set(), set()), []
-    for chain, s, small, mine in ((h[0], 1, g[0], made[0]), (h[1], -1, g[1], made[1])):
-        # q precedes p in the small chain; their edge can only stay when p
-        # lands right after q, as later vertices land further right
-        q = None
+    added = []
+    for chain, s, small in ((h[0], 1, g[0]), (h[1], -1, g[1])):
         for p in small:
             px, py = p
             a = b = bisect_left(chain, p)
@@ -149,9 +155,6 @@ def merge_hull_chains(h, g):
             if 0 < a < n:
                 (ox, oy), (ax, ay) = chain[a - 1], chain[a]
                 if s * ((ax - ox) * (py - oy) - (ay - oy) * (px - ox)) >= 0:
-                    if q:
-                        dropped.append((q, p) if s > 0 else (p, q))
-                    q = p
                     continue
             while a > 1:
                 (ox, oy), (ax, ay) = chain[a - 2], chain[a - 1]
@@ -163,27 +166,20 @@ def merge_hull_chains(h, g):
                 if s * ((ax - px) * (by - py) - (ay - py) * (bx - px)) > 0:
                     break
                 b += 1
-            # the pairs that part: new ones vanish, old ones are dropped
-            k, end = (a - 1 if a else 0), (b if b < n else n - 1)
-            while k < end:
-                e = (chain[k], chain[k + 1]) if s > 0 else (chain[k + 1], chain[k])
-                if e in mine:
-                    mine.remove(e)
-                else:
-                    dropped.append(e)
-                k += 1
-            if a and chain[a - 1] is q:
-                q = None
-            elif a:
-                mine.add((chain[a - 1], p) if s > 0 else (p, chain[a - 1]))
-            if q:
-                dropped.append((q, p) if s > 0 else (p, q))
-            if b < n:
-                mine.add((p, chain[b]) if s > 0 else (chain[b], p))
             chain[a:b] = (p,)
-            q = p
-    # chain order is x order: lower edges ascending, upper edges descending
-    return h, sorted(made[0]) + sorted(made[1], reverse=True), dropped
+        new = set()
+        for p in small:
+            i = bisect_left(chain, p)
+            if i < len(chain) and chain[i] == p:
+                if i:
+                    new.add((chain[i - 1], p))
+                if i + 1 < len(chain):
+                    new.add((p, chain[i + 1]))
+        new.difference_update(zip(small, small[1:]))
+        # chain order is x order: a lower pair (u, v) is the edge (u, v), an
+        # upper pair the edge (v, u); lower edges ascend, upper ones descend
+        added += sorted(new) if s > 0 else [(v, u) for u, v in sorted(new, reverse=True)]
+    return h, added
 
 
 def convex_hull(points) -> ConvexPolygon:

@@ -36,17 +36,19 @@ and H' contains H with p and q in H, then (p, q) is an edge of H). A live
 hull is kept as its lower and upper monotone chains, and a merge inserts
 the smaller hull's vertices into the larger hull's chains, so it costs the
 smaller hull (``geom.merge_hull_chains``, called as ``merge_convex_hulls``,
-the name perfbench's tracer and the tests patch). It reports the edges it
-added, each at an inserted vertex, and the old edges it dropped: dropped
-edges leave ``live``, and only added ones are enqueued, in canonical hull
-order, so the shots are those of a full rebuild. A popped edge that is no
-longer live is skipped, and the ray count is capped at the initial edge
-count plus two tangents per merge.
+the name perfbench's tracer and the tests patch). It returns only the
+edges it added, each at an inserted vertex, and they are enqueued in
+canonical hull order, so the shots are those of a full rebuild. Liveness
+is read off the chains: a popped edge that is not on its component's
+chains (``geom.chain_has_edge``) left the hull in a merge and is skipped,
+and the ray count is capped at the initial edge count plus two tangents
+per merge.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from itertools import combinations
 from typing import NamedTuple
 
 # ``_kernelpy.scan`` is looked up at each call, so a wrapper patched onto the
@@ -59,6 +61,7 @@ from .geom import (
     ConvexPolygon,
     boundary_intersection_points,
     chain_edges,
+    chain_has_edge,
     chains_polygon,
     hull_chains,
     merge_hull_chains as merge_convex_hulls,
@@ -324,9 +327,6 @@ def hull_cover_fast(
         shooter_factory = BucketGridShooter.factory_for(instance)
     shooter = shooter_factory(comps)
 
-    # directed edges of every live hull; vertices are globally distinct, so
-    # an edge names its component and one set serves them all
-    live: set = set()
     worklist: deque = deque()
     px, py, voff, ea, eb, eoff = instance.columns
     for i in range(m):
@@ -337,9 +337,7 @@ def hull_cover_fast(
         for e in range(eoff[i], eoff[i + 1]):
             shooter.insert_segment(pts[ea[e]], pts[eb[e]], i)
         hull = comps.hull[i] = hull_chains(pts)
-        edges = chain_edges(*hull)
-        live.update(edges)
-        worklist.extend((p, q, i) for p, q in edges)
+        worklist.extend((p, q, i) for p, q in chain_edges(*hull))
     initial_edges = len(worklist)
 
     rays_shot = 0
@@ -347,9 +345,10 @@ def hull_cover_fast(
 
     while worklist:
         p, q, rep = worklist.popleft()
-        if (p, q) not in live:
-            continue
         root = comps.find(rep)
+        # vertices are globally distinct: an edge lies only on its own hull
+        if not chain_has_edge(comps.hull[root], p, q):
+            continue
         rays_shot += 1
         hit, merge_hit = shooter.shoot_from(p, q, root)
         if hit is None:
@@ -374,14 +373,10 @@ def hull_cover_fast(
                         "the shot edge"
                     )
                 _assert_connecting_edge_clean(shooter, comps, p, q, n, d, root, other)
-            hull, added, dropped = merge_convex_hulls(comps.hull[root], comps.hull[other])
+            hull, added = merge_convex_hulls(comps.hull.pop(root), comps.hull.pop(other))
             winner = comps.union(root, other)
-            del comps.hull[other if winner == root else root]
             comps.hull[winner] = hull
-            # an edge of an old hull was shot already or is still queued; an
-            # edge the merge removed never returns to a hull
-            live.difference_update(dropped)
-            live.update(added)
+            # an edge of an old hull was shot already or is still queued
             worklist.extend((p2, q2, winner) for p2, q2 in added)
             merges += 1
             if merges > m - 1:
@@ -430,26 +425,13 @@ def _assert_connecting_edge_clean(shooter, comps, origin, through, n, d, root_a,
 
 def _assert_live_weak_disjointness(comps):
     roots = sorted(set(comps.find(i) for i in range(len(comps.parent))))
-    for i in range(len(roots)):
-        for j in range(i + 1, len(roots)):
-            p = chains_polygon(*comps.hull[roots[i]])
-            q = chains_polygon(*comps.hull[roots[j]])
-            if weakly_disjoint(p, q):
-                continue
-            if contained_in(p, q) or contained_in(q, p):
-                continue
-            raise InternalInvariantError(
-                "live hulls neither weakly disjoint nor nested"
-            )
+    hulls = [chains_polygon(*comps.hull[r]) for r in roots]
+    for p, q in combinations(hulls, 2):
+        if not (weakly_disjoint(p, q) or contained_in(p, q) or contained_in(q, p)):
+            raise InternalInvariantError("live hulls neither weakly disjoint nor nested")
 
 
 def _assert_nested_or_disjoint(hulls):
-    for i in range(len(hulls)):
-        for j in range(i + 1, len(hulls)):
-            if polygons_intersect(hulls[i], hulls[j]):
-                if not (
-                    contained_in(hulls[i], hulls[j]) or contained_in(hulls[j], hulls[i])
-                ):
-                    raise InternalInvariantError(
-                        "final live hulls overlap without nesting"
-                    )
+    for p, q in combinations(hulls, 2):
+        if polygons_intersect(p, q) and not (contained_in(p, q) or contained_in(q, p)):
+            raise InternalInvariantError("final live hulls overlap without nesting")

@@ -10,8 +10,10 @@ enclosing circle it is not, which `check_well_defined` can demonstrate.
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Iterable, Optional
 
 from .geom import (
@@ -146,15 +148,47 @@ class MergeForest:
         return tuple((n.children[0].order, n.children[1].order) for n in internal)
 
     def to_obj(self, phi_tag: str) -> dict:
-        def node_obj(n: MergeNode) -> dict:
+        """The wire form, built without recursion: children before parents."""
+        made: dict[int, dict] = {}
+        for n in sorted(self.all_nodes(), key=lambda n: n.order):
             out: dict = {"region": region_obj(n.region)}
             if n.children is None:
                 out["tree"] = n.leaf
             else:
-                out["children"] = [node_obj(n.children[0]), node_obj(n.children[1])]
-            return out
+                out["children"] = [made.pop(c.order) for c in n.children]
+            made[n.order] = out
+        return {"phi": phi_tag, "roots": [made[r.order] for r in self.roots]}
 
-        return {"phi": phi_tag, "roots": [node_obj(r) for r in self.roots]}
+
+class _Text(str):
+    """Text that ``compact_json`` writes as it is."""
+
+
+def compact_json(obj) -> str:
+    """``json.dumps(obj, separators=(",", ":"))`` with an explicit stack, so
+    that a merge history nested one level per merge can be written: dicts,
+    lists and tuples are walked, and every other value and every key is
+    encoded by ``json.dumps`` itself."""
+    out, stack = [], [obj]
+    while stack:
+        v = stack.pop()
+        if type(v) is _Text:
+            out.append(v)
+            continue
+        if isinstance(v, dict):
+            # a key that is not a string is written as its JSON text, quoted
+            keys = [json.dumps(k if isinstance(k, str) else json.dumps(k)) + ":" for k in v]
+            v, ends = [*zip(keys, v.values())], "{}"
+        elif isinstance(v, (list, tuple)):
+            v, ends = [("", x) for x in v], "[]"
+        else:
+            out.append(json.dumps(v))
+            continue
+        out.append(ends[0])
+        stack.append(_Text(ends[1]))
+        for i in range(len(v) - 1, -1, -1):
+            stack += (v[i][1], _Text("," * (i > 0) + v[i][0]))
+    return "".join(out)
 
 
 class PolicyError(ValueError):
@@ -230,13 +264,11 @@ def naive_phi_cover(
     for i, tree in enumerate(instance.trees):
         live[i] = MergeNode(region=phi.apply_to_points(tree.vertices), order=i, leaf=i)
 
-    pairs: set[tuple[int, int]] = set()
-    orders = sorted(live)
-    for ai in range(len(orders)):
-        for bi in range(ai + 1, len(orders)):
-            a, b = orders[ai], orders[bi]
-            if phi.intersects(live[a].region, live[b].region):
-                pairs.add((a, b))
+    pairs = {
+        (a, b)
+        for a, b in combinations(range(instance.m), 2)
+        if phi.intersects(live[a].region, live[b].region)
+    }
 
     next_order = instance.m
     merges = 0
@@ -310,17 +342,15 @@ def check_well_defined(
         cover, forest = naive_phi_cover(instance, phi, policy)
         runs += 1
         if cover.canonical() != base_cover.canonical():
-            return WellDefinedVerdict(
-                False,
-                runs,
-                Witness(
-                    MergePolicy.scripted(base_script).describe(),
-                    base_cover,
-                    MergePolicy.scripted(forest.script()).describe(),
-                    cover,
-                ),
-            )
+            return _witness(runs, base_script, base_cover, forest.script(), cover)
     return WellDefinedVerdict(True, runs)
+
+
+def _witness(runs: int, script_a, cover_a, script_b, cover_b) -> WellDefinedVerdict:
+    """The verdict for two merge scripts that gave distinct covers."""
+    a = MergePolicy.scripted(script_a).describe()
+    b = MergePolicy.scripted(script_b).describe()
+    return WellDefinedVerdict(False, runs, Witness(a, cover_a, b, cover_b))
 
 
 def _check_exhaustive(instance: Instance, phi) -> WellDefinedVerdict:
@@ -345,11 +375,11 @@ def _check_exhaustive(instance: Instance, phi) -> WellDefinedVerdict:
         if key in seen_states:
             return
         seen_states.add(key)
-        pairs = []
-        for x in range(len(live)):
-            for y in range(x + 1, len(live)):
-                if phi.intersects(live[x][0], live[y][0]):
-                    pairs.append((x, y))
+        pairs = [
+            (x, y)
+            for x, y in combinations(range(len(live)), 2)
+            if phi.intersects(live[x][0], live[y][0])
+        ]
         if not pairs:
             runs += 1
             cover = Cover.build(phi.tag, ((r, ls) for r, ls, _ in live))
@@ -366,16 +396,7 @@ def _check_exhaustive(instance: Instance, phi) -> WellDefinedVerdict:
     if len(covers) <= 1:
         return WellDefinedVerdict(True, runs)
     (ca, sa), (cb, sb) = list(covers.values())[:2]
-    return WellDefinedVerdict(
-        False,
-        runs,
-        Witness(
-            MergePolicy.scripted(sa).describe(),
-            ca,
-            MergePolicy.scripted(sb).describe(),
-            cb,
-        ),
-    )
+    return _witness(runs, sa, ca, sb, cb)
 
 
 @dataclass(frozen=True)

@@ -53,3 +53,17 @@ CROSSING_TREES = Instance(
         tree([(0, 2), (2, 0)]),
     )
 )
+
+
+def staircase(m):
+    """m anti-diagonal segments whose boxes make every merge order one
+    chain: tree k's box meets the union box of trees 0..k-1 but, past tree
+    1, no single earlier tree's box. Trees alternate above and below, x and
+    y coordinates are pairwise distinct, and the box cover is one region
+    reached through m - 1 nested merges."""
+    trees = []
+    for k in range(m):
+        j = k // 2
+        hi, lo = (4 * j + 2, 4 * j - 3) if k % 2 else (-4 * j, -4 * j - 5)
+        trees.append(tree([(2 * k, hi), (2 * k + 3, lo)]))
+    return Instance(tuple(trees))

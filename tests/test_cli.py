@@ -11,7 +11,7 @@ from treecover.hullcover import InternalInvariantError
 from treecover.model import serialize_instance
 
 from childenv import child_env
-from instances import CROSSING_TREES, INSTANCE_D, INSTANCE_E
+from instances import CROSSING_TREES, INSTANCE_D, INSTANCE_E, staircase
 
 
 @pytest.fixture
@@ -213,6 +213,27 @@ class TestGenOracle:
             return sum(count_leaves(c) for c in node["children"])
 
         assert sum(count_leaves(r) for r in obj["roots"]) == 3
+
+    def test_oracle_emits_a_forest_deeper_than_the_recursion_limit(self, tmp_path):
+        """Every merge order of the staircase is one chain of m - 1 merges,
+        so the forest nests one level per merge; the forest is built and
+        written without recursion."""
+        m = 1100
+        inst, forest = tmp_path / "stair.json", tmp_path / "f.json"
+        fast, naive = tmp_path / "fast.json", tmp_path / "naive.json"
+        inst.write_text(serialize_instance(staircase(m)))
+        assert main(["cover", "--phi", "box", "--input", str(inst),
+                     "--output", str(fast)]) == 0
+        assert main(["oracle", "--phi", "box", "--input", str(inst),
+                     "--emit-forest", str(forest), "--output", str(naive)]) == 0
+        assert naive.read_bytes() == fast.read_bytes()
+        text = forest.read_text()
+        box = json.loads(fast.read_text())["regions"][0]["box"]
+        box = json.dumps(box, separators=(",", ":"))
+        assert text.startswith('{"phi":"box","roots":[{"region":{"box":%s},"children":[{' % box)
+        assert text.count('"children":') == m - 1
+        assert text.count('"tree":') == m
+        assert text.endswith("]}]}\n")
 
     def test_bad_kind_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

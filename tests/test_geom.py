@@ -21,6 +21,7 @@ from treecover.geom import (
     box_union,
     boxes_intersect,
     chain_edges,
+    chain_has_edge,
     chains_polygon,
     circles_intersect,
     convex_hull,
@@ -231,6 +232,11 @@ class TestMergeConvexHulls:
 grid_points = st.lists(
     st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=2, max_size=14, unique=True
 )
+# distinct points on one anti-diagonal: collinear hulls neither horizontal
+# nor vertical
+diagonal_points = st.lists(st.integers(0, 4), min_size=2, max_size=5, unique=True).map(
+    lambda xs: [(x, 4 - x) for x in xs]
+)
 
 
 class TestHullChains:
@@ -251,12 +257,21 @@ class TestHullChains:
         cut = data.draw(st.integers(1, len(pts) - 1))
         a, b = pts[:cut], pts[cut:]
         old = set(convex_hull(a).directed_edges()) | set(convex_hull(b).directed_edges())
-        hull, added, dropped = merge_hull_chains(hull_chains(a), hull_chains(b))
+        hull, added = merge_hull_chains(hull_chains(a), hull_chains(b))
         new = convex_hull(a + b)
         assert chains_polygon(*hull) == new
         assert added == [e for e in new.directed_edges() if e not in old]
-        assert len(dropped) == len(set(dropped))
-        assert set(dropped) == old - set(new.directed_edges())
+
+    @given(st.one_of(grid_points, diagonal_points), st.data())
+    @settings(max_examples=300)
+    def test_chain_has_edge_reads_the_chains(self, pts, data):
+        # a one-point prefix gives the point hull, a two-point one a segment
+        hull = hull_chains(pts[: data.draw(st.integers(1, len(pts)))])
+        edges = set(chain_edges(*hull))
+        probes = pts + [(-1, 2), (2, 5), (5, 5)]
+        for p in probes:
+            for q in probes:
+                assert chain_has_edge(hull, p, q) == ((p, q) in edges), (p, q)
 
 
 class TestPolygonsIntersect:

@@ -7,7 +7,7 @@ import pytest
 
 from treecover import hullcover
 from treecover.generators import generate
-from treecover.geom import ConvexPolygon, chain_edges, convex_hull
+from treecover.geom import ConvexPolygon, chain_edges, convex_hull, hull_chains
 from treecover.hullcover import (
     ComponentSet,
     NaiveRayShooter,
@@ -342,7 +342,7 @@ class RecordingShooter(NaiveRayShooter):
         return super().shoot_from(origin, through, own_root)
 
 
-@pytest.mark.parametrize("kind", ["strips", "combs", "nested", "ladder"])
+@pytest.mark.parametrize("kind", ["strips", "combs", "nested", "ladder", "arc"])
 def test_every_live_hull_edge_is_shot_exactly_once(kind):
     for seed in range(10):
         inst = generate(kind, trees=2 + 3 * seed, size=3 + seed % 4, seed=seed)
@@ -398,3 +398,44 @@ def test_shots_build_fractions_only_when_read(kind, seed, monkeypatch):
     assert made == []
     digest = hashlib.sha256(json.dumps(trace).encode()).hexdigest()
     assert digest == TRACE_GOLDEN[kind, seed]
+
+
+# sha256 of json.dumps(trace) for generate("arc", trees=trees), recorded
+# while the engine still kept its live edges in a set of its own; arc's one
+# hull keeps about m/3 vertices, so merges splice long chains
+ARC_TRACE_GOLDEN = {
+    12: "9f0f8b2ef7000068bb01bd5831b730f96a3e36e39009bb68b6c06d92496da783",
+    60: "b0b15c63bfde86951dc7327509f97ff726b64b1d9b1ef76881aef1a165295370",
+    240: "38a608c167cbcdb2a3c924f1b3df7858c11f9e3a3b626e3122674b32f3e57947",
+}
+
+
+@pytest.mark.parametrize("trees", sorted(ARC_TRACE_GOLDEN))
+def test_shot_order_on_long_chains(trees):
+    trace = []
+    _, stats = hull_cover_fast(generate("arc", trees=trees), trace=trace)
+    assert stats.merges == trees - 1
+    digest = hashlib.sha256(json.dumps(trace).encode()).hexdigest()
+    assert digest == ARC_TRACE_GOLDEN[trees]
+
+
+def test_debug_checks_reject_crossing_hulls():
+    """The debug checks pass disjoint and nested hulls and raise on two
+    hulls that cross without nesting."""
+    square = [(0, 0), (4, 0), (4, 4), (0, 4)]
+    inner = [(1, 1), (2, 1), (2, 2)]
+    crossing = [(1, -1), (2, -1), (2, 5), (1, 5)]
+    far = [(9, 9), (10, 9)]
+    for others, ok in (([inner, far], True), ([crossing], False)):
+        hulls = [convex_hull(square)] + [convex_hull(o) for o in others]
+        comps = ComponentSet(len(hulls))
+        comps.hull = {i: hull_chains(pts) for i, pts in enumerate([square] + others)}
+        for check, arg in (
+            (hullcover._assert_nested_or_disjoint, hulls),
+            (hullcover._assert_live_weak_disjointness, comps),
+        ):
+            if ok:
+                check(arg)
+            else:
+                with pytest.raises(hullcover.InternalInvariantError):
+                    check(arg)

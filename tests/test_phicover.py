@@ -1,6 +1,9 @@
 import itertools
+import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treecover.boxcover import box_cover_fast
 from treecover.generators import generate
@@ -12,10 +15,11 @@ from treecover.phicover import (
     PolicyError,
     check_phi_properties,
     check_well_defined,
+    compact_json,
     naive_phi_cover,
 )
 
-from instances import INSTANCE_A, INSTANCE_B, INSTANCE_D, INSTANCE_E, tree
+from instances import INSTANCE_A, INSTANCE_B, INSTANCE_D, INSTANCE_E, staircase, tree
 
 HULL = PHI["hull"]
 BOX = PHI["box"]
@@ -132,13 +136,26 @@ class TestPolicies:
 
     def test_history_deeper_than_the_recursion_limit(self):
         """A chain of m - 1 merges, each node the child of the next: the
-        leaf sets and the forest walk must not recurse per level."""
+        leaf sets, the forest walk and its wire form must not recurse per
+        level."""
         m = 1100
         inst = generate("combs", trees=m, size=3, seed=1)
         chain = [(0, 1)] + [(k, m + k - 2) for k in range(2, m)]
         cover, forest = naive_phi_cover(inst, BOX, MergePolicy.scripted(chain))
         assert cover == box_cover_fast(inst)[0]
         assert len(forest.script()) == m - 1
+        assert compact_json(forest.to_obj("box")).count('"children":') == m - 1
+
+    def test_every_order_merges_the_staircase_in_one_chain(self):
+        m = 30
+        inst = staircase(m)
+        chain = ((0, 1),) + tuple((k, m + k - 2) for k in range(2, m))
+        for policy in [MergePolicy.first_found()] + [
+            MergePolicy.random_order(seed) for seed in range(3)
+        ]:
+            cover, forest = naive_phi_cover(inst, BOX, policy)
+            assert cover == box_cover_fast(inst)[0]
+            assert tuple(tuple(sorted(p)) for p in forest.script()) == chain
 
     def test_scripted_invalid_pair_rejected(self):
         inst = generate("combs", trees=4, size=4, seed=2)
@@ -225,3 +242,34 @@ class TestPhiProperties:
         assert reach > rb.r + 1e-6
         assert reach == pytest.approx(math.sqrt(2), abs=1e-9)
         assert rb.r == pytest.approx(1.0, abs=1e-9)
+
+
+# the values json.dumps writes: scalars (non-ASCII strings and non-finite
+# floats included), lists, tuples, and dicts with keys of every type it
+# accepts
+json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4)
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(json_scalars, inner, max_size=3),
+    ),
+    max_leaves=12,
+)
+
+
+class TestCompactJson:
+    @given(json_values)
+    @settings(max_examples=300)
+    def test_same_bytes_as_json_dumps(self, value):
+        assert compact_json(value) == json.dumps(value, separators=(",", ":"))
+
+    def test_nesting_deeper_than_the_recursion_limit(self):
+        deep: list = []
+        for _ in range(5000):
+            deep = [deep, {"k": 1}]
+        text = compact_json({"x": deep})
+        assert text == '{"x":' + "[" * 5001 + "]" + ',{"k":1}]' * 5000 + "}"
