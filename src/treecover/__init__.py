@@ -17,7 +17,6 @@ from .geom import (
     box_of,
     box_union,
     boxes_intersect,
-    boundary_intersection_points,
     circles_intersect,
     convex_hull,
     merge_convex_hulls,
@@ -27,7 +26,7 @@ from .geom import (
     polygons_intersect,
     segments_intersect,
 )
-from .hullcover import hull_cover_fast, maximal_regions, weakly_disjoint
+from .hullcover import hull_cover_fast, maximal_regions
 from .model import (
     Cover,
     GeometricTree,
@@ -68,7 +67,6 @@ __all__ = [
     "box_of",
     "box_union",
     "boxes_intersect",
-    "boundary_intersection_points",
     "check_phi_properties",
     "check_well_defined",
     "circles_intersect",
@@ -87,6 +85,5 @@ __all__ = [
     "segments_intersect",
     "serialize_instance",
     "validate_instance",
-    "weakly_disjoint",
     "__version__",
 ]

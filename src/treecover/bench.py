@@ -86,7 +86,12 @@ def run(args) -> int:
     try:
         sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     except ValueError:
-        print(f"error: --sizes must list integers, got {args.sizes!r}", file=sys.stderr)
+        sizes = []
+    if not sizes or min(sizes) <= 0:
+        print(
+            f"error: --sizes must list positive integers, got {args.sizes!r}",
+            file=sys.stderr,
+        )
         return EXIT_USAGE
     rows = ["kind,n,algo,wall_ms,ops,merges"]
     for kind in kinds:

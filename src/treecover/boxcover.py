@@ -36,8 +36,9 @@ class LinearSegmentRangeIndex:
 
     Registers each box's boundary segments under its id and answers closed
     rectangle queries with the ids having at least one boundary segment in
-    the rectangle. Insert/delete counters enforce the at-most-once
-    discipline.
+    the rectangle. Each id is inserted at most once (``insert_count``; a
+    second insert raises ``DuplicateBoxIdError``) and deleted at most once
+    (a delete of an id not stored raises ``KeyError``).
 
     Subclasses narrow the scan through three hooks: ``_register`` and
     ``_unregister`` follow every insert and delete, and ``_candidates``
@@ -48,7 +49,6 @@ class LinearSegmentRangeIndex:
     def __init__(self):
         self.boxes: dict[int, AABB] = {}
         self.insert_count: dict[int, int] = {}
-        self.delete_count: dict[int, int] = {}
 
     def insert_box(self, box_id: int, box: AABB) -> None:
         if box_id in self.insert_count:
@@ -60,7 +60,6 @@ class LinearSegmentRangeIndex:
     def delete_box(self, box_id: int) -> None:
         if box_id not in self.boxes:
             raise KeyError(f"box id {box_id} not stored")
-        self.delete_count[box_id] = self.delete_count.get(box_id, 0) + 1
         self._unregister(box_id, self.boxes.pop(box_id))
 
     def query(self, rect: AABB) -> set[int]:

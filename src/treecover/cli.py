@@ -253,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("bench", help="time fast vs naive over a size ladder")
     sp.add_argument("--phi", choices=("hull", "box"), required=True)
     sp.add_argument("--kinds", required=True, help="comma-separated kinds")
-    sp.add_argument("--sizes", required=True, help="comma-separated target n")
+    sp.add_argument("--sizes", required=True, help="comma-separated positive target n")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--output", required=True, help="CSV output path")
     sp.set_defaults(func=cmd_bench)

@@ -1,7 +1,7 @@
 """Exact 2-D geometry: predicates, convex polygons, boxes, circles.
 
 Coordinates of input points are integers bounded by 2^30, so every predicate
-here is exact (integer or Fraction arithmetic). Ray-hit and boundary-crossing
+here is exact (integer or Fraction arithmetic). Ray-hit and segment-crossing
 points carry exact rational coordinates. Only the minimum-enclosing-circle
 corner works in floating point, with a documented epsilon; its values never
 feed the exact engines.
@@ -18,7 +18,7 @@ import math
 import random
 from bisect import bisect_left
 from operator import index, sub
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 # Bound once at import: perfbench's tracer patches ``_kernelpy.seg_relation``
 # to count the pairs that ``find_contacts`` tests, and these calls stay out
@@ -26,13 +26,6 @@ from typing import TYPE_CHECKING, NamedTuple
 from ._kernelpy import _on_segment_collinear as _on_segment
 from ._kernelpy import orient as _orient
 from ._kernelpy import seg_relation as _seg_relation
-
-# ``fractions`` is imported only where a Fraction is built, so that a cover
-# run, which builds none, does not load it
-if TYPE_CHECKING:
-    from fractions import Fraction
-
-    RationalPoint = tuple[Fraction, Fraction]
 
 Point = tuple[int, int]
 Segment = tuple[Point, Point]
@@ -231,15 +224,6 @@ def polygons_intersect(p: ConvexPolygon, q: ConvexPolygon) -> bool:
     )
 
 
-class BoundaryIntersections(NamedTuple):
-    points: tuple[RationalPoint, ...]
-    overlap: bool
-
-    def __len__(self) -> int:
-        """The number of points, not of fields."""
-        return len(self.points)
-
-
 def _segment_intersection_set(a: Point, b: Point, c: Point, d: Point):
     """Exact intersection of two closed integer segments.
 
@@ -249,6 +233,8 @@ def _segment_intersection_set(a: Point, b: Point, c: Point, d: Point):
     rel = _seg_relation(a[0], a[1], b[0], b[1], c[0], c[1], d[0], d[1])
     if rel == 0:
         return (), False
+    # imported here, where a Fraction is built, so that a cover run, which
+    # builds none, does not load it
     from fractions import Fraction
 
     d1 = orient(c, d, a)
@@ -289,29 +275,6 @@ def _segment_intersection_set(a: Point, b: Point, c: Point, d: Point):
     if d4 == 0 and _on_segment(d[0], d[1], a[0], a[1], b[0], b[1]):
         pts.add((Fraction(d[0]), Fraction(d[1])))
     return tuple(sorted(pts)), False
-
-
-def boundary_intersection_points(p: ConvexPolygon, q: ConvexPolygon) -> BoundaryIntersections:
-    """All points of the two polygon boundaries' intersection, deduplicated;
-    collinear boundary overlap is reported by its two endpoints plus a flag."""
-    if len(p) == 1:
-        from fractions import Fraction
-
-        pt = p.vertices[0]
-        on = point_in_convex_polygon(pt, q) == BOUNDARY
-        return BoundaryIntersections(
-            ((Fraction(pt[0]), Fraction(pt[1])),) if on else (), False
-        )
-    if len(q) == 1:
-        return boundary_intersection_points(q, p)
-    points = set()
-    overlap = False
-    for a, b in p.directed_edges():
-        for c, d in q.directed_edges():
-            pts, ov = _segment_intersection_set(a, b, c, d)
-            points.update(pts)
-            overlap = overlap or ov
-    return BoundaryIntersections(tuple(sorted(points)), overlap)
 
 
 def merge_convex_hulls(p: ConvexPolygon, q: ConvexPolygon) -> ConvexPolygon:

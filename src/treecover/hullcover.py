@@ -48,7 +48,6 @@ per merge.
 from __future__ import annotations
 
 from collections import deque
-from itertools import combinations
 from typing import NamedTuple
 
 # ``_kernelpy.scan`` is looked up at each call, so a wrapper patched onto the
@@ -59,7 +58,6 @@ from .geom import (
     INSIDE,
     OUTSIDE,
     ConvexPolygon,
-    boundary_intersection_points,
     chain_edges,
     chain_has_edge,
     chains_polygon,
@@ -67,7 +65,6 @@ from .geom import (
     merge_hull_chains as merge_convex_hulls,
     outermost,
     point_in_convex_polygon,
-    polygons_intersect,
 )
 from .model import Cover, Instance
 
@@ -300,19 +297,9 @@ def maximal_regions(polygons: list[ConvexPolygon]) -> list[int]:
     return outermost(polygons, [p.bbox() for p in polygons], contained_in)
 
 
-def weakly_disjoint(p: ConvexPolygon, q: ConvexPolygon) -> bool:
-    """Diagnostic predicate: no shared vertex and at most two boundary
-    intersection points (the testable characterization)."""
-    if set(p.vertices) & set(q.vertices):
-        return False
-    res = boundary_intersection_points(p, q)
-    return not res.overlap and len(res.points) <= 2
-
-
 def hull_cover_fast(
     instance: Instance,
     shooter_factory=None,
-    debug: bool = False,
     trace: list | None = None,
 ):
     """Compute the hull-cover; returns (Cover, HullStats). When ``trace`` is
@@ -364,15 +351,7 @@ def hull_cover_fast(
                 {"from": [p[0], p[1]], "to": to, "merge": merge_hit is not None}
             )
         if merge_hit is not None:
-            obstacle, n, d = merge_hit
-            other = comps.find(shooter.obstacles[obstacle][6])
-            if debug:
-                if not (0 < n < d):
-                    raise InternalInvariantError(
-                        f"merging hit at t={n}/{d}, expected strictly inside "
-                        "the shot edge"
-                    )
-                _assert_connecting_edge_clean(shooter, comps, p, q, n, d, root, other)
+            other = comps.find(shooter.obstacles[merge_hit[0]][6])
             hull, added = merge_convex_hulls(comps.hull.pop(root), comps.hull.pop(other))
             winner = comps.union(root, other)
             comps.hull[winner] = hull
@@ -381,20 +360,9 @@ def hull_cover_fast(
             merges += 1
             if merges > m - 1:
                 raise InternalInvariantError("more than m - 1 merges")
-            if debug:
-                ray_owner = comps.find(shooter.obstacles[-1][6])
-                hit_owner = comps.find(shooter.obstacles[obstacle][6])
-                if ray_owner != hit_owner or ray_owner != winner:
-                    raise InternalInvariantError(
-                        "merging ray and hit obstacle ended up in different "
-                        "components"
-                    )
-                _assert_live_weak_disjointness(comps)
 
     roots = sorted({comps.find(i) for i in range(m)})
     hulls = [chains_polygon(*comps.hull[r]) for r in roots]
-    if debug:
-        _assert_nested_or_disjoint(hulls)
     home = dict(zip(roots, (roots[h] for h in maximal_regions(hulls))))
     members: dict[int, list[int]] = {r: [] for r in roots if home[r] == r}
     for i in range(m):
@@ -404,34 +372,3 @@ def hull_cover_fast(
     )
     return cover, HullStats(rays_shot, merges, initial_edges)
 
-
-def _assert_connecting_edge_clean(shooter, comps, origin, through, n, d, root_a, root_b):
-    """Debug check (brute re-scan): no obstacle of a third component sits
-    strictly before the merging hit at t = n / d along the shot ray."""
-    ids = [
-        idx
-        for idx, ob in enumerate(shooter.obstacles)
-        if comps.find(ob[6]) not in (root_a, root_b)
-    ]
-    third = [shooter.obstacles[idx] for idx in ids]
-    ia, na, da, _, _, _ = _kernelpy.scan(
-        origin[0], origin[1], through[0], through[1], third, comps.parent, -1
-    )
-    if ia >= 0 and na * d < n * da:
-        raise InternalInvariantError(
-            f"third-component obstacle {ids[ia]} blocks the connecting edge"
-        )
-
-
-def _assert_live_weak_disjointness(comps):
-    roots = sorted(set(comps.find(i) for i in range(len(comps.parent))))
-    hulls = [chains_polygon(*comps.hull[r]) for r in roots]
-    for p, q in combinations(hulls, 2):
-        if not (weakly_disjoint(p, q) or contained_in(p, q) or contained_in(q, p)):
-            raise InternalInvariantError("live hulls neither weakly disjoint nor nested")
-
-
-def _assert_nested_or_disjoint(hulls):
-    for p, q in combinations(hulls, 2):
-        if polygons_intersect(p, q) and not (contained_in(p, q) or contained_in(q, p)):
-            raise InternalInvariantError("final live hulls overlap without nesting")

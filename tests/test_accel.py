@@ -25,6 +25,7 @@ from treecover.hullcover import (
 from treecover.model import GeometricTree, Instance, errors_only, validate_instance
 from treecover.phicover import PHI, naive_phi_cover
 
+from hull_checks import hull_cover_checked
 from instances import INSTANCE_A, INSTANCE_B, INSTANCE_D
 from scan_oracle import OB_RAY, two_kind_record, two_kind_scan
 
@@ -467,6 +468,6 @@ def test_scan_matches_the_two_kind_scan_on_every_shot(monkeypatch):
         for seed in range(10)
     ] + [lattice_forest(rng) for _ in range(300)]
     for inst in instances:
-        base = hull_cover_fast(inst, shooter_factory=NaiveRayShooter, debug=True)
-        assert hull_cover_fast(inst, debug=True) == base
+        base = hull_cover_checked(inst, NaiveRayShooter)
+        assert hull_cover_checked(inst) == base
     assert seen["scans"] > 1000 and seen["ray_differs"] > 0, seen

@@ -11,9 +11,9 @@ import time
 
 import pytest
 
-from treecover.boxcover import BucketGridRangeIndex, box_cover_fast
+from treecover.boxcover import box_cover_fast
 from treecover.generators import generate
-from treecover.geom import boundary_intersection_points, convex_hull
+from treecover.geom import convex_hull
 from treecover.hullcover import hull_cover_fast
 from treecover.model import serialize_instance, validate_instance
 from treecover.phicover import (
@@ -24,7 +24,9 @@ from treecover.phicover import (
     naive_phi_cover,
 )
 
+from box_checks import CountingRangeIndex, assert_inserted_and_deleted_at_most_once
 from childenv import child_env
+from hull_checks import boundary_intersection_points
 
 KINDS = ("strips", "combs", "nested")
 
@@ -48,16 +50,16 @@ def corpus():
 
 @pytest.fixture(scope="module")
 def corpus_results(corpus):
-    """Fast engine runs (default shooter and range index) over the whole
-    corpus, with the wall time of each family, plus the naive covers for
-    comparison."""
+    """Fast engine runs (default shooter, and the default range index
+    counting its writes) over the whole corpus, with the wall time of each
+    family, plus the naive covers for comparison."""
     t0 = time.perf_counter()
     hull_fast = [hull_cover_fast(inst) for inst in corpus]
     hull_naive = [naive_phi_cover(inst, PHI["hull"])[0] for inst in corpus]
     hull_seconds = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    indexes = [BucketGridRangeIndex() for _ in corpus]
+    indexes = [CountingRangeIndex() for _ in corpus]
     box_fast = [
         box_cover_fast(inst, index_factory=lambda idx=idx: idx)
         for inst, idx in zip(corpus, indexes)
@@ -167,8 +169,8 @@ def test_criterion_6_boundary_crossings_at_most_two(corpus):
         hulls = [convex_hull(t.vertices) for t in inst.trees]
         for i in range(len(hulls)):
             for j in range(i + 1, len(hulls)):
-                res = boundary_intersection_points(hulls[i], hulls[j])
-                if len(res.points) > 2 or res.overlap:
+                points, overlap = boundary_intersection_points(hulls[i], hulls[j])
+                if len(points) > 2 or overlap:
                     violations += 1
                 checked += 1
                 if checked >= 1000:
@@ -197,9 +199,7 @@ def test_criterion_7_ray_and_merge_budget(corpus, corpus_results):
 
 def test_criterion_8_insert_delete_discipline(corpus, corpus_results):
     for index in corpus_results["box_indexes"]:
-        assert all(c == 1 for c in index.insert_count.values())
-        assert all(c == 1 for c in index.delete_count.values())
-        assert set(index.delete_count) <= set(index.insert_count)
+        assert_inserted_and_deleted_at_most_once(index)
     print(
         f"ACCEPTANCE 8 PASS: every box id inserted and deleted at most once "
         f"across {len(corpus)} instances"

@@ -1,7 +1,6 @@
 import pytest
 
 from treecover.boxcover import (
-    BucketGridRangeIndex,
     DuplicateBoxIdError,
     LinearSegmentRangeIndex,
     boundary_intersects_rect,
@@ -13,6 +12,7 @@ from treecover.geom import AABB
 from treecover.model import Instance
 from treecover.phicover import PHI, naive_phi_cover
 
+from box_checks import CountingRangeIndex, assert_inserted_and_deleted_at_most_once
 from instances import INSTANCE_A, INSTANCE_B, INSTANCE_E, tree
 
 BOX = PHI["box"]
@@ -165,8 +165,6 @@ class TestBoxCoverFast:
     def test_insert_delete_discipline(self):
         for seed in range(10):
             inst = generate("combs", trees=5, size=4, seed=seed)
-            index = BucketGridRangeIndex()
+            index = CountingRangeIndex()
             box_cover_fast(inst, index_factory=lambda: index)
-            assert all(c == 1 for c in index.insert_count.values())
-            assert all(c == 1 for c in index.delete_count.values())
-            assert set(index.delete_count) <= set(index.insert_count)
+            assert_inserted_and_deleted_at_most_once(index)

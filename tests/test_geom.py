@@ -16,7 +16,6 @@ from treecover.geom import (
     TOUCHING,
     Circle,
     ConvexPolygon,
-    boundary_intersection_points,
     box_of,
     box_union,
     boxes_intersect,
@@ -37,6 +36,7 @@ from treecover.geom import (
 )
 
 from helpers import all_left_of_edges, brute_min_circle, frac_point, wrap_hull
+from hull_checks import boundary_intersection_points
 
 coords = st.integers(min_value=-1000, max_value=1000)
 points = st.tuples(coords, coords)
@@ -167,34 +167,34 @@ SQ2 = ConvexPolygon(((2, 2), (6, 2), (6, 6), (2, 6)))
 
 class TestBoundaryIntersections:
     def test_overlapping_squares(self):
-        res = boundary_intersection_points(SQ1, SQ2)
-        assert set(res.points) == {frac_point(4, 2), frac_point(2, 4)}
-        assert not res.overlap
+        points, overlap = boundary_intersection_points(SQ1, SQ2)
+        assert set(points) == {frac_point(4, 2), frac_point(2, 4)}
+        assert not overlap
         # each reported point really lies on both boundaries
-        for p in res.points:
+        for p in points:
             assert point_in_convex_polygon(p, SQ1) == BOUNDARY
             assert point_in_convex_polygon(p, SQ2) == BOUNDARY
 
     def test_disjoint_squares(self):
         far = ConvexPolygon(((10, 10), (12, 10), (12, 12), (10, 12)))
-        assert boundary_intersection_points(SQ1, far).points == ()
+        assert boundary_intersection_points(SQ1, far) == ((), False)
 
     def test_nested_squares(self):
         inner = ConvexPolygon(((1, 1), (2, 1), (2, 2), (1, 2)))
-        assert boundary_intersection_points(SQ1, inner).points == ()
+        assert boundary_intersection_points(SQ1, inner) == ((), False)
 
     def test_collinear_boundary_overlap_flagged(self):
         right = ConvexPolygon(((4, 1), (8, 1), (8, 3), (4, 3)))
         touch = ConvexPolygon(((0, 0), (4, 0), (4, 4), (0, 4)))
-        res = boundary_intersection_points(touch, right)
-        assert res.overlap
-        assert set(res.points) == {frac_point(4, 1), frac_point(4, 3)}
+        points, overlap = boundary_intersection_points(touch, right)
+        assert overlap
+        assert set(points) == {frac_point(4, 1), frac_point(4, 3)}
 
     def test_rational_crossing_point(self):
         tri1 = ConvexPolygon(((0, 0), (3, 1), (0, 2)))
         tri2 = ConvexPolygon(((1, -1), (2, 2), (0, 3)))
-        res = boundary_intersection_points(tri1, tri2)
-        for p in res.points:
+        points, _ = boundary_intersection_points(tri1, tri2)
+        for p in points:
             assert point_in_convex_polygon(p, tri1) == BOUNDARY
             assert point_in_convex_polygon(p, tri2) == BOUNDARY
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from treecover import hullcover
+from treecover import _kernelpy, hullcover
 from treecover.generators import generate
 from treecover.geom import ConvexPolygon, chain_edges, convex_hull, hull_chains
 from treecover.hullcover import (
@@ -15,11 +15,18 @@ from treecover.hullcover import (
     contained_in,
     hull_cover_fast,
     maximal_regions,
-    weakly_disjoint,
 )
 from treecover.model import Instance
 from treecover.phicover import PHI, MergePolicy, naive_phi_cover
 
+from hull_checks import (
+    assert_connecting_edge_clean,
+    assert_live_weak_disjointness,
+    assert_nested_or_disjoint,
+    boundary_intersection_points,
+    hull_cover_checked,
+    weakly_disjoint,
+)
 from instances import INSTANCE_A, INSTANCE_B, INSTANCE_D, tree
 
 HULL = PHI["hull"]
@@ -112,7 +119,7 @@ def test_connecting_edge_check_flags_a_third_component_before_the_hit(x, blocked
     obstacle, n, d = merge_hit  # tree 1's segment, at (4, 0)
     assert obstacle == 1 and Fraction(n, d) == Fraction(1, 2)
     third = s.insert_segment((x, -1), (x, 1), 2)
-    check = hullcover._assert_connecting_edge_clean
+    check = assert_connecting_edge_clean
     if blocked:
         match = f"third-component obstacle {third} blocks"
         with pytest.raises(hullcover.InternalInvariantError, match=match):
@@ -185,10 +192,8 @@ class TestWeaklyDisjoint:
         # square and rotated square crossing in 8 points
         p = ConvexPolygon(((0, 0), (4, 0), (4, 4), (0, 4)))
         q = ConvexPolygon(((2, -1), (5, 2), (2, 5), (-1, 2)))
-        from treecover.geom import boundary_intersection_points
-
-        crossings = boundary_intersection_points(p, q)
-        assert len(crossings.points) > 2  # brute-force crossing count
+        points, _ = boundary_intersection_points(p, q)
+        assert len(points) > 2  # brute-force crossing count
         assert not weakly_disjoint(p, q)
 
     def test_shared_vertex_false(self):
@@ -227,7 +232,7 @@ class TestHullCoverFast:
         assert cover.canonical() == oracle.canonical()
 
     def test_instance_d_single_region(self):
-        cover, stats = hull_cover_fast(INSTANCE_D, debug=True)
+        cover, stats = hull_cover_checked(INSTANCE_D)
         assert len(cover.regions) == 1
         assert cover.regions[0] == ConvexPolygon(
             ((-2, 5), (0, 0), (10, 0), (10, 10), (0, 10))
@@ -249,7 +254,7 @@ class TestHullCoverFast:
         from treecover.model import validate_instance, errors_only
 
         assert errors_only(validate_instance(inst)) == []
-        cover, stats = hull_cover_fast(inst, debug=True)
+        cover, stats = hull_cover_checked(inst)
         oracle, _ = naive_phi_cover(inst, HULL)
         assert cover.canonical() == oracle.canonical()
         assert len(cover.regions) == 1
@@ -260,7 +265,7 @@ class TestHullCoverFast:
         wedge = tree([(0, 0), (5, -5), (10, 0)])
         pt = tree([(5, 0)])
         inst = Instance((wedge, pt))
-        cover, stats = hull_cover_fast(inst, debug=True)
+        cover, stats = hull_cover_checked(inst)
         oracle, _ = naive_phi_cover(inst, HULL)
         assert cover.canonical() == oracle.canonical()
         assert len(cover.regions) == 1
@@ -287,7 +292,7 @@ class TestHullCoverFast:
     @pytest.mark.parametrize("m", range(1, 13))
     def test_arc_matches_oracle(self, m):
         inst = generate("arc", trees=m)
-        cover, stats = hull_cover_fast(inst, debug=m <= 6)
+        cover, stats = (hull_cover_checked if m <= 6 else hull_cover_fast)(inst)
         oracle, _ = naive_phi_cover(inst, HULL)
         assert cover.canonical() == oracle.canonical()
         assert_budget(inst, stats)
@@ -301,7 +306,7 @@ class TestHullCoverFast:
     def test_oracle_equivalence_debug_mode(self):
         for seed in range(6):
             inst = generate("combs", trees=4, size=4, seed=seed)
-            cover, stats = hull_cover_fast(inst, debug=True)
+            cover, stats = hull_cover_checked(inst)
             oracle, _ = naive_phi_cover(inst, HULL)
             assert cover.canonical() == oracle.canonical()
 
@@ -380,7 +385,8 @@ TRACE_GOLDEN = {
 @pytest.mark.parametrize("kind, seed", sorted(TRACE_GOLDEN))
 def test_shots_build_fractions_only_when_read(kind, seed, monkeypatch):
     """An engine run builds no Fraction, whether or not it records a trace
-    (only the debug checks build them); the recorded trace is unchanged."""
+    (only the checks of ``hull_checks`` build them); the recorded trace is
+    unchanged."""
     made = []
     new = fractions.Fraction.__new__
 
@@ -420,7 +426,7 @@ def test_shot_order_on_long_chains(trees):
 
 
 def test_debug_checks_reject_crossing_hulls():
-    """The debug checks pass disjoint and nested hulls and raise on two
+    """The hull checks pass disjoint and nested hulls and raise on two
     hulls that cross without nesting."""
     square = [(0, 0), (4, 0), (4, 4), (0, 4)]
     inner = [(1, 1), (2, 1), (2, 2)]
@@ -431,11 +437,45 @@ def test_debug_checks_reject_crossing_hulls():
         comps = ComponentSet(len(hulls))
         comps.hull = {i: hull_chains(pts) for i, pts in enumerate([square] + others)}
         for check, arg in (
-            (hullcover._assert_nested_or_disjoint, hulls),
-            (hullcover._assert_live_weak_disjointness, comps),
+            (assert_nested_or_disjoint, hulls),
+            (assert_live_weak_disjointness, comps),
         ):
             if ok:
                 check(arg)
             else:
                 with pytest.raises(hullcover.InternalInvariantError):
                     check(arg)
+
+
+class HidingShooter(NaiveRayShooter):
+    """A faulty shooter: its scans miss every obstacle owned by tree 2."""
+
+    def _scan(self, origin, through, own_root):
+        ids = [i for i, ob in enumerate(self.obstacles) if ob[6] != 2]
+        ia, na, da, if_, nf, df = _kernelpy.scan(
+            origin[0],
+            origin[1],
+            through[0],
+            through[1],
+            [self.obstacles[i] for i in ids],
+            self.components.parent,
+            own_root,
+        )
+        return ids[ia] if ia >= 0 else -1, na, da, ids[if_] if if_ >= 0 else -1, nf, df
+
+
+def test_checks_reject_a_merge_past_a_third_component():
+    """Tree A's first shot runs along its hull edge (0, 0) -> (10, 0), which
+    tree C's segment crosses at x = 4 and tree B's at x = 7. A shooter that
+    cannot see C merges A with B through C's segment; the checked run
+    raises, while the honest shooter's checked run equals the oracle."""
+    a = tree([(0, 0), (5, 5), (10, 0)])
+    inst = Instance((a, tree([(7, -1), (7, 1)]), tree([(4, -1), (4, 1)])))
+    shoot_from = NaiveRayShooter.shoot_from
+    cover, stats = hull_cover_checked(inst, NaiveRayShooter)
+    assert cover.canonical() == naive_phi_cover(inst, HULL)[0].canonical()
+    assert stats.merges == 2
+    with pytest.raises(hullcover.InternalInvariantError, match="obstacle 3 blocks"):
+        hull_cover_checked(inst, HidingShooter)
+    # the checks wrap each shooter instance, never the class
+    assert NaiveRayShooter.shoot_from is shoot_from

@@ -11,7 +11,9 @@ the hull engine calls once per merge. A caller that bound a kernel function
 or ``merge_convex_hulls`` at import, or a range index or shooter that
 overrode one of those methods, would bypass the patch, and the tracer's
 ``kernel.*``, ``box.*``, ``hull.shots`` and ``hull.merge*`` metrics would
-read zero without any error.
+read zero without any error. The same holds for the extraction and output
+names it patches: ``maximal_regions`` and ``contained_in`` on ``hullcover``,
+``maximal_boxes`` on ``boxcover`` and ``Cover.build`` on ``model``.
 """
 
 import json
@@ -19,10 +21,12 @@ from collections import Counter
 
 import pytest
 
-from treecover import _kernelpy, boxcover, geom, hullcover
+from treecover import _kernelpy, boxcover, geom, hullcover, model
 from treecover.cli import main
 from treecover.generators import generate
 from treecover.model import serialize_instance
+
+from instances import INSTANCE_A
 
 HOOKS = ("scan", "find_contacts", "find_vertex_hits", "seg_relation")
 INDEX_HOOKS = ("query", "insert_box", "delete_box")
@@ -114,3 +118,34 @@ def test_cli_hull_cover_merges_through_the_patched_hull_merge(monkeypatch, tmp_p
     argv = ["cover", "--phi", "hull", "--input", str(inp), "--output", str(out)]
     assert main(argv + ["--stats", str(stats)]) == 0
     assert merges[0] == json.loads(stats.read_text())["merges"] > 0
+
+
+@pytest.mark.parametrize(
+    "owner, name, phi",
+    [
+        (hullcover, "maximal_regions", "hull"),
+        # INSTANCE_A's point lies in its square's hull, so extraction tests
+        # containment
+        (hullcover, "contained_in", "hull"),
+        (boxcover, "maximal_boxes", "box"),
+        (model.Cover, "build", "hull"),
+        (model.Cover, "build", "box"),
+    ],
+    ids=["maximal_regions", "contained_in", "maximal_boxes", "hull-Cover.build", "box-Cover.build"],
+)
+def test_cli_cover_reaches_the_patched_extraction(owner, name, phi, monkeypatch, tmp_path):
+    calls = [0]
+    orig = vars(owner)[name]
+    static = isinstance(orig, staticmethod)
+    fn = orig.__func__ if static else orig
+
+    def counting(*args):
+        calls[0] += 1
+        return fn(*args)
+
+    monkeypatch.setattr(owner, name, staticmethod(counting) if static else counting)
+    inp = tmp_path / "in.json"
+    inp.write_text(serialize_instance(INSTANCE_A))
+    out = tmp_path / "cover.json"
+    assert main(["cover", "--phi", phi, "--input", str(inp), "--output", str(out)]) == 0
+    assert calls[0] > 0, (phi, name)

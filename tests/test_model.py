@@ -1,7 +1,6 @@
 import copy
 import json
 import pickle
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +9,7 @@ from hypothesis import strategies as st
 from treecover.cli import main
 from treecover.boxcover import BoxStats
 from treecover.generators import ARC_MAX_TREES, generate
-from treecover.geom import AABB, BoundaryIntersections, Circle, ConvexPolygon, box_of
+from treecover.geom import AABB, Circle, ConvexPolygon, box_of
 from treecover.hullcover import HullStats
 from treecover.model import (
     Cover,
@@ -337,8 +336,6 @@ RECORDS = [
      lambda: Cover("box", (AABB(0, 0, 1, 1),), ((1,),)), "membership"),
     (lambda: ConvexPolygon(((0, 0), (2, 0), (0, 2))),
      lambda: ConvexPolygon(((0, 0), (2, 0), (0, 3))), "vertices"),
-    (lambda: BoundaryIntersections(((Fraction(1, 2), Fraction(0)),), False),
-     lambda: BoundaryIntersections(((Fraction(1, 2), Fraction(0)),), True), "overlap"),
     (lambda: AABB(0, 0, 1, 1), lambda: AABB(0, 0, 1, 2), "ymax"),
     (lambda: Circle(0.0, 0.0, 1.0), lambda: Circle(0.0, 0.0, 2.0), "r"),
     (lambda: HullStats(4, 1, 6), lambda: HullStats(4, 2, 6), "merges"),
@@ -369,12 +366,6 @@ def test_convex_polygon_compares_by_vertices_only():
     assert p != p.vertices
     # the hash of the former frozen dataclass, so set orders stay the same
     assert hash(p) == hash((p.vertices,))
-
-
-def test_boundary_intersections_len_counts_points():
-    points = ((Fraction(1), Fraction(2)), (Fraction(3), Fraction(4)), (Fraction(5), Fraction(6)))
-    assert len(BoundaryIntersections(points, False)) == 3
-    assert len(BoundaryIntersections((), True)) == 0
 
 
 def test_records_reject_inverted_boxes_and_negative_radii():
