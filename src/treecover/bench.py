@@ -83,6 +83,12 @@ def _bench_instance(kind: str, n_target: int, seed: int):
 def run(args) -> int:
     """The ``bench`` command."""
     kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
+    if not kinds:
+        print(
+            f"error: --kinds must list at least one kind, got {args.kinds!r}",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
     try:
         sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     except ValueError:

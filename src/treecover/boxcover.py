@@ -36,9 +36,10 @@ class LinearSegmentRangeIndex:
 
     Registers each box's boundary segments under its id and answers closed
     rectangle queries with the ids having at least one boundary segment in
-    the rectangle. Each id is inserted at most once (``insert_count``; a
-    second insert raises ``DuplicateBoxIdError``) and deleted at most once
-    (a delete of an id not stored raises ``KeyError``).
+    the rectangle. Each id is inserted at most once (``inserted`` holds
+    every id ever inserted; a second insert raises ``DuplicateBoxIdError``)
+    and deleted at most once (a delete of an id not stored raises
+    ``KeyError``).
 
     Subclasses narrow the scan through three hooks: ``_register`` and
     ``_unregister`` follow every insert and delete, and ``_candidates``
@@ -48,12 +49,12 @@ class LinearSegmentRangeIndex:
 
     def __init__(self):
         self.boxes: dict[int, AABB] = {}
-        self.insert_count: dict[int, int] = {}
+        self.inserted: set[int] = set()
 
     def insert_box(self, box_id: int, box: AABB) -> None:
-        if box_id in self.insert_count:
+        if box_id in self.inserted:
             raise DuplicateBoxIdError(f"box id {box_id} inserted twice")
-        self.insert_count[box_id] = 1
+        self.inserted.add(box_id)
         self.boxes[box_id] = box
         self._register(box_id, box)
 
@@ -174,10 +175,13 @@ def maximal_boxes(boxes: list[AABB]) -> list[int]:
     )
 
 
-def box_cover_fast(instance: Instance, index_factory=BucketGridRangeIndex):
-    """Compute the box-cover; returns (Cover, BoxStats).
-
-    The cover equals the naive merge-fixpoint box cover exactly.
+def box_regions(instance: Instance, index_factory=BucketGridRangeIndex):
+    """The maximal regions of the box-cover; returns (regions, BoxStats),
+    where regions lists each maximal box with its member trees, in no set
+    order. The hull engine reads it too: every hull-cover region's trees
+    lie in one box region (a hull lies in its bounding box, and maximal
+    boxes are pairwise disjoint), so a tree alone in its box region is its
+    own hull region.
     """
     index = index_factory()
     # stored box id, the index of the tree whose query stored it ->
@@ -220,6 +224,13 @@ def box_cover_fast(instance: Instance, index_factory=BucketGridRangeIndex):
     groups: dict[int, list[int]] = {i: [] for i, h in enumerate(home) if h == i}
     for k, h in zip(ids, home):
         groups[h].extend(store[k][1])
+    return [(boxes[i], ms) for i, ms in groups.items()], BoxStats(queries, merges)
 
-    cover = Cover.build("box", ((boxes[i], tuple(ms)) for i, ms in groups.items()))
-    return cover, BoxStats(queries, merges)
+
+def box_cover_fast(instance: Instance, index_factory=BucketGridRangeIndex):
+    """Compute the box-cover; returns (Cover, BoxStats).
+
+    The cover equals the naive merge-fixpoint box cover exactly.
+    """
+    regions, stats = box_regions(instance, index_factory)
+    return Cover.build("box", regions), stats

@@ -9,6 +9,18 @@ worklist drains the live hulls are pairwise disjoint or strictly nested; the
 maximal ones form the cover. Obstacles are of one kind, a ray from an integer
 point that stops at a rational parameter: a tree edge stops at t = 1.
 
+The box-cover splits the problem first (``boxcover.box_regions``). Every
+hull-cover region's trees lie in one maximal box-cover region: a merge of
+phi(A) and phi(B) needs them to meet, a hull lies in its bounding box, and
+maximal boxes are pairwise disjoint, so by induction over the merges (and
+likewise for nesting) A and B share a box region. A tree alone in its box
+region is therefore its own hull region: it gets its hull chains for
+extraction and nothing else, no obstacle, no queued edge and no shot, and no
+chord of another region can reach it. Every other tree runs through the
+engine as described here. So ``rays_shot`` and a trace count only the shots
+of trees that share their box region, and ``initial_edges`` is the length of
+the worklist before the first shot, the hull edges of those trees.
+
 The ray shooter is pluggable. Every engine shot runs along an edge (p, q)
 of the shooter's own hull, and q is an obstacle of the shooter's own
 component, so the first hit lies on the chord [p, q]; both shooters serve
@@ -40,9 +52,7 @@ the name perfbench's tracer and the tests patch). It returns only the
 edges it added, each at an inserted vertex, and they are enqueued in
 canonical hull order, so the shots are those of a full rebuild. Liveness
 is read off the chains: a popped edge that is not on its component's
-chains (``geom.chain_has_edge``) left the hull in a merge and is skipped,
-and the ray count is capped at the initial edge count plus two tangents
-per merge.
+chains (``geom.chain_has_edge``) left the hull in a merge and is skipped.
 """
 
 from __future__ import annotations
@@ -53,6 +63,7 @@ from typing import NamedTuple
 # ``_kernelpy.scan`` is looked up at each call, so a wrapper patched onto the
 # module (perfbench's tracer, the tests' counters) sees every shot.
 from . import _kernelpy
+from .boxcover import box_regions
 from .geom import (
     AABB,
     INSIDE,
@@ -304,7 +315,7 @@ def hull_cover_fast(
 ):
     """Compute the hull-cover; returns (Cover, HullStats). When ``trace`` is
     a list, one ray record ``{"from", "to", "merge"}`` is appended to it per
-    shot.
+    shot; a tree alone in its box region shoots none.
 
     The cover equals the naive merge-fixpoint hull cover exactly.
     """
@@ -314,16 +325,22 @@ def hull_cover_fast(
         shooter_factory = BucketGridShooter.factory_for(instance)
     shooter = shooter_factory(comps)
 
+    # a tree alone in its box region is its own hull region, and no chord
+    # of another region reaches it
+    alone = {ms[0] for _, ms in box_regions(instance)[0] if len(ms) == 1}
+
     worklist: deque = deque()
     px, py, voff, ea, eb, eoff = instance.columns
     for i in range(m):
         pts = list(zip(px[voff[i] : voff[i + 1]], py[voff[i] : voff[i + 1]]))
+        hull = comps.hull[i] = hull_chains(pts)
+        if i in alone:
+            continue
         if eoff[i] == eoff[i + 1]:
             # a bare vertex is the zero-length segment from it to itself
             shooter.insert_segment(pts[0], pts[0], i)
         for e in range(eoff[i], eoff[i + 1]):
             shooter.insert_segment(pts[ea[e]], pts[eb[e]], i)
-        hull = comps.hull[i] = hull_chains(pts)
         worklist.extend((p, q, i) for p, q in chain_edges(*hull))
     initial_edges = len(worklist)
 

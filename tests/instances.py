@@ -5,8 +5,17 @@ Letters match the worked examples exercised throughout the suite:
   B: two far-apart segments                (hull/box: two regions)
   D: square path + interior point + segment poking through the open side
   E: two overlapping-box segments + one far segment
+
+``paired`` builds many box regions of two hull-disjoint trees each, so the
+hull engine shoots in every region; ``mixed`` puts one box region of combs
+beside strips whose trees are each alone in their box region. ``build``
+names them beside the generator kinds.
 """
 
+import random
+
+from treecover.boxcover import box_regions
+from treecover.generators import generate
 from treecover.model import GeometricTree, Instance
 
 
@@ -47,6 +56,20 @@ INSTANCE_E = Instance(
     )
 )
 
+# a triangle path whose hull edge from (10, 10) to (0, 0) stops on the bare
+# vertex (7, 7) and merges it; (3, 3) and (8, 2) lie in its box, (12, 12)
+# and (20, 5) are alone in their box regions (CI's bare.json)
+INSTANCE_BARE = Instance(
+    (
+        tree([(0, 0), (10, 0), (10, 10)]),
+        tree([(3, 3)]),
+        tree([(7, 7)]),
+        tree([(12, 12)]),
+        tree([(8, 2)]),
+        tree([(20, 5)]),
+    )
+)
+
 CROSSING_TREES = Instance(
     (
         tree([(0, 0), (2, 2)]),
@@ -67,3 +90,76 @@ def staircase(m):
         hi, lo = (4 * j + 2, 4 * j - 3) if k % 2 else (-4 * j, -4 * j - 5)
         trees.append(tree([(2 * k, hi), (2 * k + 3, lo)]))
     return Instance(tuple(trees))
+
+
+def paired(layout, pairs, size=5, seed=0):
+    """``pairs`` separate box regions of two trees each, whose hulls stay
+    disjoint: pair k's trees are x-monotone paths of ``size`` vertices that
+    straddle the diagonal of the pair's box, one strictly above it and one
+    strictly below, and both span the box's full width, so their boxes meet.
+    ``layout`` "strips" puts square pairs side by side in x; "ladder" stacks
+    pairs about 10^6 wide and 12 tall in y, so every pair overlaps every
+    other in x. Vertices near the diagonal are often collinear with hull
+    edges, so some shots stop short on an own vertex."""
+    rng = random.Random(repr((layout, pairs, size, seed)))
+    size = max(size, 2)
+    # how far a vertex may stray from the diagonal; h >= 2d, so the lower
+    # tree's right end is no lower than the upper tree's left end
+    d = 4
+    if layout == "strips":
+        w = h = max(3 * size, 12)
+        origins = [(k * (w + 2 * d + 3), 0) for k in range(pairs)]
+
+        def columns(x0):
+            return [x0, *sorted(rng.sample(range(x0 + 1, x0 + w), size - 2)), x0 + w]
+
+    else:
+        w, h = 1_000_000, 12
+        origins = [(0, k * (h + 2 * d + 3)) for k in range(pairs)]
+
+        def columns(x0):
+            # evenly spaced and shared by every rung, so three vertices of a
+            # rung are often collinear
+            return [x0 + j * w // (size - 1) for j in range(size)]
+
+    trees = []
+    for x0, y0 in origins:
+        for above in (True, False):
+            verts = []
+            for x in columns(x0):
+                lo, rem = divmod((x - x0) * h, w)  # the diagonal at x
+                r = rng.randint(1, d)
+                # strictly above: floor + r >= floor + 1; strictly below:
+                # ceil - r <= ceil - 1
+                verts.append((x, y0 + lo + r if above else y0 + lo + (rem > 0) - r))
+            trees.append(tree(verts))
+    return Instance(tuple(trees))
+
+
+def mixed(seed=0, combs=6, strips=6):
+    """``combs`` interlocking comb teeth, one box region, beside ``strips``
+    strips whose trees are each alone in their box region."""
+    left = generate("combs", trees=combs, size=5, seed=seed).trees
+    right = generate("strips", trees=strips, size=5, seed=seed).trees
+    shift = 10 + max(x for t in left for x, _ in t.vertices) - min(
+        x for t in right for x, _ in t.vertices
+    )
+    moved = [tree([(x + shift, y) for x, y in t.vertices], t.edges) for t in right]
+    return Instance(tuple(left) + tuple(moved))
+
+
+def build(kind, trees, size=5, seed=0):
+    """``generate(kind, trees, size, seed)`` for the generator kinds; for
+    "paired-strips" and "paired-ladder", ``paired`` with ``trees // 2``
+    pairs (at least one); for "mixed", ``mixed`` with about half the trees
+    on each side."""
+    if kind.startswith("paired-"):
+        return paired(kind[len("paired-") :], max(1, trees // 2), size, seed)
+    if kind == "mixed":
+        return mixed(seed, max(1, trees // 2), max(1, trees - trees // 2))
+    return generate(kind, trees=trees, size=size, seed=seed)
+
+
+def lone_trees(inst):
+    """The trees alone in their box-cover region, in ascending order."""
+    return sorted(ms[0] for _, ms in box_regions(inst)[0] if len(ms) == 1)

@@ -26,7 +26,7 @@ from treecover.model import GeometricTree, Instance, errors_only, validate_insta
 from treecover.phicover import PHI, naive_phi_cover
 
 from hull_checks import hull_cover_checked
-from instances import INSTANCE_A, INSTANCE_B, INSTANCE_D
+from instances import INSTANCE_A, INSTANCE_B, INSTANCE_D, build, lone_trees, paired
 from scan_oracle import OB_RAY, two_kind_record, two_kind_scan
 
 
@@ -122,7 +122,8 @@ class NoCellsShooter(BucketGridShooter):
 
 
 def test_engine_raises_when_the_grid_loses_an_obstacle():
-    inst = generate("strips", trees=3, size=4, seed=1)
+    # two trees that share a box region, so their hull edges are shot
+    inst = paired("strips", 2, 4, seed=1)
     with pytest.raises(InternalInvariantError, match="escaped"):
         hull_cover_fast(
             inst,
@@ -199,7 +200,8 @@ def test_grid_engine_on_empty_forest():
 
 def test_grid_engine_scans_only_chord_candidates(monkeypatch):
     """The grid shooter must hand the kernel far fewer obstacles than the
-    linear scan does on a forest of many separate regions."""
+    linear scan does on a forest of many separate regions (30 box regions
+    of two trees each, every tree its own hull region)."""
     scanned = [0]
     scan = _kernelpy.scan
 
@@ -208,19 +210,20 @@ def test_grid_engine_scans_only_chord_candidates(monkeypatch):
         return scan(*args)
 
     monkeypatch.setattr(_kernelpy, "scan", counting_scan)
-    inst = generate("strips", trees=60, size=5, seed=3)
+    inst = paired("strips", 30, 5, seed=3)
     counts = []
     for make in (NaiveRayShooter, BucketGridShooter.factory_for(inst)):
         scanned[0] = 0
         hull_cover_fast(inst, shooter_factory=make)
         counts.append(scanned[0])
     assert counts[1] * 10 < counts[0], counts
+    assert len(hull_cover_fast(inst)[0].regions) == 60
 
 
 def test_grid_engine_matches_baseline_engine():
-    for kind in ("strips", "combs", "nested", "ladder"):
+    for kind in ("strips", "combs", "nested", "ladder", "paired-strips", "paired-ladder"):
         for seed in range(12):
-            inst = generate(kind, trees=2 + seed % 5, size=3 + seed % 4, seed=seed)
+            inst = build(kind, 2 + seed % 5, 3 + seed % 4, seed)
             base_cover, base_stats = hull_cover_fast(
                 inst, shooter_factory=NaiveRayShooter
             )
@@ -245,7 +248,7 @@ def extent_keys(shooter, i):
     return set(shooter._cells(x * td, y * td, x * td + dx * tn, y * td + dy * tn, td))
 
 
-@pytest.mark.parametrize("kind", ["strips", "combs", "nested", "ladder"])
+@pytest.mark.parametrize("kind", ["paired-strips", "combs", "nested", "paired-ladder"])
 def test_grid_registers_each_obstacle_in_the_cells_of_its_extent(kind):
     """A ray that ends at its chord's end takes the chord's cells from the
     shot's scan; every obstacle must still sit in exactly the cells of its
@@ -253,7 +256,7 @@ def test_grid_registers_each_obstacle_in_the_cells_of_its_extent(kind):
     chord's cells."""
     rays = {"full": 0, "short": 0}
     for seed in range(10):
-        inst = generate(kind, trees=2 + 3 * seed, size=3 + seed % 4, seed=seed)
+        inst = build(kind, 2 + 3 * seed, 3 + seed % 4, seed)
         make = BucketGridShooter.factory_for(inst)
         kept = []
 
@@ -263,7 +266,9 @@ def test_grid_registers_each_obstacle_in_the_cells_of_its_extent(kind):
 
         hull_cover_fast(inst, shooter_factory=factory)
         shooter = kept[0]
-        # the rays come after one obstacle per tree edge or bare vertex
+        # every tree shares its box region, so the rays come after one
+        # obstacle per tree edge or bare vertex
+        assert not lone_trees(inst), (kind, seed)
         first_ray = sum(max(1, len(t.edges)) for t in inst.trees)
         for i, keys in enumerate(registered_keys(shooter)):
             assert keys == extent_keys(shooter, i), (kind, seed, i)
@@ -463,8 +468,8 @@ def test_scan_matches_the_two_kind_scan_on_every_shot(monkeypatch):
     monkeypatch.setattr(_kernelpy, "scan", checked_scan)
     rng = random.Random(17)
     instances = [
-        generate(kind, trees=2 + seed % 6, size=3 + seed % 4, seed=seed)
-        for kind in ("strips", "combs", "nested", "ladder", "arc")
+        build(kind, 2 + seed % 6, 3 + seed % 4, seed)
+        for kind in ("paired-strips", "combs", "nested", "paired-ladder", "arc")
         for seed in range(10)
     ] + [lattice_forest(rng) for _ in range(300)]
     for inst in instances:

@@ -1,19 +1,22 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treecover.boxcover import (
     DuplicateBoxIdError,
     LinearSegmentRangeIndex,
     boundary_intersects_rect,
     box_cover_fast,
+    box_regions,
     maximal_boxes,
 )
 from treecover.generators import generate
 from treecover.geom import AABB
-from treecover.model import Instance
+from treecover.model import Cover, Instance
 from treecover.phicover import PHI, naive_phi_cover
 
 from box_checks import CountingRangeIndex, assert_inserted_and_deleted_at_most_once
-from instances import INSTANCE_A, INSTANCE_B, INSTANCE_E, tree
+from instances import INSTANCE_A, INSTANCE_B, INSTANCE_E, build, tree
 
 BOX = PHI["box"]
 
@@ -168,3 +171,38 @@ class TestBoxCoverFast:
             index = CountingRangeIndex()
             box_cover_fast(inst, index_factory=lambda: index)
             assert_inserted_and_deleted_at_most_once(index)
+
+
+SPLIT_KINDS = (
+    "strips", "combs", "nested", "ladder", "arc", "paired-strips", "paired-ladder", "mixed"
+)
+
+
+@given(
+    st.sampled_from(SPLIT_KINDS),
+    st.integers(1, 8),
+    st.integers(2, 6),
+    st.integers(0, 10**6),
+)
+@settings(max_examples=200, deadline=None)
+def test_box_regions_split_the_hull_cover(kind, trees, size, seed):
+    """Every hull-cover region's trees lie in one box region, so a tree
+    alone in its box region is its own hull region (the naive hull cover is
+    the reference)."""
+    inst = build(kind, trees, size, seed)
+    regions, _ = box_regions(inst)
+    region_of = {i: k for k, (_, ms) in enumerate(regions) for i in ms}
+    assert sorted(region_of) == list(range(inst.m))
+    hull, _ = naive_phi_cover(inst, PHI["hull"])
+    for ms in hull.membership:
+        assert len({region_of[i] for i in ms}) == 1, (kind, ms)
+    for _, ms in regions:
+        if len(ms) == 1:
+            assert tuple(ms) in hull.membership, (kind, ms)
+
+
+def test_box_cover_is_built_from_the_box_regions():
+    for kind in SPLIT_KINDS:
+        inst = build(kind, 9, 4, 3)
+        regions, stats = box_regions(inst)
+        assert box_cover_fast(inst) == (Cover.build("box", regions), stats)

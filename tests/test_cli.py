@@ -299,6 +299,14 @@ class TestBench:
                 "--output", str(tmp_path / "bench.csv")]
         assert_usage_error(argv, capsys)
 
+    @pytest.mark.parametrize("kinds", ["", ",", " , ", "spirals"])
+    def test_no_or_unknown_kinds_usage_error(self, kinds, tmp_path, capsys):
+        out = tmp_path / "bench.csv"
+        argv = ["bench", "--phi", "box", "--kinds", kinds, "--sizes", "10",
+                "--output", str(out)]
+        assert_usage_error(argv, capsys)
+        assert not out.exists()
+
     @pytest.mark.parametrize("sizes", ["0,-5", "10,0", "-1", ","])
     def test_non_positive_or_no_sizes_usage_error(self, sizes, tmp_path, capsys):
         out = tmp_path / "bench.csv"

@@ -27,7 +27,16 @@ from hull_checks import (
     hull_cover_checked,
     weakly_disjoint,
 )
-from instances import INSTANCE_A, INSTANCE_B, INSTANCE_D, tree
+from instances import (
+    INSTANCE_A,
+    INSTANCE_B,
+    INSTANCE_BARE,
+    INSTANCE_D,
+    build,
+    lone_trees,
+    mixed,
+    tree,
+)
 
 HULL = PHI["hull"]
 
@@ -214,12 +223,20 @@ def assert_budget(inst, stats: HullStats):
 
 class TestHullCoverFast:
     def test_instance_b_two_segments(self):
+        # each segment is alone in its box region, so neither shoots
         cover, stats = hull_cover_fast(INSTANCE_B)
+        assert len(cover.regions) == 2
+        assert stats == (0, 0, 0)
+        oracle, _ = naive_phi_cover(INSTANCE_B, HULL)
+        assert cover.canonical() == oracle.canonical()
+        # two segments whose boxes meet but whose hulls do not
+        inst = Instance((tree([(0, 0), (4, 2)]), tree([(3, -1), (5, 1)])))
+        cover, stats = hull_cover_fast(inst)
         assert len(cover.regions) == 2
         assert stats.merges == 0
         assert stats.rays_shot == 4  # two per degenerate segment hull
         assert stats.initial_edges == 4
-        oracle, _ = naive_phi_cover(INSTANCE_B, HULL)
+        oracle, _ = naive_phi_cover(inst, HULL)
         assert cover.canonical() == oracle.canonical()
 
     def test_instance_a_nested_point_no_merge(self):
@@ -347,10 +364,16 @@ class RecordingShooter(NaiveRayShooter):
         return super().shoot_from(origin, through, own_root)
 
 
-@pytest.mark.parametrize("kind", ["strips", "combs", "nested", "ladder", "arc"])
+@pytest.mark.parametrize(
+    "kind",
+    ["strips", "combs", "nested", "ladder", "arc", "paired-strips", "paired-ladder", "mixed"],
+)
 def test_every_live_hull_edge_is_shot_exactly_once(kind):
+    """Trees that share their box region shoot each edge of their live
+    hulls at most once, and every edge of their final hulls; a tree alone
+    in its box region shoots no edge at all."""
     for seed in range(10):
-        inst = generate(kind, trees=2 + 3 * seed, size=3 + seed % 4, seed=seed)
+        inst = build(kind, 2 + 3 * seed, 3 + seed % 4, seed)
         shooters = []
 
         def factory(comps):
@@ -363,22 +386,39 @@ def test_every_live_hull_edge_is_shot_exactly_once(kind):
         assert len(chords) == stats.rays_shot, (kind, seed)
         assert len(set(chords)) == len(chords), (kind, seed)
         assert all(on_hull for _, on_hull in shooter.shots), (kind, seed)
+        # vertices are globally distinct, so an origin names its tree
+        lone = lone_trees(inst)
+        lone_vertices = {v for i in lone for v in inst.trees[i].vertices}
+        assert not any(origin in lone_vertices for origin, _ in chords), (kind, seed)
         comps = shooter.components
-        roots = {comps.find(i) for i in range(inst.m)}
+        roots = {comps.find(i) for i in range(inst.m) if i not in lone}
         final = {e for r in roots for e in chain_edges(*comps.hull[r])}
         assert final <= set(chords), (kind, seed)
 
 
-# sha256 of json.dumps(trace) for generate(kind, trees=12, size=5, seed=seed),
-# recorded while shots still built fractions for the trace's end points; the
-# combs traces end rays at non-integer points
+def digest(trace):
+    return hashlib.sha256(json.dumps(trace).encode()).hexdigest()
+
+
+# sha256 of json.dumps(trace) for build(kind, trees=12, size=5, seed=seed);
+# the combs traces end rays at non-integer points, and were recorded while
+# shots still built fractions for the trace's end points. Every strips tree
+# is alone in its box region, so its trace is empty (the sha256 of "[]").
+# The paired traces were recorded before the engine split the forest by its
+# box regions, and did not change with it.
 TRACE_GOLDEN = {
     ("combs", 0): "ab75100215e7b1a528ec2bc2468cbab41c77ee3db00f4c60a210564235f100b6",
     ("combs", 1): "187aefcc81f3f446c206e2e65516399b1d0497432a932d4d4542ddc656fdd771",
     ("combs", 2): "73f69230c069e10ca7158cc88bd6f143a3f0ecb72425d352fdc161370d3538ed",
-    ("strips", 0): "5165bc6c3c5cf530886d277e34b22fbc36d69836a6e4f8ad5d8df18a419e0471",
-    ("strips", 1): "079dcf3a74a27267c3252766847dc2e3f9db1c275cecc7307f86c4bfa1b6d865",
-    ("strips", 2): "0a0642a0d1ed24a9b1d377a210c910ffd16aeaf31b6770232f7c9a5826e5ed13",
+    ("strips", 0): "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    ("strips", 1): "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    ("strips", 2): "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    ("paired-strips", 0): "098febc2c6d8c3d93175097729220b72b1e97b91b2e9cbeac45f73a99950dd1f",
+    ("paired-strips", 1): "7ce1de49bf1ba449cbde63e73b4f42c6eb3e0c02a2321f3da4ca4567e640f0de",
+    ("paired-strips", 2): "6e9ade8b4fbe7e4357c7169d976624f6931cd934fa98361cb31bf0fd5e7a2ff4",
+    ("paired-ladder", 0): "61dff08a9cb52c36e71855f755e1eb8670696b3d9dc0545263ce840cd48dc50b",
+    ("paired-ladder", 1): "a07482b061551c501ffadbe16f58f2f27ff084c4be472720c9bf4ebb51eab4f9",
+    ("paired-ladder", 2): "eea5553f98aeb97a9ba991522eb4bb51b82c2d756c7c4033fe3cc50390067e58",
 }
 
 
@@ -397,13 +437,78 @@ def test_shots_build_fractions_only_when_read(kind, seed, monkeypatch):
     # on the class itself, so that every Fraction is counted however its
     # builder imported the name
     monkeypatch.setattr(fractions.Fraction, "__new__", staticmethod(counting))
-    inst = generate(kind, trees=12, size=5, seed=seed)
+    inst = build(kind, 12, 5, seed)
     cover, stats = hull_cover_fast(inst)
     trace = []
     assert hull_cover_fast(inst, trace=trace) == (cover, stats)
     assert made == []
-    digest = hashlib.sha256(json.dumps(trace).encode()).hexdigest()
-    assert digest == TRACE_GOLDEN[kind, seed]
+    assert digest(trace) == TRACE_GOLDEN[kind, seed]
+
+
+# name -> (rays_shot and trace digest of the engine before it split the
+# forest by its box regions, hull edges of the trees alone in their box
+# region, trace digest since the split)
+SPLIT_GOLDEN = {
+    "mixed-0": (
+        40,
+        "d8b2ee2e9fd9c90d0af7f6338e390df265dfdce8fda2ecf1cfb5f4bdb6025c31",
+        22,
+        "f25833d80284efa95681021e46cdafcdabbfda9e57b4887909f76e269c17faaf",
+    ),
+    "mixed-1": (
+        42,
+        "698064ee0756d4fa0a220e1b41f3b3345c911ebc19be26623d1a811108a17961",
+        24,
+        "fa5b0e439637926a7dc61b89e6c3ac24e58f957da2454d5ec129418e3b20f7c4",
+    ),
+    "mixed-2": (
+        43,
+        "30efdad312f698d7b4663ab1f9f3c5f0e0222ab229d6c7524196808973036c0d",
+        25,
+        "102acd4fad5279b86f893b5a097e8fbfe4aa080da7f1e62bbd9ca25ca7a45530",
+    ),
+    # the lone trees are bare vertices, whose hulls have no edge
+    "bare": (
+        3,
+        "175998492306759bcb64e8c39261bd1eb724f412f41b5e440648a473bd09614b",
+        0,
+        "175998492306759bcb64e8c39261bd1eb724f412f41b5e440648a473bd09614b",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_GOLDEN))
+def test_lone_trees_drop_out_of_the_trace(name, monkeypatch):
+    """The trace is the unsplit engine's trace without the rays from
+    vertices of trees alone in their box region (vertices are globally
+    distinct, so an origin names its tree), and ``rays_shot`` and
+    ``initial_edges`` drop by those trees' hull edges. The unsplit engine is
+    this one with every tree in one box region; its count and trace digest
+    are the ones recorded before the split."""
+    inst = INSTANCE_BARE if name == "bare" else mixed(int(name[-1]))
+    before_rays, before_digest, lone_edges, after_digest = SPLIT_GOLDEN[name]
+    trace = []
+    cover, stats = hull_cover_fast(inst, trace=trace)
+    whole = []
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            hullcover, "box_regions", lambda inst: ([(None, list(range(inst.m)))], None)
+        )
+        whole_cover, whole_stats = hull_cover_fast(inst, trace=whole)
+    assert (whole_stats.rays_shot, digest(whole)) == (before_rays, before_digest)
+    assert whole_cover == cover
+    lone = lone_trees(inst)
+    assert lone and len(lone) < inst.m
+    edges = sum(len(chain_edges(*hull_chains(inst.trees[i].vertices))) for i in lone)
+    assert edges == lone_edges
+    lone_vertices = {v for i in lone for v in inst.trees[i].vertices}
+    assert trace == [r for r in whole if tuple(r["from"]) not in lone_vertices]
+    assert stats == (
+        before_rays - lone_edges,
+        whole_stats.merges,
+        whole_stats.initial_edges - lone_edges,
+    )
+    assert digest(trace) == after_digest
 
 
 # sha256 of json.dumps(trace) for generate("arc", trees=trees), recorded
@@ -421,8 +526,7 @@ def test_shot_order_on_long_chains(trees):
     trace = []
     _, stats = hull_cover_fast(generate("arc", trees=trees), trace=trace)
     assert stats.merges == trees - 1
-    digest = hashlib.sha256(json.dumps(trace).encode()).hexdigest()
-    assert digest == ARC_TRACE_GOLDEN[trees]
+    assert digest(trace) == ARC_TRACE_GOLDEN[trees]
 
 
 def test_debug_checks_reject_crossing_hulls():
