@@ -14,12 +14,15 @@ hull-cover region's trees lie in one maximal box-cover region: a merge of
 phi(A) and phi(B) needs them to meet, a hull lies in its bounding box, and
 maximal boxes are pairwise disjoint, so by induction over the merges (and
 likewise for nesting) A and B share a box region. A tree alone in its box
-region is therefore its own hull region: it gets its hull chains for
-extraction and nothing else, no obstacle, no queued edge and no shot, and no
-chord of another region can reach it. Every other tree runs through the
-engine as described here. So ``rays_shot`` and a trace count only the shots
-of trees that share their box region, and ``initial_edges`` is the length of
-the worklist before the first shot, the hull edges of those trees.
+region is therefore a maximal hull region that contains no other: its hull
+goes straight into the cover, with no obstacle, no queued edge, no shot and
+no extraction test, and no chord of another region can reach it. Only the
+trees that share their box region run through the engine as described here:
+the default grid is sized to them (no grid at all when there are none), their
+edges and bare vertices enter the shooter in one ``insert_segments`` call,
+and ``maximal_regions`` sees only their components' hulls. So ``rays_shot``
+and a trace count only the shots of those trees, and ``initial_edges`` is the
+length of the worklist before the first shot, their hull edges.
 
 The ray shooter is pluggable. Every engine shot runs along an edge (p, q)
 of the shooter's own hull, and q is an obstacle of the shooter's own
@@ -135,6 +138,12 @@ class NaiveRayShooter:
     def insert_segment(self, a, b, owner: int) -> int:
         return self._push((a[0], a[1], b[0] - a[0], b[1] - a[1], 1, 1, owner))
 
+    def insert_segments(self, segments) -> None:
+        """Inserts each ``(a, b, owner)`` of ``segments`` in turn, tree edges
+        and bare vertices (a == b) before the first shot."""
+        for a, b, owner in segments:
+            self.insert_segment(a, b, owner)
+
     def _insert_ray(self, origin, direction, tn: int, td: int, owner: int) -> int:
         return self._push((*origin, *direction, tn, td, owner))
 
@@ -185,8 +194,9 @@ class BucketGridShooter(NaiveRayShooter):
     Rasterization is exact and conservative: an object is registered in the
     cell of each of its points, hence an obstacle and a chord sharing a
     point share that cell. Engine obstacles and chords lie inside the
-    bounds, the vertices' bounding box; beyond them keys of neighbouring
-    columns may coincide, which only adds candidates.
+    bounds, the bounding box of the vertices of the trees the grid serves;
+    beyond them keys of neighbouring columns may coincide, which only adds
+    candidates.
     """
 
     def __init__(self, components: ComponentSet, bounds: AABB, cell):
@@ -199,20 +209,26 @@ class BucketGridShooter(NaiveRayShooter):
         self._chord = (None, None, None, None, ())
 
     @staticmethod
-    def factory_for(instance: Instance):
-        """Engine shooter_factory for the instance: the grid spans its
-        bounding box, and cells start as wide and tall as twice the mean
-        tree edge, doubled together until there are at most 4n of them."""
-        cols = instance.columns
-        px, py = cols.px or (0,), cols.py or (0,)
-        bounds = AABB(min(px), min(py), max(px), max(py))
-        ga, gb = cols.edge_ends()
-        cw = ch = 1
-        if ga:
-            cw = max(1, 2 * sum(abs(px[b] - px[a]) for a, b in zip(ga, gb)) // len(ga))
-            ch = max(1, 2 * sum(abs(py[b] - py[a]) for a, b in zip(ga, gb)) // len(ga))
+    def factory_for(instance: Instance, trees=None):
+        """Engine shooter_factory for the given trees of the instance (by
+        default all of them; the engine passes those that share their box
+        region): the grid spans their bounding box, and cells start as wide
+        and tall as twice the mean edge of those trees, doubled together
+        until there are at most 4n of them, n their vertex count."""
+        px, py, voff, ea, eb, eoff = instance.columns
+        xs, ys, sx, sy, edges = [], [], 0, 0, 0
+        for i in range(instance.m) if trees is None else trees:
+            tx, ty = px[voff[i] : voff[i + 1]], py[voff[i] : voff[i + 1]]
+            xs += tx
+            ys += ty
+            for a, b in zip(ea[eoff[i] : eoff[i + 1]], eb[eoff[i] : eoff[i + 1]]):
+                sx += abs(tx[b] - tx[a])
+                sy += abs(ty[b] - ty[a])
+            edges += eoff[i + 1] - eoff[i]
+        bounds = AABB(min(xs or [0]), min(ys or [0]), max(xs or [0]), max(ys or [0]))
+        cw, ch = max(1, 2 * sx // max(edges, 1)), max(1, 2 * sy // max(edges, 1))
         w, h = bounds.xmax - bounds.xmin, bounds.ymax - bounds.ymin
-        while (w // cw + 1) * (h // ch + 1) > max(1, 4 * instance.n):
+        while (w // cw + 1) * (h // ch + 1) > max(1, 4 * len(xs)):
             cw *= 2
             ch *= 2
 
@@ -261,6 +277,29 @@ class BucketGridShooter(NaiveRayShooter):
         for key in keys:
             self.cells.setdefault(key, []).append(idx)
         return idx
+
+    def insert_segments(self, segments) -> None:
+        """``insert_segment`` for each ``(a, b, owner)`` of ``segments``, in
+        one loop: a vertical or horizontal segment (a bare vertex is both)
+        takes its cells directly, any other from ``_cells``."""
+        obstacles, cells, ny = self.obstacles, self.cells, self.ny
+        x0, y0, cw, ch = self.x0, self.y0, self.cw, self.ch
+        idx = len(obstacles)
+        for (ax, ay), (bx, by), owner in segments:
+            obstacles.append((ax, ay, bx - ax, by - ay, 1, 1, owner))
+            if ax == bx:
+                lo, hi = (ay, by) if ay <= by else (by, ay)
+                k = (ax - x0) // cw * ny
+                keys = range(k + (lo - y0) // ch, k + (hi - y0) // ch + 1)
+            elif ay == by:
+                lo, hi = (ax, bx) if ax < bx else (bx, ax)
+                r = (ay - y0) // ch
+                keys = range((lo - x0) // cw * ny + r, (hi - x0) // cw * ny + r + 1, ny)
+            else:
+                keys = self._cells(ax, ay, bx, by, 1)
+            for key in keys:
+                cells.setdefault(key, []).append(idx)
+            idx += 1
 
     def _scan(self, origin, through, own_root: int):
         cells = self.cells
@@ -321,14 +360,12 @@ def hull_cover_fast(
     """
     m = instance.m
     comps = ComponentSet(m)
-    if shooter_factory is None:
-        shooter_factory = BucketGridShooter.factory_for(instance)
-    shooter = shooter_factory(comps)
-
     # a tree alone in its box region is its own hull region, and no chord
     # of another region reaches it
     alone = {ms[0] for _, ms in box_regions(instance)[0] if len(ms) == 1}
 
+    shared: list[int] = []
+    segments: list[tuple] = []
     worklist: deque = deque()
     px, py, voff, ea, eb, eoff = instance.columns
     for i in range(m):
@@ -336,13 +373,20 @@ def hull_cover_fast(
         hull = comps.hull[i] = hull_chains(pts)
         if i in alone:
             continue
+        shared.append(i)
         if eoff[i] == eoff[i + 1]:
             # a bare vertex is the zero-length segment from it to itself
-            shooter.insert_segment(pts[0], pts[0], i)
-        for e in range(eoff[i], eoff[i + 1]):
-            shooter.insert_segment(pts[ea[e]], pts[eb[e]], i)
+            segments.append((pts[0], pts[0], i))
+        segments += [(pts[ea[e]], pts[eb[e]], i) for e in range(eoff[i], eoff[i + 1])]
         worklist.extend((p, q, i) for p, q in chain_edges(*hull))
     initial_edges = len(worklist)
+    if shooter_factory is None:
+        # with no tree to shoot, a grid would only cost its setup
+        shooter_factory = (
+            BucketGridShooter.factory_for(instance, shared) if shared else NaiveRayShooter
+        )
+    shooter = shooter_factory(comps)
+    shooter.insert_segments(segments)
 
     rays_shot = 0
     merges = 0
@@ -378,14 +422,15 @@ def hull_cover_fast(
             if merges > m - 1:
                 raise InternalInvariantError("more than m - 1 merges")
 
-    roots = sorted({comps.find(i) for i in range(m)})
+    roots = sorted({comps.find(i) for i in shared})
     hulls = [chains_polygon(*comps.hull[r]) for r in roots]
     home = dict(zip(roots, (roots[h] for h in maximal_regions(hulls))))
     members: dict[int, list[int]] = {r: [] for r in roots if home[r] == r}
-    for i in range(m):
+    for i in shared:
         members[home[comps.find(i)]].append(i)
-    cover = Cover.build(
-        "hull", ((h, tuple(members[r])) for r, h in zip(roots, hulls) if home[r] == r)
-    )
+    regions = [(h, members[r]) for r, h in zip(roots, hulls) if home[r] == r]
+    # a lone tree is a maximal hull region and contains no other region
+    regions += [(chains_polygon(*comps.hull[i]), (i,)) for i in alone]
+    cover = Cover.build("hull", regions)
     return cover, HullStats(rays_shot, merges, initial_edges)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 from itertools import accumulate, chain, repeat
-from operator import add, index, itemgetter, lt
+from operator import index, itemgetter, lt
 from typing import Iterable, NamedTuple
 
 from . import _kernelpy
@@ -71,14 +71,6 @@ class Columns(NamedTuple):
     ea: tuple[int, ...]
     eb: tuple[int, ...]
     eoff: tuple[int, ...]
-
-    def edge_ends(self) -> tuple[list[int], list[int]]:
-        """The global vertex ids of every edge's two ends."""
-        voff, eoff = self.voff, self.eoff
-        base: list[int] = []
-        for t in range(len(voff) - 1):
-            base += [voff[t]] * (eoff[t + 1] - eoff[t])
-        return list(map(add, self.ea, base)), list(map(add, self.eb, base))
 
 
 class Instance:

@@ -18,6 +18,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from treecover import _kernelpy
+from treecover.boxcover import box_regions
 from treecover.geom import (
     BOUNDARY,
     _segment_intersection_set,
@@ -28,6 +29,7 @@ from treecover.geom import (
 from treecover.hullcover import (
     BucketGridShooter,
     InternalInvariantError,
+    NaiveRayShooter,
     contained_in,
     hull_cover_fast,
 )
@@ -169,8 +171,14 @@ def checked(factory) -> _CheckedFactory:
 
 def hull_cover_checked(instance, shooter_factory=None):
     """``hull_cover_fast`` with every check; the default shooter is the
-    engine's own."""
-    factory = checked(shooter_factory or BucketGridShooter.factory_for(instance))
+    engine's own: the grid over the trees that share their box region, or
+    the plain store when there are none."""
+    if shooter_factory is None:
+        shared = sorted(i for _, ms in box_regions(instance)[0] if len(ms) > 1 for i in ms)
+        shooter_factory = (
+            BucketGridShooter.factory_for(instance, shared) if shared else NaiveRayShooter
+        )
+    factory = checked(shooter_factory)
     result = hull_cover_fast(instance, shooter_factory=factory)
     factory.finish()
     return result

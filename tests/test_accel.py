@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treecover import _kernelpy
 from treecover.boxcover import (
@@ -120,6 +122,9 @@ class NoCellsShooter(BucketGridShooter):
     def _push(self, ob):
         return NaiveRayShooter._push(self, ob)
 
+    def insert_segments(self, segments):
+        NaiveRayShooter.insert_segments(self, segments)
+
 
 def test_engine_raises_when_the_grid_loses_an_obstacle():
     # two trees that share a box region, so their hull edges are shot
@@ -129,6 +134,53 @@ def test_engine_raises_when_the_grid_loses_an_obstacle():
             inst,
             shooter_factory=lambda comps: NoCellsShooter(comps, AABB(0, 0, 0, 0), (1, 1)),
         )
+
+
+@st.composite
+def grid_and_segments(draw):
+    """A grid with a corner at negative coordinates, and vertical,
+    horizontal, diagonal and zero-length segments whose ends often lie on
+    cell boundaries (the corner plus a multiple of the cell side)."""
+    x0, y0 = draw(st.integers(-40, 5)), draw(st.integers(-40, 5))
+    cw, ch = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    w, h = draw(st.integers(0, 40)), draw(st.integers(0, 40))
+
+    def coord(lo, side, span):
+        if draw(st.booleans()):
+            return lo + side * draw(st.integers(0, span // side))
+        return draw(st.integers(lo, lo + span))
+
+    segments = []
+    for owner in range(draw(st.integers(0, 12))):
+        ax, ay = coord(x0, cw, w), coord(y0, ch, h)
+        kind = draw(st.sampled_from(["vertical", "horizontal", "diagonal", "point"]))
+        bx = ax if kind in ("vertical", "point") else coord(x0, cw, w)
+        by = ay if kind in ("horizontal", "point") else coord(y0, ch, h)
+        segments.append(((ax, ay), (bx, by), owner))
+    return AABB(x0, y0, x0 + w, y0 + h), (cw, ch), segments
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_and_segments())
+def test_bulk_registration_takes_the_cells_of_each_segment(case):
+    """``insert_segments`` stores the obstacles ``insert_segment`` stores
+    one by one, and registers each in exactly the cells ``_cells`` gives
+    it, in id order within each cell."""
+    bounds, cell, segments = case
+    m = len(segments) + 1
+    bulk = BucketGridShooter(ComponentSet(m), bounds, cell)
+    bulk.insert_segments(segments)
+    single = BucketGridShooter(ComponentSet(m), bounds, cell)
+    for a, b, owner in segments:
+        single.insert_segment(a, b, owner)
+    naive = NaiveRayShooter(ComponentSet(m))
+    naive.insert_segments(segments)
+    assert bulk.obstacles == single.obstacles == naive.obstacles
+    expected = {}
+    for i, ((ax, ay), (bx, by), _) in enumerate(segments):
+        for key in bulk._cells(ax, ay, bx, by, 1):
+            expected.setdefault(key, []).append(i)
+    assert bulk.cells == expected == single.cells
 
 
 def test_grid_equal_t_hits_keep_the_lowest_id():

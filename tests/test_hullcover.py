@@ -7,7 +7,7 @@ import pytest
 
 from treecover import _kernelpy, hullcover
 from treecover.generators import generate
-from treecover.geom import ConvexPolygon, chain_edges, convex_hull, hull_chains
+from treecover.geom import AABB, ConvexPolygon, chain_edges, convex_hull, hull_chains
 from treecover.hullcover import (
     ComponentSet,
     NaiveRayShooter,
@@ -509,6 +509,63 @@ def test_lone_trees_drop_out_of_the_trace(name, monkeypatch):
         whole_stats.initial_edges - lone_edges,
     )
     assert digest(trace) == after_digest
+
+
+@pytest.mark.parametrize(
+    "name", ["mixed-0", "mixed-1", "mixed-2", "paired-strips", "paired-ladder", "strips"]
+)
+def test_only_trees_that_share_a_box_region_reach_the_grid_and_extraction(
+    name, monkeypatch
+):
+    """The default grid is built over the trees that share their box region
+    and nothing else: its bounds are their bounding box and it holds no
+    obstacle of a lone tree; with no such tree there is no grid.
+    ``maximal_regions`` gets one hull per component of those trees (an empty
+    list when there are none), and each lone tree is a region of its own."""
+    if name.startswith("mixed"):
+        inst = mixed(int(name[-1]))
+    else:
+        inst = build(name, 12, 4, seed=1)
+    grids, extracted = [], []
+    init = hullcover.BucketGridShooter.__init__
+
+    def recording_init(self, components, bounds, cell):
+        grids.append((self, bounds))
+        init(self, components, bounds, cell)
+
+    regions = hullcover.maximal_regions
+
+    def recording_regions(polygons):
+        extracted.append(list(polygons))
+        return regions(polygons)
+
+    monkeypatch.setattr(hullcover.BucketGridShooter, "__init__", recording_init)
+    monkeypatch.setattr(hullcover, "maximal_regions", recording_regions)
+    cover, stats = hull_cover_fast(inst)
+    assert cover.canonical() == naive_phi_cover(inst, HULL)[0].canonical()
+
+    lone = set(lone_trees(inst))
+    shared = [i for i in range(inst.m) if i not in lone]
+    assert bool(lone) == (name != "paired-strips" and name != "paired-ladder")
+    assert bool(shared) == (name != "strips")
+    assert len(extracted) == 1 and len(extracted[0]) == len(shared) - stats.merges
+    for i in lone:
+        hull = convex_hull(inst.trees[i].vertices)
+        assert hull not in extracted[0]
+        assert cover.membership[cover.regions.index(hull)] == (i,)
+    if not shared:
+        assert grids == []
+        return
+    [(grid, bounds)] = grids
+    xs = [x for i in shared for x, _ in inst.trees[i].vertices]
+    ys = [y for i in shared for _, y in inst.trees[i].vertices]
+    assert bounds == AABB(min(xs), min(ys), max(xs), max(ys))
+    # one obstacle per tree edge or bare vertex of the shared trees, then
+    # the rays, each owned by the root of a shared tree
+    trees = sum(max(1, len(inst.trees[i].edges)) for i in shared)
+    assert sorted({ob[6] for ob in grid.obstacles[:trees]}) == shared
+    assert not any(ob[6] in lone for ob in grid.obstacles)
+    assert {i for ids in grid.cells.values() for i in ids} == set(range(len(grid)))
 
 
 # sha256 of json.dumps(trace) for generate("arc", trees=trees), recorded
