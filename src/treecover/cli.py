@@ -10,6 +10,7 @@ non-well-defined witness found.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import json
 import sys
@@ -189,7 +190,13 @@ def cmd_render(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser. It is built on the first call and shared
+    by every later one in the process, so callers must not mutate it;
+    ``parse_args`` leaves it unchanged, and help and usage text is formatted
+    when printed. The ``cmd_*`` functions are bound at that first call: one
+    patched afterwards is not reached through the parser."""
     p = argparse.ArgumentParser(
         prog="treecover",
         description="Hull-covers and box-covers of non-crossing plane forests.",
@@ -268,11 +275,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    # a cover or validate run makes no reference cycles beyond argparse's
-    # few hundred, so the cyclic collector's passes would find nothing: it
-    # is paused, and every exit restores the caller's state
+    args = build_parser().parse_args(argv)
+    # a cover or validate run makes no reference cycles (the parser, which
+    # holds some, is built once per process), so the cyclic collector's
+    # passes would find nothing: it is paused, and every exit restores the
+    # caller's state
     enabled = gc.isenabled()
     if args.func in (cmd_cover, cmd_validate):
         gc.disable()

@@ -30,8 +30,14 @@ def generate(kind: str, trees: int = 4, size: int = 4, seed: int = 0) -> Instanc
     and tree k lifted by A * (k - m // 2)^2, A = 3 below 4000 trees and 1
     from there; one region reached through m - 1 merges, whose hull keeps
     about m / 3 vertices; size and seed are ignored, at most 17880 trees),
-    mincircle-gadget (a fixed 4-tree instance whose min-circle cover depends
-    on merge order; trees/size/seed are ignored for it).
+    cross (k = ceil(m / 2) single-edge rungs ((0, 10i), (L, 10i + 1)) beside
+    m - k columns ((2L + 10i, 0), (2L + 10i + 1, L)), L = 10k; every tree is
+    alone in its box region, but the rungs all overlap in x and the columns
+    in y), diag (m parallel single-edge diagonals ((10i, 0), (10i + L,
+    L + 1)), L = 10m; every pair of boxes overlaps, yet no two hulls meet;
+    for both, size and seed are ignored), mincircle-gadget (a fixed 4-tree
+    instance whose min-circle cover depends on merge order; trees/size/seed
+    are ignored for it).
     """
     if kind not in GENERATOR_KINDS:
         raise GenerationError(f"unknown kind {kind!r}")
@@ -49,6 +55,10 @@ def generate(kind: str, trees: int = 4, size: int = 4, seed: int = 0) -> Instanc
         inst = _gen_ladder(trees, size, seed)
     elif kind == "arc":
         inst = _gen_arc(trees)
+    elif kind == "cross":
+        inst = _gen_cross(trees)
+    elif kind == "diag":
+        inst = _gen_diag(trees)
     else:
         inst = _gen_nested(trees, size, seed)
     bad = errors_only(validate_instance(inst))
@@ -193,6 +203,24 @@ def _gen_arc(m: int) -> Instance:
     )
 
 
+def _segments(segs) -> Instance:
+    return Instance(tuple(GeometricTree((a, b), ((0, 1),)) for a, b in segs))
+
+
+def _gen_cross(m: int) -> Instance:
+    k = m - m // 2
+    length = 10 * k
+    rungs = [((0, 10 * i), (length, 10 * i + 1)) for i in range(k)]
+    x0 = 2 * length
+    columns = [((x0 + 10 * i, 0), (x0 + 10 * i + 1, length)) for i in range(m // 2)]
+    return _segments(rungs + columns)
+
+
+def _gen_diag(m: int) -> Instance:
+    length = 10 * m
+    return _segments(((10 * i, 0), (10 * i + length, length + 1)) for i in range(m))
+
+
 def _gen_mincircle_gadget() -> Instance:
     # Four single-edge trees whose min-enclosing-circle cover depends on the
     # merge order; verified by exhaustive merge-order enumeration in tests.
@@ -202,7 +230,4 @@ def _gen_mincircle_gadget() -> Instance:
         ((0, 10), (20, 10)),
         ((16, 22), (26, 22)),
     ]
-    ts = tuple(
-        GeometricTree((a, b), ((0, 1),)) for a, b in segs
-    )
-    return Instance(ts)
+    return _segments(segs)

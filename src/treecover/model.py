@@ -39,7 +39,9 @@ class GenerationError(ValueError):
 
 # the kinds of ``generators.generate``, named here so that the CLI's parser
 # does not import the generators
-GENERATOR_KINDS = ("strips", "combs", "nested", "ladder", "arc", "mincircle-gadget")
+GENERATOR_KINDS = (
+    "strips", "combs", "nested", "ladder", "arc", "cross", "diag", "mincircle-gadget"
+)
 
 
 class GeometricTree(NamedTuple):

@@ -133,7 +133,7 @@ class TestBoxCoverFast:
         assert cover.membership == ((0, 1),)
         assert stats.merges == 1
 
-    @pytest.mark.parametrize("kind", ["strips", "combs", "nested", "ladder"])
+    @pytest.mark.parametrize("kind", ["strips", "combs", "nested", "ladder", "cross", "diag"])
     def test_oracle_equivalence_by_kind(self, kind):
         for seed in range(30):
             m = 2 + seed % 5
@@ -174,7 +174,8 @@ class TestBoxCoverFast:
 
 
 SPLIT_KINDS = (
-    "strips", "combs", "nested", "ladder", "arc", "paired-strips", "paired-ladder", "mixed"
+    "strips", "combs", "nested", "ladder", "arc", "cross", "diag",
+    "paired-strips", "paired-ladder", "mixed",
 )
 
 

@@ -274,6 +274,15 @@ class TestBench:
         for kind, n, *_ in rows:
             assert 100 - {"arc": 3, "combs": 5}[kind] < int(n) <= 100, (kind, n)
 
+    def test_cross_and_diag_sized_by_two_vertices_per_tree(self, tmp_path):
+        out = tmp_path / "bench.csv"
+        assert main(
+            ["bench", "--phi", "box", "--kinds", "cross,diag", "--sizes", "41",
+             "--output", str(out)]
+        ) == 0
+        rows = [r.split(",") for r in out.read_text().strip().splitlines()[1:]]
+        assert [(r[0], r[1]) for r in rows] == [("cross", "40")] * 2 + [("diag", "40")] * 2
+
     def test_nested_sized_by_its_real_n(self, tmp_path):
         # nested rings grow with the ring count, so one ring's vertex count
         # (8) would build n = 400 for a target of 200
@@ -466,6 +475,69 @@ def test_main_leaves_the_collector_as_it_found_it(
         (gc.enable if was_enabled else gc.disable)()
     # the engine ran with the collector paused, whatever the caller's state
     assert paused == [True, True]
+
+
+def test_parser_is_built_on_the_first_main_call_only(segment):
+    # importing the CLI builds no parser; the first main call builds it,
+    # and every later call, and build_parser itself, reuse that object
+    code = f"""
+import argparse
+built = []
+init = argparse.ArgumentParser.__init__
+def counting_init(self, *args, **kwargs):
+    if kwargs.get("prog") == "treecover":
+        built.append(self)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting_init
+import treecover.cli as cli
+print(len(built))
+codes = [cli.main(["validate", "--input", {segment!r}]) for _ in range(3)]
+print(codes, len(built), cli.build_parser() is built[0])
+"""
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True,
+        env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["0", "[0, 0, 0] 1 True"]
+
+
+def test_shared_parser_runs_like_a_fresh_one(inst_d, crossing, tmp_path, monkeypatch, capsys):
+    """A sequence of commands gives the same exit codes, messages and
+    files, byte for byte, on repeated runs with the shared parser as with a
+    new parser for every call."""
+    out, stats = tmp_path / "cover.json", tmp_path / "stats.json"
+    cover = ["cover", "--input", inst_d, "--output", str(out)]
+    sequence = [
+        cover + ["--phi", "cone"],
+        ["validate", "--input", crossing],
+        cover + ["--phi", "hull"],
+        cover + ["--phi", "box", "--stats", str(stats)],
+        ["--help"],
+        cover + ["--phi", "hull", "--emit-trace"],
+    ]
+
+    def run_sequence():
+        out.unlink(missing_ok=True)
+        stats.unlink(missing_ok=True)
+        results = []
+        for argv in sequence:
+            try:
+                code = main(argv)
+            except SystemExit as e:
+                code = e.code
+            files = [p.read_bytes() if p.exists() else None for p in (out, stats)]
+            results.append((code, capsys.readouterr(), files))
+        return results
+
+    shared = cli.build_parser()
+    runs = [run_sequence(), run_sequence()]
+    assert cli.build_parser() is shared
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    runs += [run_sequence(), run_sequence()]
+    assert [code for code, _, _ in runs[0]] == [2, 3, 0, 0, 0, 0]
+    assert runs[0][-1][2][0] != runs[0][2][2][0]  # the trace is in the file
+    assert runs[1:] == runs[:1] * 3
 
 
 def test_module_entrypoint_runs():

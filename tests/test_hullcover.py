@@ -295,7 +295,7 @@ class TestHullCoverFast:
         for t in trace:
             assert set(t) == {"from", "to", "merge"}
 
-    @pytest.mark.parametrize("kind", ["strips", "combs", "nested", "ladder"])
+    @pytest.mark.parametrize("kind", ["strips", "combs", "nested", "ladder", "cross", "diag"])
     def test_oracle_equivalence_by_kind(self, kind):
         for seed in range(30):
             m = 2 + seed % 5
@@ -366,7 +366,10 @@ class RecordingShooter(NaiveRayShooter):
 
 @pytest.mark.parametrize(
     "kind",
-    ["strips", "combs", "nested", "ladder", "arc", "paired-strips", "paired-ladder", "mixed"],
+    [
+        "strips", "combs", "nested", "ladder", "arc", "cross", "diag",
+        "paired-strips", "paired-ladder", "mixed",
+    ],
 )
 def test_every_live_hull_edge_is_shot_exactly_once(kind):
     """Trees that share their box region shoot each edge of their live

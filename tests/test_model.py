@@ -119,7 +119,9 @@ class TestRoundTrip:
         inst = generate("strips", trees=3, size=4, seed=seed)
         assert parse_instance(serialize_instance(inst)) == inst
 
-    @pytest.mark.parametrize("kind", ["strips", "combs", "nested", "ladder", "arc"])
+    @pytest.mark.parametrize(
+        "kind", ["strips", "combs", "nested", "ladder", "arc", "cross", "diag"]
+    )
     def test_instance_from_trees_matches_the_parsed_one(self, kind):
         # the parser builds columns and the generators trees; each builds
         # the other on demand, and both must read alike
@@ -272,6 +274,20 @@ class TestGenerate:
     @pytest.mark.parametrize("m", [1, 2, 3, 12, 101, 3999, 4000, ARC_MAX_TREES])
     def test_arc_is_validator_clean(self, m):
         assert errors_only(validate_instance(generate("arc", trees=m))) == []
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 7, 40])
+    def test_cross_and_diag_follow_their_definitions(self, m):
+        k = m - m // 2
+        rungs = [((0, 10 * i), (10 * k, 10 * i + 1)) for i in range(k)]
+        columns = [((20 * k + 10 * i, 0), (20 * k + 10 * i + 1, 10 * k)) for i in range(m // 2)]
+        diagonals = [((10 * i, 0), (10 * i + 10 * m, 10 * m + 1)) for i in range(m)]
+        for kind, segs in (("cross", rungs + columns), ("diag", diagonals)):
+            inst = generate(kind, trees=m)
+            assert [t.vertices for t in inst.trees] == segs
+            assert all(t.edges == ((0, 1),) for t in inst.trees)
+            # size and seed are ignored
+            assert generate(kind, trees=m, size=7, seed=5) == inst
+            assert errors_only(validate_instance(inst)) == []
 
     def test_arc_tree_count_is_capped(self):
         with pytest.raises(GenerationError):
