@@ -55,28 +55,28 @@ def _bench_one(inst, phi_name: str, algo: str):
 def _bench_instance(kind: str, n_target: int, seed: int):
     """The instance of ``kind`` with the most trees m >= 2 whose n is at most
     n_target (m = 2 when none is). Its n / m never falls as m grows, so an m
-    that fits bounds the answer by n_target * m // n; m doubles towards that
-    bound, and the last step is bisected. An m above the kind's tree cap
-    (``GenerationError``) counts as too large."""
+    that fits bounds the answer by n_target * m // n, a bound that fits
+    whenever n / m is constant. From each m that fits, m doubles, or goes to
+    that bound once it lies within a doubling; from an m that does not, the
+    search bisects. An m above the kind's tree cap (``GenerationError``)
+    does not fit."""
     from .generators import generate
 
-    def make(m):
-        return generate(kind, trees=m, size=5, seed=seed)
-
-    lo, best = 2, make(2)
+    lo, best = 2, generate(kind, trees=2, size=5, seed=seed)
     hi = n_target * lo // best.n + 1  # no m >= hi fits
+    mid = min(2 * lo, hi - 1)
     while hi - lo > 1:
-        mid = min(2 * lo, (lo + hi) // 2)
         try:
-            inst = make(mid)
+            inst = generate(kind, trees=mid, size=5, seed=seed)
         except GenerationError:
-            hi = mid
-            continue
-        if inst.n <= n_target:
+            inst = None
+        if inst is not None and inst.n <= n_target:
             lo, best = mid, inst
             hi = min(hi, n_target * mid // inst.n + 1)
+            mid = min(2 * lo, hi - 1)
         else:
             hi = mid
+            mid = (lo + hi) // 2
     return best
 
 

@@ -1,11 +1,12 @@
 """Fast box-cover engine.
 
-Processes trees in input order against a dynamic index of stored box
-boundaries: the tree's bounding box is queried, every stored box whose
-boundary meets the closed query rectangle is deleted and folded into it, and
-the grown rectangle is re-queried until nothing is found, then inserted.
-The stored boxes end up pairwise boundary-disjoint (possibly nested); the
-outermost ones form the cover.
+Processes trees in input order against a dynamic index of stored boxes:
+the tree's bounding box is queried, every stored box meeting the closed
+query rectangle (boundary, interior or container) is deleted and folded
+into it, and the grown rectangle is re-queried until nothing is found, then
+inserted. The stored boxes stay pairwise disjoint, so when the input is
+processed the store is the cover itself. A query whose one hit contains it
+is not repeated: in a disjoint store that box meets no other.
 
 The range index is pluggable. The default, `BucketGridRangeIndex`, keys
 each stored box to a grid shaped by the box itself, so a query looks only at
@@ -25,21 +26,14 @@ class DuplicateBoxIdError(ValueError):
     pass
 
 
-def boundary_intersects_rect(box: AABB, rect: AABB) -> bool:
-    """True iff some boundary segment of ``box`` meets the closed ``rect``;
-    equivalently the boxes intersect and the rect is not strictly inside."""
-    return boxes_intersect(box, rect) and not box.strictly_contains_box(rect)
-
-
 class LinearSegmentRangeIndex:
-    """Baseline axis-aligned segment range index: linear scan per query.
+    """Baseline box range index: linear scan per query.
 
-    Registers each box's boundary segments under its id and answers closed
-    rectangle queries with the ids having at least one boundary segment in
-    the rectangle. Each id is inserted at most once (``inserted`` holds
-    every id ever inserted; a second insert raises ``DuplicateBoxIdError``)
-    and deleted at most once (a delete of an id not stored raises
-    ``KeyError``).
+    Stores each box under its id and answers a closed rectangle query with
+    the ids of the stored boxes meeting the rectangle, a box containing it
+    included. Each id is inserted at most once (``inserted`` holds every id
+    ever inserted; a second insert raises ``DuplicateBoxIdError``) and
+    deleted at most once (a delete of an id not stored raises ``KeyError``).
 
     Subclasses narrow the scan through three hooks: ``_register`` and
     ``_unregister`` follow every insert and delete, and ``_candidates``
@@ -65,9 +59,7 @@ class LinearSegmentRangeIndex:
 
     def query(self, rect: AABB) -> set[int]:
         boxes = self.boxes
-        return {
-            i for i in self._candidates(rect) if boundary_intersects_rect(boxes[i], rect)
-        }
+        return {i for i in self._candidates(rect) if boxes_intersect(boxes[i], rect)}
 
     def _register(self, box_id: int, box: AABB) -> None:
         pass
@@ -92,9 +84,10 @@ class BucketGridRangeIndex(LinearSegmentRangeIndex):
     2^a x 2^b integer rectangles keyed ``(x >> a, y >> b)``. As 2^a > w and
     2^b > h, a box meets at most 2 x 2 cells of its grid. A stored box and a
     query rectangle that share a point share that point's cell in the box's
-    grid, so the boxes in the rectangle's cells include every box it meets;
-    ``query`` confirms each of them exactly. Per grid, a query visits the
-    rectangle's cells or the grid's occupied cells, whichever are fewer.
+    grid, so the boxes in the rectangle's cells include every box it meets,
+    a box containing it included; ``query`` confirms each of them exactly.
+    Per grid, a query visits the rectangle's cells or the grid's occupied
+    cells, whichever are fewer.
 
     While the store holds at most ``SMALL_STORE`` boxes it is scanned whole;
     boxes wait in ``pending`` and are placed when it outgrows that, so a
@@ -169,7 +162,8 @@ class BoxStats(NamedTuple):
 def maximal_boxes(boxes: list[AABB]) -> list[int]:
     """For each box, the index of the outermost box containing it (its own
     index when it is maximal); containment is strict interval inclusion on
-    both axes (boxes are boundary-disjoint)."""
+    both axes (boxes are boundary-disjoint). The engine does not need it:
+    its boxes end pairwise disjoint."""
     return outermost(
         boxes, boxes, lambda inner, outer: outer.strictly_contains_box(inner)
     )
@@ -185,7 +179,7 @@ def box_regions(instance: Instance, index_factory=BucketGridRangeIndex):
     """
     index = index_factory()
     # stored box id, the index of the tree whose query stored it ->
-    # (the box, its member trees)
+    # (the box, its member trees); the stored boxes are pairwise disjoint
     store: dict[int, tuple[AABB, list[int]]] = {}
     queries = 0
     merges = 0
@@ -215,16 +209,14 @@ def box_regions(instance: Instance, index_factory=BucketGridRangeIndex):
             if not grown.contains_box(q):
                 raise AssertionError("query box shrank")
             q = grown
+            if len(hits) == 1 and grown == box:
+                # the one hit contains the query and, in a disjoint store,
+                # meets no other box: a re-query would find nothing
+                break
         index.insert_box(i, q)
         store[i] = (q, members)
 
-    ids = sorted(store)
-    boxes = [store[k][0] for k in ids]
-    home = maximal_boxes(boxes)
-    groups: dict[int, list[int]] = {i: [] for i, h in enumerate(home) if h == i}
-    for k, h in zip(ids, home):
-        groups[h].extend(store[k][1])
-    return [(boxes[i], ms) for i, ms in groups.items()], BoxStats(queries, merges)
+    return list(store.values()), BoxStats(queries, merges)
 
 
 def box_cover_fast(instance: Instance, index_factory=BucketGridRangeIndex):

@@ -148,11 +148,19 @@ def mixed(seed=0, combs=6, strips=6):
     return Instance(tuple(left) + tuple(moved))
 
 
+def reversed_trees(inst):
+    """The instance with its trees in reverse order."""
+    return Instance(inst.trees[::-1])
+
+
 def build(kind, trees, size=5, seed=0):
     """``generate(kind, trees, size, seed)`` for the generator kinds; for
     "paired-strips" and "paired-ladder", ``paired`` with ``trees // 2``
     pairs (at least one); for "mixed", ``mixed`` with about half the trees
-    on each side."""
+    on each side; for "reversed-" and a kind, that kind's instance with its
+    trees in reverse order."""
+    if kind.startswith("reversed-"):
+        return reversed_trees(build(kind[len("reversed-") :], trees, size, seed))
     if kind.startswith("paired-"):
         return paired(kind[len("paired-") :], max(1, trees // 2), size, seed)
     if kind == "mixed":

@@ -5,18 +5,17 @@ from hypothesis import strategies as st
 from treecover.boxcover import (
     DuplicateBoxIdError,
     LinearSegmentRangeIndex,
-    boundary_intersects_rect,
     box_cover_fast,
     box_regions,
     maximal_boxes,
 )
 from treecover.generators import generate
 from treecover.geom import AABB
-from treecover.model import Cover, Instance
+from treecover.model import GENERATOR_KINDS, Cover, Instance
 from treecover.phicover import PHI, naive_phi_cover
 
 from box_checks import CountingRangeIndex, assert_inserted_and_deleted_at_most_once
-from instances import INSTANCE_A, INSTANCE_B, INSTANCE_E, build, tree
+from instances import INSTANCE_A, INSTANCE_B, INSTANCE_E, build, reversed_trees, tree
 
 BOX = PHI["box"]
 
@@ -27,8 +26,8 @@ class TestRangeIndex:
         idx.insert_box(0, AABB(0, 0, 10, 10))
         # rectangle overlapping the boundary
         assert idx.query(AABB(8, 8, 12, 12)) == {0}
-        # rectangle strictly inside: no boundary segments in it
-        assert idx.query(AABB(3, 3, 4, 4)) == set()
+        # rectangle strictly inside: the box contains it, so it meets it
+        assert idx.query(AABB(3, 3, 4, 4)) == {0}
         # rectangle containing the whole box: its segments are inside
         assert idx.query(AABB(-5, -5, 15, 15)) == {0}
         # touching counts (closed semantics)
@@ -61,17 +60,6 @@ class TestRangeIndex:
         idx = LinearSegmentRangeIndex()
         with pytest.raises(KeyError):
             idx.delete_box(7)
-
-
-class TestBoundaryIntersectsRect:
-    def test_cases(self):
-        box = AABB(0, 0, 10, 10)
-        assert boundary_intersects_rect(box, AABB(9, 9, 11, 11))
-        assert boundary_intersects_rect(box, AABB(-1, -1, 11, 11))
-        assert not boundary_intersects_rect(box, AABB(1, 1, 9, 9))
-        assert not boundary_intersects_rect(box, AABB(20, 0, 21, 1))
-        # rect touching boundary from inside counts
-        assert boundary_intersects_rect(box, AABB(0, 1, 5, 5))
 
 
 class TestMaximalBoxes:
@@ -116,11 +104,13 @@ class TestBoxCoverFast:
         oracle, _ = naive_phi_cover(INSTANCE_B, BOX)
         assert cover.canonical() == oracle.canonical()
 
-    def test_nested_point_box_persists_until_extraction(self):
+    def test_nested_point_box_joins_its_container(self):
         cover, stats = box_cover_fast(INSTANCE_A)
         assert cover.regions == (AABB(0, 0, 10, 10),)
         assert cover.membership == ((0, 1),)
-        assert stats.merges == 0  # the point box nests, never found by query
+        # the point's query finds the square that contains it and stops
+        assert stats.merges == 1
+        assert stats.queries == 2
         oracle, _ = naive_phi_cover(INSTANCE_A, BOX)
         assert cover.canonical() == oracle.canonical()
 
@@ -139,9 +129,37 @@ class TestBoxCoverFast:
             m = 2 + seed % 5
             size = 3 + seed % 5
             inst = generate(kind, trees=m, size=size, seed=seed)
-            cover, stats = box_cover_fast(inst)
-            oracle, _ = naive_phi_cover(inst, BOX)
-            assert cover.canonical() == oracle.canonical(), (kind, seed)
+            for order in (inst, reversed_trees(inst)):
+                cover, stats = box_cover_fast(order)
+                oracle, _ = naive_phi_cover(order, BOX)
+                assert cover.canonical() == oracle.canonical(), (kind, seed)
+
+    @pytest.mark.parametrize("kind", GENERATOR_KINDS)
+    def test_merges_count_the_absorbed_trees(self, kind):
+        # every absorb joins two disjoint stored boxes' trees, nested ones
+        # included, so the merges are those of the naive fixpoint
+        for seed in range(5):
+            inst = generate(kind, trees=2 + 2 * seed, size=4, seed=seed)
+            for order in (inst, reversed_trees(inst)):
+                cover, stats = box_cover_fast(order)
+                _, forest = naive_phi_cover(order, BOX)
+                merges = order.m - len(cover.regions)
+                assert stats.merges == merges == len(forest.script()), (kind, seed)
+
+    def test_query_stops_at_a_container(self):
+        # k unit segments in a row, then an L whose box lies above them,
+        # then k points in the L's box: each point's one hit contains it,
+        # so its query is not repeated with the L's box
+        k = 200
+        segments = [tree([(10 * i, 0), (10 * i + 1, 1)]) for i in range(k)]
+        ell = tree([(10 * k, 10), (0, 10), (0, 10 + 10 * k)])
+        points = [tree([(10 * i + 5, 20 + 10 * i)]) for i in range(k)]
+        inst = Instance(tuple(segments + [ell] + points))
+        cover, stats = box_cover_fast(inst)
+        assert stats.queries == inst.m
+        assert stats.merges == k
+        assert len(cover.regions) == k + 1
+        assert (k, *range(k + 1, 2 * k + 1)) in cover.membership
 
     def test_input_order_invariance(self):
         inst = generate("combs", trees=6, size=4, seed=11)

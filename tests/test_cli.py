@@ -303,6 +303,22 @@ class TestBench:
         monkeypatch.setattr(generators, "ARC_MAX_TREES", 40)
         assert bench._bench_instance("arc", 1000, 0).m == 40
 
+    def test_constant_ratio_kind_sized_without_bisection(self, monkeypatch):
+        # combs has n = 5m: from m = 512 the bound is the answer, m = 800,
+        # which is generated once, right after the doublings
+        from treecover import bench, generators
+
+        calls = []
+        generate = generators.generate
+
+        def counting(kind, trees, size, seed):
+            calls.append(trees)
+            return generate(kind, trees=trees, size=size, seed=seed)
+
+        monkeypatch.setattr(generators, "generate", counting)
+        assert bench._bench_instance("combs", 4000, 0).m == 800
+        assert calls == [2, 4, 8, 16, 32, 64, 128, 256, 512, 800]
+
     def test_non_integer_sizes_usage_error(self, tmp_path, capsys):
         argv = ["bench", "--phi", "hull", "--kinds", "combs", "--sizes", "10,x",
                 "--output", str(tmp_path / "bench.csv")]

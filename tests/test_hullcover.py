@@ -35,6 +35,7 @@ from instances import (
     build,
     lone_trees,
     mixed,
+    reversed_trees,
     tree,
 )
 
@@ -301,10 +302,11 @@ class TestHullCoverFast:
             m = 2 + seed % 5
             size = 3 + seed % 5
             inst = generate(kind, trees=m, size=size, seed=seed)
-            cover, stats = hull_cover_fast(inst)
-            oracle, _ = naive_phi_cover(inst, HULL)
-            assert cover.canonical() == oracle.canonical(), (kind, seed)
-            assert_budget(inst, stats)
+            for order in (inst, reversed_trees(inst)):
+                cover, stats = hull_cover_fast(order)
+                oracle, _ = naive_phi_cover(order, HULL)
+                assert cover.canonical() == oracle.canonical(), (kind, seed)
+                assert_budget(order, stats)
 
     @pytest.mark.parametrize("m", range(1, 13))
     def test_arc_matches_oracle(self, m):

@@ -12,8 +12,10 @@ or ``merge_convex_hulls`` at import, or a range index or shooter that
 overrode one of those methods, would bypass the patch, and the tracer's
 ``kernel.*``, ``box.*``, ``hull.shots`` and ``hull.merge*`` metrics would
 read zero without any error. The same holds for the extraction and output
-names it patches: ``maximal_regions`` and ``contained_in`` on ``hullcover``,
-``maximal_boxes`` on ``boxcover`` and ``Cover.build`` on ``model``.
+names it patches: ``maximal_regions`` and ``contained_in`` on ``hullcover``
+and ``Cover.build`` on ``model``. It also patches ``maximal_boxes`` on
+``boxcover``, which no cover run reaches: the box engine's boxes end
+pairwise disjoint, with nothing left to extract.
 """
 
 import json
@@ -127,11 +129,10 @@ def test_cli_hull_cover_merges_through_the_patched_hull_merge(monkeypatch, tmp_p
         # INSTANCE_A's point lies in its square's hull, so extraction tests
         # containment
         (hullcover, "contained_in", "hull"),
-        (boxcover, "maximal_boxes", "box"),
         (model.Cover, "build", "hull"),
         (model.Cover, "build", "box"),
     ],
-    ids=["maximal_regions", "contained_in", "maximal_boxes", "hull-Cover.build", "box-Cover.build"],
+    ids=["maximal_regions", "contained_in", "hull-Cover.build", "box-Cover.build"],
 )
 def test_cli_cover_reaches_the_patched_extraction(owner, name, phi, monkeypatch, tmp_path):
     calls = [0]

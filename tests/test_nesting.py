@@ -11,15 +11,16 @@ import random
 import pytest
 
 from treecover import geom
-from treecover.boxcover import (
-    LinearSegmentRangeIndex,
-    box_cover_fast,
-    maximal_boxes,
-)
+from treecover.boxcover import box_cover_fast, maximal_boxes
 from treecover.cli import main
 from treecover.generators import generate
 from treecover.geom import AABB, ConvexPolygon, convex_hull, sweep_along_y
-from treecover.hullcover import contained_in, hull_cover_fast, maximal_regions
+from treecover.hullcover import (
+    NaiveRayShooter,
+    contained_in,
+    hull_cover_fast,
+    maximal_regions,
+)
 from treecover.model import (
     GeometricTree,
     Instance,
@@ -251,26 +252,33 @@ def test_equal_bounding_boxes_raise():
             maximal_regions([diamond, square] + [ConvexPolygon(b.corners()) for b in extra])
 
 
-def test_cli_reports_region_in_two_outermost_boxes_as_internal_error(
+def test_cli_reports_region_in_two_outermost_hulls_as_internal_error(
     tmp_path, monkeypatch, capsys
 ):
-    # an index that never reports a hit leaves the overlapping boxes of the
-    # two diagonals unmerged, both around the point tree
+    # a shooter that stops every ray on an own obstacle and never merges
+    # leaves the overlapping hulls of the two paths apart, both around the
+    # point tree
     inst = Instance(
         (
-            GeometricTree(((0, 0), (10, 10)), ((0, 1),)),
-            GeometricTree(((5, -5), (15, 5)), ((0, 1),)),
-            GeometricTree(((7, 2),), ()),
+            GeometricTree(((0, 0), (100, 0), (100, 100)), ((0, 1), (1, 2))),
+            GeometricTree(((20, 10), (20, 200), (200, 200)), ((0, 1), (1, 2))),
+            GeometricTree(((80, 76),), ()),
         )
     )
     assert errors_only(validate_instance(inst)) == []
     inp = tmp_path / "in.json"
     inp.write_text(serialize_instance(inst))
-    monkeypatch.setattr(LinearSegmentRangeIndex, "query", lambda self, rect: set())
+
+    def own_hit(self, origin, through, own_root):
+        return (0, 1, 1), None
+
+    monkeypatch.setattr(NaiveRayShooter, "shoot_from", own_hit)
     out = tmp_path / "c.json"
-    argv = ["cover", "--phi", "box", "--input", str(inp), "--output", str(out)]
+    argv = ["cover", "--phi", "hull", "--input", str(inp), "--output", str(out)]
     assert main(argv) == 1
-    assert "internal invariant breach" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "internal invariant breach" in err
+    assert "lies in 2 outermost regions" in err
 
 
 def test_sixty_nested_rings_fold_into_one_region():

@@ -9,6 +9,11 @@ so it shoots nothing and queues nothing (they were rays_shot =
 initial_edges = 51, 49, 49, 51, 50 for strips and 46, 47, 53, 47, 49 for
 ladder, seeds 0-4). The paired rows, whose trees share their box regions
 two by two, were computed before that split and did not change with it.
+
+The reversed-nested row stores the outermost ring first, so every inner
+ring's query finds the box that contains it: one query and one merge per
+ring after the first. Before the box engine's query reported containers, the
+inner rings' boxes nested unseen and the row read (12, 0).
 """
 
 import pytest
@@ -51,6 +56,7 @@ GOLDEN = {
     ("paired-ladder", 2): ((49, 0, 49), (18, 6)),
     ("paired-ladder", 3): ((48, 0, 48), (18, 6)),
     ("paired-ladder", 4): ((44, 0, 44), (18, 6)),
+    ("reversed-nested", 0): ((96, 0, 96), (12, 11)),
 }
 
 
