@@ -1,12 +1,13 @@
 """Fast hull-cover engine.
 
 Builds the hull-cover by shooting a ray along every hull edge of every live
-component: a ray blocked by a foreign component proves the two hulls overlap
-(they get unioned and the merged hull's edges are enqueued), and every shot
-ray is permanently inserted as an obstacle owned by the shooter, so later
-rays stop at it and discover the overlap from the other side. When the
-worklist drains the live hulls are pairwise disjoint or strictly nested; the
-maximal ones form the cover. Obstacles are of one kind, a ray from an integer
+component, except those that their own tree's edges cover (below): a ray
+blocked by a foreign component proves the two hulls overlap (they get
+unioned and the merged hull's edges are enqueued), and every shot ray is
+permanently inserted as an obstacle owned by the shooter, so later rays stop
+at it and discover the overlap from the other side. When the worklist drains
+the live hulls are pairwise disjoint or strictly nested; the maximal ones
+form the cover. Obstacles are of one kind, a ray from an integer
 point that stops at a rational parameter: a tree edge stops at t = 1.
 
 The box-cover splits the problem first (``boxcover.box_regions``). Every
@@ -22,7 +23,27 @@ the default grid is sized to them (no grid at all when there are none), their
 edges and bare vertices enter the shooter in one ``insert_segments`` call,
 and ``maximal_regions`` sees only their components' hulls. So ``rays_shot``
 and a trace count only the shots of those trees, and ``initial_edges`` is the
-length of the worklist before the first shot, their hull edges.
+length of the worklist before the first shot: their hull edges less those
+that their own tree covers.
+
+A hull edge (p, q) of a tree T whose segment [p, q] is covered by T's own
+edges (one edge, or a run of collinear edges; ``tree_covers``) is never
+queued, because its shot never merges and its ray changes nothing:
+- no edge or vertex of another tree touches [p, q], since the validator
+  rejects every contact between trees;
+- a ray shot by another component while T was foreign to it stops at its
+  nearest foreign hit, so it reaches [p, q] only if it stops there, and it
+  then hits an edge of T. Ties go to the lowest id, and every tree edge has
+  a lower id than every ray, so that ray merged into T's component. Every
+  obstacle that meets [p, q] is thus own to T, and a shot along (p, q)
+  finds no foreign hit;
+- that shot's ray would stop at its first own hit, so it would lie in
+  [p, q], where T's edges already block the same points for the same owner
+  with lower ids. Leaving it out changes no later hit parameter or owner.
+A merge never adds an edge of either input hull, and an edge of a merged
+hull whose ends lie in one tree is an edge of that tree's hull (vertices are
+globally distinct). So only initial edges can be covered, and the test runs
+once per tree at set-up: each tree vertex is walked at most twice.
 
 The ray shooter is pluggable. Every engine shot runs along an edge (p, q)
 of the shooter's own hull, and q is an obstacle of the shooter's own
@@ -347,6 +368,29 @@ def maximal_regions(polygons: list[ConvexPolygon]) -> list[int]:
     return outermost(polygons, [p.bbox() for p in polygons], contained_in)
 
 
+def tree_covers(nbrs: dict, p, q) -> bool:
+    """Whether the tree whose vertices' neighbours ``nbrs`` maps covers the
+    segment [p, q] with its own edges: one edge, or a run of collinear edges
+    walked from p, each step to the neighbour that points at q.
+
+    Precondition: (p, q) is an edge of the tree's hull, whose chains turn
+    strictly, so every tree vertex on the line pq lies in [p, q] and no step
+    overshoots q; at most one edge of a non-crossing tree leaves a vertex in
+    a given direction."""
+    dx, dy = q[0] - p[0], q[1] - p[1]
+    cur = p
+    while cur != q:
+        cx, cy = cur
+        for nx, ny in nbrs[cur]:
+            ex, ey = nx - cx, ny - cy
+            if dx * ey == dy * ex and dx * ex + dy * ey > 0:
+                cur = nx, ny
+                break
+        else:
+            return False
+    return True
+
+
 def hull_cover_fast(
     instance: Instance,
     shooter_factory=None,
@@ -377,8 +421,17 @@ def hull_cover_fast(
         if eoff[i] == eoff[i + 1]:
             # a bare vertex is the zero-length segment from it to itself
             segments.append((pts[0], pts[0], i))
-        segments += [(pts[ea[e]], pts[eb[e]], i) for e in range(eoff[i], eoff[i + 1])]
-        worklist.extend((p, q, i) for p, q in chain_edges(*hull))
+            continue
+        nbrs: dict = {}
+        for e in range(eoff[i], eoff[i + 1]):
+            a, b = pts[ea[e]], pts[eb[e]]
+            segments.append((a, b, i))
+            nbrs.setdefault(a, []).append(b)
+            nbrs.setdefault(b, []).append(a)
+        # a shot along a run of the tree's own edges never merges
+        worklist.extend(
+            (p, q, i) for p, q in chain_edges(*hull) if not tree_covers(nbrs, p, q)
+        )
     initial_edges = len(worklist)
     if shooter_factory is None:
         # with no tree to shoot, a grid would only cost its setup

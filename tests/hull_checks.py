@@ -12,6 +12,9 @@ that the live hulls are pairwise weakly disjoint or nested. ``finish()`` also
 checks that the final hulls are nested or disjoint. ``hull_cover_checked``
 runs an engine through all of it. A failed check raises
 ``InternalInvariantError``.
+
+``covered_hull_edges`` is the oracle for the engine's ``tree_covers``: it
+finds the covered hull edges by interval union, not by walking the tree.
 """
 
 from fractions import Fraction
@@ -22,7 +25,9 @@ from treecover.boxcover import box_regions
 from treecover.geom import (
     BOUNDARY,
     _segment_intersection_set,
+    chain_edges,
     chains_polygon,
+    hull_chains,
     point_in_convex_polygon,
     polygons_intersect,
 )
@@ -98,6 +103,30 @@ def assert_nested_or_disjoint(hulls):
     for p, q in combinations(hulls, 2):
         if polygons_intersect(p, q) and not (contained_in(p, q) or contained_in(q, p)):
             raise InternalInvariantError("final live hulls overlap without nesting")
+
+
+def covered_hull_edges(instance) -> set:
+    """The directed edges (p, q) of the trees' own hulls whose segment
+    [p, q] is the union of that tree's edges on the line pq: each such edge
+    is an interval of the parameter dot(v - p, q - p), and the sorted
+    intervals must reach from 0 to |q - p|^2 without a gap."""
+    covered = set()
+    for t in instance.trees:
+        for p, q in chain_edges(*hull_chains(t.vertices)):
+            dx, dy = q[0] - p[0], q[1] - p[1]
+            spans = []
+            for a, b in t.edges:
+                ends = [t.vertices[a], t.vertices[b]]
+                if all(dx * (y - p[1]) == dy * (x - p[0]) for x, y in ends):
+                    spans.append(sorted(dx * (x - p[0]) + dy * (y - p[1]) for x, y in ends))
+            reach = 0
+            for lo, hi in sorted(spans):
+                if lo > reach:
+                    break
+                reach = max(reach, hi)
+            if reach >= dx * dx + dy * dy:
+                covered.add((p, q))
+    return covered
 
 
 class _Checker:

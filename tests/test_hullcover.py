@@ -7,7 +7,14 @@ import pytest
 
 from treecover import _kernelpy, hullcover
 from treecover.generators import generate
-from treecover.geom import AABB, ConvexPolygon, chain_edges, convex_hull, hull_chains
+from treecover.geom import (
+    AABB,
+    ConvexPolygon,
+    chain_edges,
+    convex_hull,
+    hull_chains,
+    orient,
+)
 from treecover.hullcover import (
     ComponentSet,
     NaiveRayShooter,
@@ -24,6 +31,7 @@ from hull_checks import (
     assert_live_weak_disjointness,
     assert_nested_or_disjoint,
     boundary_intersection_points,
+    covered_hull_edges,
     hull_cover_checked,
     weakly_disjoint,
 )
@@ -230,13 +238,13 @@ class TestHullCoverFast:
         assert stats == (0, 0, 0)
         oracle, _ = naive_phi_cover(INSTANCE_B, HULL)
         assert cover.canonical() == oracle.canonical()
-        # two segments whose boxes meet but whose hulls do not
+        # two segments whose boxes meet but whose hulls do not: each
+        # degenerate hull's two directed edges run along the tree's own
+        # edge, so neither is queued (before that skip: 4 shots, 4 queued)
         inst = Instance((tree([(0, 0), (4, 2)]), tree([(3, -1), (5, 1)])))
         cover, stats = hull_cover_fast(inst)
         assert len(cover.regions) == 2
-        assert stats.merges == 0
-        assert stats.rays_shot == 4  # two per degenerate segment hull
-        assert stats.initial_edges == 4
+        assert stats == (0, 0, 0)
         oracle, _ = naive_phi_cover(inst, HULL)
         assert cover.canonical() == oracle.canonical()
 
@@ -352,9 +360,122 @@ class TestHullCoverFast:
         assert cover.canonical() == oracle.canonical()
 
 
+def neighbours(t):
+    """The ``nbrs`` map of a tree that ``hullcover.tree_covers`` reads."""
+    nbrs = {}
+    for a, b in t.edges:
+        p, q = t.vertices[a], t.vertices[b]
+        nbrs.setdefault(p, []).append(q)
+        nbrs.setdefault(q, []).append(p)
+    return nbrs
+
+
+# a triangle path (0, 0) - (4, 0) - (6, 0) - (10, 0) whose base has a gap
+# between (4, 0) and (6, 0), bridged through the apex (5, 5); a foreign
+# segment crosses the base in the gap, so the base's shot is the only one
+# that finds the overlap
+GAP = tree(
+    [(0, 0), (4, 0), (5, 5), (6, 0), (10, 0)], [(0, 1), (1, 2), (2, 3), (3, 4)]
+)
+GAP_CROSSING = tree([(5, -3), (5, 1)])
+
+
+class TestTreeCovers:
+    """``tree_covers`` against its oracle ``covered_hull_edges``, and the
+    engine's worklist: each tree shares its box region with a point inside
+    its hull, so its uncovered hull edges are queued and shot."""
+
+    def run(self, t, uncovered):
+        inst = Instance((t, tree([(3, 1)])))
+        covered = covered_hull_edges(inst)
+        nbrs = neighbours(t)
+        edges = chain_edges(*hull_chains(t.vertices))
+        assert {e for e in edges if hullcover.tree_covers(nbrs, *e)} == covered
+        assert [e for e in edges if e not in covered] == uncovered
+        cover, stats, shooter = recorded_run(inst)
+        assert [shot[0] for shot in shooter.shots] == uncovered
+        assert stats == (len(uncovered), 0, len(uncovered))
+        assert cover.canonical() == naive_phi_cover(inst, HULL)[0].canonical()
+
+    def test_tree_edge_is_skipped(self):
+        self.run(tree([(0, 0), (10, 0), (10, 10)]), [((10, 10), (0, 0))])
+
+    def test_run_of_collinear_edges_is_skipped(self):
+        t = tree([(0, 0), (3, 0), (7, 0), (10, 0), (10, 10)])
+        self.run(t, [((10, 10), (0, 0))])
+        # the same run, its middle vertex reached last
+        edges = [(0, 1), (2, 4), (2, 3), (1, 4)]
+        t = tree([(0, 0), (3, 0), (10, 0), (10, 10), (7, 0)], edges)
+        self.run(t, [((10, 10), (0, 0))])
+
+    def test_degenerate_segment_hull_drops_both_directions(self):
+        path = tree([(0, 0), (2, 1), (4, 2)])
+        inst = Instance((path, tree([(3, -1), (5, 1)])))
+        assert covered_hull_edges(inst) == {
+            ((0, 0), (4, 2)),
+            ((4, 2), (0, 0)),
+            ((3, -1), (5, 1)),
+            ((5, 1), (3, -1)),
+        }
+        cover, stats = hull_cover_fast(inst)
+        assert stats == (0, 0, 0)
+        assert cover.canonical() == naive_phi_cover(inst, HULL)[0].canonical()
+
+    def test_collinear_vertices_with_a_gap_are_shot(self):
+        # the base's vertices are collinear, but not joined along it
+        self.run(GAP, [((0, 0), (10, 0)), ((10, 0), (5, 5)), ((5, 5), (0, 0))])
+        star = tree([(5, 5), (0, 0), (5, 0), (10, 0)], [(0, 1), (0, 2), (0, 3)])
+        self.run(star, [((0, 0), (10, 0))])
+
+    def test_the_shot_across_a_gap_merges(self, monkeypatch):
+        """Only the gap's base finds the crossing segment; a coverage test
+        that takes the first collinear step for the whole run skips it and
+        loses the merge, and the cover then differs from the oracle."""
+        inst = Instance((GAP, GAP_CROSSING))
+        oracle = naive_phi_cover(inst, HULL)[0].canonical()
+        cover, stats = hull_cover_checked(inst)
+        assert (cover.canonical(), stats.merges) == (oracle, 1)
+
+        def first_step(nbrs, p, q):
+            # every tree vertex on the line pq lies on the hull edge [p, q]
+            return any(orient(p, q, n) == 0 for n in nbrs[p])
+
+        monkeypatch.setattr(hullcover, "tree_covers", first_step)
+        cover, stats = hull_cover_fast(inst)
+        assert (cover.canonical() != oracle, stats.merges) == (True, 0)
+
+
+@pytest.mark.parametrize("kind", ["combs", "arc"])
+def test_skipping_every_hull_edge_fails_the_oracle_test(kind, monkeypatch):
+    """Negative control for the differential tests: an engine whose coverage
+    test covers every hull edge disagrees with ``naive_phi_cover``."""
+    monkeypatch.setattr(hullcover, "tree_covers", lambda nbrs, p, q: True)
+    wrong = 0
+    for seed in range(5):
+        inst = generate(kind, trees=3 + seed, size=4, seed=seed)
+        cover, _ = hull_cover_fast(inst)
+        wrong += cover.canonical() != naive_phi_cover(inst, HULL)[0].canonical()
+    assert wrong == 5
+
+
+def test_shot_counts_grow_at_most_linearly():
+    """Counts, not times: ``diag``'s hull edges are all tree edges, so it
+    shoots nothing at any size. A ``nested`` ring shoots the chord across
+    its opening, and a few small inner rings, whose rounded vertices are
+    not all on their hull, a few more chords: at most 2m shots for m rings,
+    while the rings' vertices grow from 800 to 6,400 (every hull edge was
+    shot before covered edges were skipped, 6,308 at m = 160)."""
+    for m in (100, 1000):
+        assert hull_cover_fast(generate("diag", trees=m))[1].rays_shot == 0
+    for m in (40, 160):
+        assert m <= hull_cover_fast(generate("nested", trees=m))[1].rays_shot <= 2 * m
+
+
 class RecordingShooter(NaiveRayShooter):
-    """Records each engine shot: its directed chord and whether that chord
-    was an edge of the shooter's own live hull at that moment."""
+    """Records each engine shot: its directed chord, whether that chord was
+    an edge of the shooter's own live hull at that moment, and its hit and
+    merge hit, each as the obstacle's record and the exact parameter (not
+    the obstacle's id, which counts the rays stored before it)."""
 
     def __init__(self, components):
         super().__init__(components)
@@ -362,8 +483,32 @@ class RecordingShooter(NaiveRayShooter):
 
     def shoot_from(self, origin, through, own_root):
         own = chain_edges(*self.components.hull[own_root])
-        self.shots.append(((origin, through), (origin, through) in own))
-        return super().shoot_from(origin, through, own_root)
+        hit, merge_hit = super().shoot_from(origin, through, own_root)
+        hits = [
+            None if h is None else (self.obstacles[h[0]], Fraction(h[1], h[2]))
+            for h in (hit, merge_hit)
+        ]
+        self.shots.append(((origin, through), (origin, through) in own, *hits))
+        return hit, merge_hit
+
+
+def recorded_run(inst, trace=None):
+    """``hull_cover_fast`` with a ``RecordingShooter``: (cover, stats,
+    shooter)."""
+    shooters = []
+
+    def factory(comps):
+        shooters.append(RecordingShooter(comps))
+        return shooters[0]
+
+    cover, stats = hull_cover_fast(inst, shooter_factory=factory, trace=trace)
+    return cover, stats, shooters[0]
+
+
+def never_covered(monkeypatch):
+    """Patches the engine's coverage test to queue every hull edge, as the
+    engine did before it skipped the edges that a tree's own edges cover."""
+    monkeypatch.setattr(hullcover, "tree_covers", lambda nbrs, p, q: False)
 
 
 @pytest.mark.parametrize(
@@ -375,22 +520,18 @@ class RecordingShooter(NaiveRayShooter):
 )
 def test_every_live_hull_edge_is_shot_exactly_once(kind):
     """Trees that share their box region shoot each edge of their live
-    hulls at most once, and every edge of their final hulls; a tree alone
-    in its box region shoots no edge at all."""
+    hulls at most once, and every edge of their final hulls that their own
+    tree's edges do not cover; a covered edge is never shot, and a tree
+    alone in its box region shoots no edge at all."""
     for seed in range(10):
         inst = build(kind, 2 + 3 * seed, 3 + seed % 4, seed)
-        shooters = []
-
-        def factory(comps):
-            shooters.append(RecordingShooter(comps))
-            return shooters[0]
-
-        _, stats = hull_cover_fast(inst, shooter_factory=factory)
-        shooter = shooters[0]
-        chords = [chord for chord, _ in shooter.shots]
+        _, stats, shooter = recorded_run(inst)
+        chords = [shot[0] for shot in shooter.shots]
         assert len(chords) == stats.rays_shot, (kind, seed)
         assert len(set(chords)) == len(chords), (kind, seed)
-        assert all(on_hull for _, on_hull in shooter.shots), (kind, seed)
+        assert all(shot[1] for shot in shooter.shots), (kind, seed)
+        covered = covered_hull_edges(inst)
+        assert covered.isdisjoint(chords), (kind, seed)
         # vertices are globally distinct, so an origin names its tree
         lone = lone_trees(inst)
         lone_vertices = {v for i in lone for v in inst.trees[i].vertices}
@@ -398,32 +539,69 @@ def test_every_live_hull_edge_is_shot_exactly_once(kind):
         comps = shooter.components
         roots = {comps.find(i) for i in range(inst.m) if i not in lone}
         final = {e for r in roots for e in chain_edges(*comps.hull[r])}
-        assert final <= set(chords), (kind, seed)
+        assert final - covered <= set(chords), (kind, seed)
 
 
 def digest(trace):
     return hashlib.sha256(json.dumps(trace).encode()).hexdigest()
 
 
-# sha256 of json.dumps(trace) for build(kind, trees=12, size=5, seed=seed);
-# the combs traces end rays at non-integer points, and were recorded while
-# shots still built fractions for the trace's end points. Every strips tree
-# is alone in its box region, so its trace is empty (the sha256 of "[]").
-# The paired traces were recorded before the engine split the forest by its
-# box regions, and did not change with it.
+# sha256 of json.dumps(trace) for build(kind, trees=12, size=5, seed=seed):
+# (before, since) the engine skipped the hull edges that a tree's own edges
+# cover. The combs "before" traces end rays at non-integer points, and were
+# recorded while shots still built fractions for the trace's end points.
+# Every strips tree is alone in its box region, so its trace is empty (the
+# sha256 of "[]"). The paired "before" traces were recorded before the
+# engine split the forest by its box regions, and did not change with it.
 TRACE_GOLDEN = {
-    ("combs", 0): "ab75100215e7b1a528ec2bc2468cbab41c77ee3db00f4c60a210564235f100b6",
-    ("combs", 1): "187aefcc81f3f446c206e2e65516399b1d0497432a932d4d4542ddc656fdd771",
-    ("combs", 2): "73f69230c069e10ca7158cc88bd6f143a3f0ecb72425d352fdc161370d3538ed",
-    ("strips", 0): "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
-    ("strips", 1): "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
-    ("strips", 2): "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
-    ("paired-strips", 0): "098febc2c6d8c3d93175097729220b72b1e97b91b2e9cbeac45f73a99950dd1f",
-    ("paired-strips", 1): "7ce1de49bf1ba449cbde63e73b4f42c6eb3e0c02a2321f3da4ca4567e640f0de",
-    ("paired-strips", 2): "6e9ade8b4fbe7e4357c7169d976624f6931cd934fa98361cb31bf0fd5e7a2ff4",
-    ("paired-ladder", 0): "61dff08a9cb52c36e71855f755e1eb8670696b3d9dc0545263ce840cd48dc50b",
-    ("paired-ladder", 1): "a07482b061551c501ffadbe16f58f2f27ff084c4be472720c9bf4ebb51eab4f9",
-    ("paired-ladder", 2): "eea5553f98aeb97a9ba991522eb4bb51b82c2d756c7c4033fe3cc50390067e58",
+    ("combs", 0): (
+        "ab75100215e7b1a528ec2bc2468cbab41c77ee3db00f4c60a210564235f100b6",
+        "44274a1b35a715127c4d3a416e2d343a7eee52f1f8a5d28a2b946b7122c3dca1",
+    ),
+    ("combs", 1): (
+        "187aefcc81f3f446c206e2e65516399b1d0497432a932d4d4542ddc656fdd771",
+        "3ad69d5a50175988022eac1d75398b3094c1916866f111f15257d48edaf0fce3",
+    ),
+    ("combs", 2): (
+        "73f69230c069e10ca7158cc88bd6f143a3f0ecb72425d352fdc161370d3538ed",
+        "b02962b99499969e14ec5c3e2e03fe26575de05cfe5065998aa401753fa565ac",
+    ),
+    ("strips", 0): (
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    ),
+    ("strips", 1): (
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    ),
+    ("strips", 2): (
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    ),
+    ("paired-strips", 0): (
+        "098febc2c6d8c3d93175097729220b72b1e97b91b2e9cbeac45f73a99950dd1f",
+        "51b31e85e3bba63042d312cb86d3f0c838e53bc7e496e74d4826b7b31d7adb7c",
+    ),
+    ("paired-strips", 1): (
+        "7ce1de49bf1ba449cbde63e73b4f42c6eb3e0c02a2321f3da4ca4567e640f0de",
+        "07a8ac68ff6c28ee6697f8e5b32b7c0ad82d1400cee69e84cd91cb812497ed13",
+    ),
+    ("paired-strips", 2): (
+        "6e9ade8b4fbe7e4357c7169d976624f6931cd934fa98361cb31bf0fd5e7a2ff4",
+        "909cc2b03e70c8759871f0c067ecdfa746547d278376425332af8d82f360a4b7",
+    ),
+    ("paired-ladder", 0): (
+        "61dff08a9cb52c36e71855f755e1eb8670696b3d9dc0545263ce840cd48dc50b",
+        "4537d9d615e29a99d13754bae07e70c67736889b585755bbc7daee87fda94fc5",
+    ),
+    ("paired-ladder", 1): (
+        "a07482b061551c501ffadbe16f58f2f27ff084c4be472720c9bf4ebb51eab4f9",
+        "e338d152773292959906ebd3c7f9cbfc50fa430b73cb4cf9b06348b77188d546",
+    ),
+    ("paired-ladder", 2): (
+        "eea5553f98aeb97a9ba991522eb4bb51b82c2d756c7c4033fe3cc50390067e58",
+        "0edacf20c1be8a575e0ad100a3f72b80fd776e252823a575810567484ec3e256",
+    ),
 }
 
 
@@ -447,37 +625,39 @@ def test_shots_build_fractions_only_when_read(kind, seed, monkeypatch):
     trace = []
     assert hull_cover_fast(inst, trace=trace) == (cover, stats)
     assert made == []
-    assert digest(trace) == TRACE_GOLDEN[kind, seed]
+    assert digest(trace) == TRACE_GOLDEN[kind, seed][1]
 
 
-# name -> (rays_shot and trace digest of the engine before it split the
-# forest by its box regions, hull edges of the trees alone in their box
-# region, trace digest since the split)
+# name -> (rays_shot and trace digest of the engine with every tree in one
+# box region, hull edges of the trees alone in their box region that their
+# own edges do not cover, trace digest of the engine). Recorded once the
+# engine skipped covered hull edges; before that, the columns read (40, 22),
+# (42, 24), (43, 25) and (3, 0).
 SPLIT_GOLDEN = {
     "mixed-0": (
-        40,
-        "d8b2ee2e9fd9c90d0af7f6338e390df265dfdce8fda2ecf1cfb5f4bdb6025c31",
-        22,
-        "f25833d80284efa95681021e46cdafcdabbfda9e57b4887909f76e269c17faaf",
+        24,
+        "d5d7cd39c21bd13ad053a0e3c984d100a8eeaa2a860dcd26ef5d81e8601cdbb0",
+        15,
+        "e41c8f9145f358993d03b3d639d5983a3b0ce5333a75720598c1a8cc73cb0570",
     ),
     "mixed-1": (
-        42,
-        "698064ee0756d4fa0a220e1b41f3b3345c911ebc19be26623d1a811108a17961",
         24,
-        "fa5b0e439637926a7dc61b89e6c3ac24e58f957da2454d5ec129418e3b20f7c4",
+        "451f4f5db8a797c1cec15875221ec308a0d3e7ee7f330a09d52833d7178c53fe",
+        15,
+        "115f2e78e63dd0910d975f8c1053e64d0e8a06d35f3cf21646fa855f9636885a",
     ),
     "mixed-2": (
-        43,
-        "30efdad312f698d7b4663ab1f9f3c5f0e0222ab229d6c7524196808973036c0d",
-        25,
-        "102acd4fad5279b86f893b5a097e8fbfe4aa080da7f1e62bbd9ca25ca7a45530",
+        20,
+        "3593e8de714e802095cf60f8f813e52f6393c7a41d9a5aa21635c1ae4d6e08bc",
+        11,
+        "6deedf6ef6fd04ef79e31aeaf2631d2d5a71c29c19dc9721f492164250619a9d",
     ),
     # the lone trees are bare vertices, whose hulls have no edge
     "bare": (
-        3,
-        "175998492306759bcb64e8c39261bd1eb724f412f41b5e440648a473bd09614b",
+        1,
+        "a746cd365d2e9ea06b94098c7fa18a5da451498aac65c2a8f890d0c5a445a189",
         0,
-        "175998492306759bcb64e8c39261bd1eb724f412f41b5e440648a473bd09614b",
+        "a746cd365d2e9ea06b94098c7fa18a5da451498aac65c2a8f890d0c5a445a189",
     ),
 }
 
@@ -487,9 +667,9 @@ def test_lone_trees_drop_out_of_the_trace(name, monkeypatch):
     """The trace is the unsplit engine's trace without the rays from
     vertices of trees alone in their box region (vertices are globally
     distinct, so an origin names its tree), and ``rays_shot`` and
-    ``initial_edges`` drop by those trees' hull edges. The unsplit engine is
-    this one with every tree in one box region; its count and trace digest
-    are the ones recorded before the split."""
+    ``initial_edges`` drop by those trees' hull edges that their own edges
+    do not cover. The unsplit engine is this one with every tree in one box
+    region."""
     inst = INSTANCE_BARE if name == "bare" else mixed(int(name[-1]))
     before_rays, before_digest, lone_edges, after_digest = SPLIT_GOLDEN[name]
     trace = []
@@ -504,7 +684,11 @@ def test_lone_trees_drop_out_of_the_trace(name, monkeypatch):
     assert whole_cover == cover
     lone = lone_trees(inst)
     assert lone and len(lone) < inst.m
-    edges = sum(len(chain_edges(*hull_chains(inst.trees[i].vertices))) for i in lone)
+    covered = covered_hull_edges(inst)
+    edges = sum(
+        len(set(chain_edges(*hull_chains(inst.trees[i].vertices))) - covered)
+        for i in lone
+    )
     assert edges == lone_edges
     lone_vertices = {v for i in lone for v in inst.trees[i].vertices}
     assert trace == [r for r in whole if tuple(r["from"]) not in lone_vertices]
@@ -573,22 +757,92 @@ def test_only_trees_that_share_a_box_region_reach_the_grid_and_extraction(
     assert {i for ids in grid.cells.values() for i in ids} == set(range(len(grid)))
 
 
-# sha256 of json.dumps(trace) for generate("arc", trees=trees), recorded
-# while the engine still kept its live edges in a set of its own; arc's one
-# hull keeps about m/3 vertices, so merges splice long chains
+# sha256 of json.dumps(trace) for generate("arc", trees=trees): (before,
+# since) the engine skipped the hull edges that a tree's own edges cover;
+# the "before" digests were recorded while the engine still kept its live
+# edges in a set of its own. arc's one hull keeps about m/3 vertices, so
+# merges splice long chains
 ARC_TRACE_GOLDEN = {
-    12: "9f0f8b2ef7000068bb01bd5831b730f96a3e36e39009bb68b6c06d92496da783",
-    60: "b0b15c63bfde86951dc7327509f97ff726b64b1d9b1ef76881aef1a165295370",
-    240: "38a608c167cbcdb2a3c924f1b3df7858c11f9e3a3b626e3122674b32f3e57947",
+    12: (
+        "9f0f8b2ef7000068bb01bd5831b730f96a3e36e39009bb68b6c06d92496da783",
+        "bfec4bc839d681384dc93b945839583429906b4dba3134bd5a76d07fa973b8d8",
+    ),
+    60: (
+        "b0b15c63bfde86951dc7327509f97ff726b64b1d9b1ef76881aef1a165295370",
+        "a680237246c7584d9d97908491757ec04e79d3ffdd4938a5ccc6b27e64e89d90",
+    ),
+    240: (
+        "38a608c167cbcdb2a3c924f1b3df7858c11f9e3a3b626e3122674b32f3e57947",
+        "d5f53d27af3e689063e0d9dcbe6a2e8d58752e53ad8a0578b1b5f28a786813c8",
+    ),
 }
 
 
 @pytest.mark.parametrize("trees", sorted(ARC_TRACE_GOLDEN))
-def test_shot_order_on_long_chains(trees):
+def test_shot_order_on_long_chains(trees, monkeypatch):
+    """The engine's trace, and then that of the engine that shoots covered
+    hull edges too."""
+    inst = generate("arc", trees=trees)
+    before, since = ARC_TRACE_GOLDEN[trees]
+    for expected in (since, before):
+        trace = []
+        _, stats = hull_cover_fast(inst, trace=trace)
+        assert stats.merges == trees - 1
+        assert digest(trace) == expected
+        never_covered(monkeypatch)
+
+
+def golden_case(name):
+    """The instance of a row of TRACE_GOLDEN ("combs-0") or of
+    ARC_TRACE_GOLDEN ("arc-12"), and its (before, since) trace digests."""
+    kind, n = name.rsplit("-", 1)
+    if kind == "arc":
+        return generate("arc", trees=int(n)), ARC_TRACE_GOLDEN[int(n)]
+    return build(kind, 12, 5, int(n)), TRACE_GOLDEN[kind, int(n)]
+
+
+@pytest.mark.parametrize(
+    "name", [f"{k}-{s}" for k, s in sorted(TRACE_GOLDEN)] + ["arc-12", "arc-60"]
+)
+def test_covered_edges_drop_out_of_the_shots(name, monkeypatch):
+    """With its coverage test patched to cover nothing, the engine shoots
+    as before it skipped covered hull edges (its recorded trace). Unpatched,
+    its shots, each with its hit and merge hit, are those shots less the
+    ones along covered edges, and its cover and merges do not change:
+    ``rays_shot`` drops by the skipped shots, and ``initial_edges`` by the
+    covered initial edges."""
+    inst, (before, since) = golden_case(name)
+    covered = covered_hull_edges(inst)
     trace = []
-    _, stats = hull_cover_fast(generate("arc", trees=trees), trace=trace)
-    assert stats.merges == trees - 1
-    assert digest(trace) == ARC_TRACE_GOLDEN[trees]
+    cover, stats, shooter = recorded_run(inst, trace)
+    assert digest(trace) == since
+    with monkeypatch.context() as patch:
+        never_covered(patch)
+        whole = []
+        whole_cover, whole_stats, whole_shooter = recorded_run(inst, whole)
+    assert digest(whole) == before
+    assert cover == whole_cover
+    kept = [s for s in whole_shooter.shots if s[0] not in covered]
+    assert shooter.shots == kept
+    assert stats == (
+        len(kept),
+        whole_stats.merges,
+        whole_stats.initial_edges - len(covered & shared_hull_edges(inst)),
+    )
+    if name.startswith(("combs", "arc")):
+        assert len(kept) < len(whole_shooter.shots)
+
+
+def shared_hull_edges(inst):
+    """The directed edges of the own hulls of the trees that share their box
+    region."""
+    lone = set(lone_trees(inst))
+    return {
+        e
+        for i, t in enumerate(inst.trees)
+        if i not in lone
+        for e in chain_edges(*hull_chains(t.vertices))
+    }
 
 
 def test_debug_checks_reject_crossing_hulls():
