@@ -172,10 +172,10 @@ def maximal_boxes(boxes: list[AABB]) -> list[int]:
 def box_regions(instance: Instance, index_factory=BucketGridRangeIndex):
     """The maximal regions of the box-cover; returns (regions, BoxStats),
     where regions lists each maximal box with its member trees, in no set
-    order. The hull engine reads it too: every hull-cover region's trees
-    lie in one box region (a hull lies in its bounding box, and maximal
-    boxes are pairwise disjoint), so a tree alone in its box region is its
-    own hull region.
+    order. The hull engine reads it too, when two tree boxes meet: every
+    hull-cover region's trees lie in one box region (a hull lies in its
+    bounding box, and maximal boxes are pairwise disjoint), so a tree alone
+    in its box region is its own hull region.
     """
     index = index_factory()
     # stored box id, the index of the tree whose query stored it ->

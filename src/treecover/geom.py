@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left
+from heapq import heappop, heappush
 from operator import index, sub
 from typing import NamedTuple
 
@@ -369,6 +370,41 @@ def sweep_along_y(x1, y1, x2, y2) -> bool:
     w = max(max(x1), max(x2)) - min(min(x1), min(x2)) + 1
     h = max(max(y1), max(y2)) - min(min(y1), min(y2)) + 1
     return dy * w < dx * h
+
+
+def boxes_disjoint(boxes) -> bool:
+    """Whether no two of the closed boxes meet; touching counts as meeting.
+
+    A Shamos–Hoey sweep (FOCS 1976) along the axis ``sweep_along_y`` picks;
+    said here along x (along y, swap x and y). The boxes that reach the
+    sweep line are pairwise disjoint until the sweep stops, and so are
+    their y-intervals. These are kept sorted by ymin, in two ``bisect``
+    lists of ymin and ymax, and a new box meets one of them exactly when it
+    meets the last one that starts below its ymin or the first one that
+    starts at or above it. A heap on xmax retires the boxes the line has
+    passed. Returns False at the first pair that meets. Each insertion and
+    retirement shifts the lists' tails, so the cost grows with the number
+    of active boxes."""
+    if len(boxes) < 2:
+        return True
+    lo, lo2, hi, hi2 = zip(*boxes)
+    if sweep_along_y(lo, lo2, hi, hi2):
+        lo, lo2, hi, hi2 = lo2, lo, hi2, hi
+    lows: list = []
+    highs: list = []
+    ends: list = []  # (xmax, ymin) of each active box
+    for i in sorted(range(len(lo)), key=lo.__getitem__):
+        start, a, b = lo[i], lo2[i], hi2[i]
+        while ends and ends[0][0] < start:
+            k = bisect_left(lows, heappop(ends)[1])
+            del lows[k], highs[k]
+        k = bisect_left(lows, a)
+        if (k and highs[k - 1] >= a) or (k < len(lows) and lows[k] <= b):
+            return False
+        lows.insert(k, a)
+        highs.insert(k, b)
+        heappush(ends, (hi[i], a))
+    return True
 
 
 def outermost(regions: list, boxes: list[AABB], contains) -> list[int]:

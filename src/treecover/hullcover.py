@@ -17,7 +17,10 @@ maximal boxes are pairwise disjoint, so by induction over the merges (and
 likewise for nesting) A and B share a box region. A tree alone in its box
 region is therefore a maximal hull region that contains no other: its hull
 goes straight into the cover, with no obstacle, no queued edge, no shot and
-no extraction test, and no chord of another region can reach it. Only the
+no extraction test, and no chord of another region can reach it. The box
+cover is the fixpoint of merging boxes that meet, so when no two tree boxes
+meet (``geom.boxes_disjoint``, one sorted sweep) the tree boxes are the box
+cover and every tree is alone; the engine then skips the box pass. Only the
 trees that share their box region run through the engine as described here:
 the default grid is sized to them (no grid at all when there are none), their
 edges and bare vertices enter the shooter in one ``insert_segments`` call,
@@ -93,6 +96,7 @@ from .geom import (
     INSIDE,
     OUTSIDE,
     ConvexPolygon,
+    boxes_disjoint,
     chain_edges,
     chain_has_edge,
     chains_polygon,
@@ -405,8 +409,12 @@ def hull_cover_fast(
     m = instance.m
     comps = ComponentSet(m)
     # a tree alone in its box region is its own hull region, and no chord
-    # of another region reaches it
-    alone = {ms[0] for _, ms in box_regions(instance)[0] if len(ms) == 1}
+    # of another region reaches it; when no two tree boxes meet, every tree
+    # is alone and the box pass would only confirm it
+    if boxes_disjoint(instance.tree_boxes()):
+        alone = range(m)
+    else:
+        alone = {ms[0] for _, ms in box_regions(instance)[0] if len(ms) == 1}
 
     shared: list[int] = []
     segments: list[tuple] = []

@@ -153,6 +153,16 @@ def reversed_trees(inst):
     return Instance(inst.trees[::-1])
 
 
+# ``build`` kinds that split into box regions in every way: each tree alone
+# (strips, ladder, cross), one region of all trees (combs, nested, arc,
+# diag), regions of two trees (paired-), or lone trees beside one region
+# (mixed)
+SPLIT_KINDS = (
+    "strips", "combs", "nested", "ladder", "arc", "cross", "diag",
+    "paired-strips", "paired-ladder", "mixed",
+)
+
+
 def build(kind, trees, size=5, seed=0):
     """``generate(kind, trees, size, seed)`` for the generator kinds; for
     "paired-strips" and "paired-ladder", ``paired`` with ``trees // 2``

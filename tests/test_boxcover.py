@@ -10,12 +10,20 @@ from treecover.boxcover import (
     maximal_boxes,
 )
 from treecover.generators import generate
-from treecover.geom import AABB
+from treecover.geom import AABB, boxes_disjoint
 from treecover.model import GENERATOR_KINDS, Cover, Instance
 from treecover.phicover import PHI, naive_phi_cover
 
 from box_checks import CountingRangeIndex, assert_inserted_and_deleted_at_most_once
-from instances import INSTANCE_A, INSTANCE_B, INSTANCE_E, build, reversed_trees, tree
+from instances import (
+    INSTANCE_A,
+    INSTANCE_B,
+    INSTANCE_E,
+    SPLIT_KINDS,
+    build,
+    reversed_trees,
+    tree,
+)
 
 BOX = PHI["box"]
 
@@ -191,12 +199,6 @@ class TestBoxCoverFast:
             assert_inserted_and_deleted_at_most_once(index)
 
 
-SPLIT_KINDS = (
-    "strips", "combs", "nested", "ladder", "arc", "cross", "diag",
-    "paired-strips", "paired-ladder", "mixed",
-)
-
-
 @given(
     st.sampled_from(SPLIT_KINDS),
     st.integers(1, 8),
@@ -207,11 +209,13 @@ SPLIT_KINDS = (
 def test_box_regions_split_the_hull_cover(kind, trees, size, seed):
     """Every hull-cover region's trees lie in one box region, so a tree
     alone in its box region is its own hull region (the naive hull cover is
-    the reference)."""
+    the reference). Every tree is alone exactly when no two tree boxes
+    meet, the hull engine's shortcut past the box pass."""
     inst = build(kind, trees, size, seed)
     regions, _ = box_regions(inst)
     region_of = {i: k for k, (_, ms) in enumerate(regions) for i in ms}
     assert sorted(region_of) == list(range(inst.m))
+    assert boxes_disjoint(inst.tree_boxes()) == (len(regions) == inst.m)
     hull, _ = naive_phi_cover(inst, PHI["hull"])
     for ms in hull.membership:
         assert len({region_of[i] for i in ms}) == 1, (kind, ms)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treecover import geom
 from treecover.geom import (
     AABB,
     BOUNDARY,
@@ -18,6 +19,7 @@ from treecover.geom import (
     ConvexPolygon,
     box_of,
     box_union,
+    boxes_disjoint,
     boxes_intersect,
     chain_edges,
     chain_has_edge,
@@ -412,6 +414,77 @@ class TestBoxes:
     def test_inverted_rejected(self):
         with pytest.raises(ValueError):
             AABB(1, 0, 0, 0)
+
+
+@st.composite
+def box_families(draw):
+    """Up to ten boxes on a lattice small enough that zero-width and
+    zero-height boxes, boxes touching at an edge or a corner and shared
+    coordinates are common; some boxes copy an earlier one or lie inside
+    it."""
+    span = draw(st.sampled_from([4, 12, 40, 120]))
+    boxes = []
+    for _ in range(draw(st.integers(0, 10))):
+        if boxes and draw(st.integers(0, 4)) == 0:
+            x0, y0, x1, y1 = draw(st.sampled_from(boxes))
+            # a copy, or a box inside it
+            x0, x1 = sorted(draw(st.integers(x0, x1)) for _ in range(2))
+            y0, y1 = sorted(draw(st.integers(y0, y1)) for _ in range(2))
+        else:
+            x0, y0 = draw(st.integers(0, span)), draw(st.integers(0, span))
+            x1, y1 = x0 + draw(st.integers(0, 3)), y0 + draw(st.integers(0, 3))
+        boxes.append(AABB(x0, y0, x1, y1))
+    return boxes
+
+
+class TestBoxesDisjoint:
+    """``boxes_disjoint`` against the pairwise ``boxes_intersect`` oracle,
+    sweeping along the axis it picks and along each axis forced."""
+
+    @staticmethod
+    def answers(boxes):
+        out = [boxes_disjoint(boxes)]
+        for y in (False, True):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(geom, "sweep_along_y", lambda *cols, y=y: y)
+                out.append(boxes_disjoint(boxes))
+        return out
+
+    @given(box_families())
+    @settings(max_examples=600)
+    def test_matches_the_pairwise_oracle(self, boxes):
+        expected = not any(
+            boxes_intersect(a, b) for a, b in itertools.combinations(boxes, 2)
+        )
+        transposed = [AABB(y0, x0, y1, x1) for x0, y0, x1, y1 in boxes]
+        assert self.answers(boxes) == self.answers(transposed) == [expected] * 3
+
+    def test_no_box_and_one_box(self):
+        assert self.answers([]) == self.answers([AABB(1, 2, 3, 4)]) == [True] * 3
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            AABB(4, 0, 6, 4),  # shares an edge
+            AABB(4, 4, 6, 6),  # shares a corner
+            AABB(0, 0, 4, 4),  # identical
+            AABB(1, 1, 2, 2),  # nested
+            AABB(2, 4, 2, 4),  # a point on the top edge
+            AABB(-2, 2, 8, 2),  # a segment across it
+        ],
+    )
+    def test_touching_counts_as_meeting(self, other):
+        square = AABB(0, 0, 4, 4)
+        apart = AABB(other.xmin + 20, 0, other.xmax + 20, 0)
+        assert self.answers([square, other]) == [False] * 3
+        assert self.answers([other, square]) == [False] * 3
+        assert self.answers([square, apart]) == [True] * 3
+
+    def test_a_retired_box_is_not_a_neighbour(self):
+        """Boxes the sweep has passed leave its status: the third box meets
+        neither of the first two, which lie beside each other along y."""
+        boxes = [AABB(0, 0, 1, 5), AABB(0, 10, 1, 15), AABB(2, 4, 3, 11)]
+        assert self.answers(boxes) == [True] * 3
 
 
 class TestMinEnclosingCircle:

@@ -40,6 +40,7 @@ from instances import (
     INSTANCE_B,
     INSTANCE_BARE,
     INSTANCE_D,
+    SPLIT_KINDS,
     build,
     lone_trees,
     mixed,
@@ -471,6 +472,57 @@ def test_shot_counts_grow_at_most_linearly():
         assert m <= hull_cover_fast(generate("nested", trees=m))[1].rays_shot <= 2 * m
 
 
+def counting_box_pass(monkeypatch):
+    """Patches the hull engine's box pass to count its calls; returns the
+    list that gets one entry per call."""
+    calls = []
+    box_regions = hullcover.box_regions
+
+    def counted(inst):
+        calls.append(inst.m)
+        return box_regions(inst)
+
+    monkeypatch.setattr(hullcover, "box_regions", counted)
+    return calls
+
+
+def test_the_box_pass_runs_only_where_two_tree_boxes_meet(monkeypatch):
+    """Counts, not times: on ``cross``, ``strips`` and ``ladder`` no two
+    tree boxes meet, so every tree is alone and the hull engine never runs
+    the box pass (whose grid queries made ``cross`` quadratic); on
+    ``combs``, ``nested``, ``diag`` and ``mixed`` boxes meet and it runs
+    once."""
+    calls = counting_box_pass(monkeypatch)
+    for kind in ("cross", "strips", "ladder"):
+        for m in (1000, 10000):
+            cover, stats = hull_cover_fast(build(kind, m, 5, 1))
+            assert (len(cover.regions), stats) == (m, (0, 0, 0))
+    assert calls == []
+    for kind in ("combs", "nested", "diag", "mixed"):
+        inst = build(kind, 40, 5, 1)
+        hull_cover_fast(inst)
+        assert calls == [inst.m], kind
+        calls.clear()
+
+
+@pytest.mark.parametrize("kind", SPLIT_KINDS)
+@pytest.mark.parametrize("order", ["", "reversed-"], ids=["given", "reversed"])
+def test_the_box_pass_agrees_with_the_disjoint_boxes_shortcut(kind, order, monkeypatch):
+    """With ``boxes_disjoint`` patched to report a meeting pair, the engine
+    takes every lone tree from the box pass instead: its cover, stats and
+    trace do not change."""
+    for seed in range(3):
+        inst = build(order + kind, 12, 4, seed)
+        trace = []
+        cover, stats = hull_cover_fast(inst, trace=trace)
+        with monkeypatch.context() as patch:
+            calls = counting_box_pass(patch)
+            patch.setattr(hullcover, "boxes_disjoint", lambda boxes: False)
+            whole = []
+            assert hull_cover_fast(inst, trace=whole) == (cover, stats), (kind, seed)
+        assert whole == trace and calls == [inst.m]
+
+
 class RecordingShooter(NaiveRayShooter):
     """Records each engine shot: its directed chord, whether that chord was
     an edge of the shooter's own live hull at that moment, and its hit and
@@ -511,13 +563,7 @@ def never_covered(monkeypatch):
     monkeypatch.setattr(hullcover, "tree_covers", lambda nbrs, p, q: False)
 
 
-@pytest.mark.parametrize(
-    "kind",
-    [
-        "strips", "combs", "nested", "ladder", "arc", "cross", "diag",
-        "paired-strips", "paired-ladder", "mixed",
-    ],
-)
+@pytest.mark.parametrize("kind", SPLIT_KINDS)
 def test_every_live_hull_edge_is_shot_exactly_once(kind):
     """Trees that share their box region shoot each edge of their live
     hulls at most once, and every edge of their final hulls that their own
