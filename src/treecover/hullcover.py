@@ -22,7 +22,7 @@ cover is the fixpoint of merging boxes that meet, so when no two tree boxes
 meet (``geom.boxes_disjoint``, one sorted sweep) the tree boxes are the box
 cover and every tree is alone; the engine then skips the box pass. Only the
 trees that share their box region run through the engine as described here:
-the default grid is sized to them (no grid at all when there are none), their
+the default grid is sized to them (one empty cell when there are none), their
 edges and bare vertices enter the shooter in one ``insert_segments`` call,
 and ``maximal_regions`` sees only their components' hulls. So ``rays_shot``
 and a trace count only the shots of those trees, and ``initial_edges`` is the
@@ -58,10 +58,9 @@ overall) and is the reference the tests compare against; both give
 identical results. A shot returns each hit as the kernel's integers
 ``(obstacle, n, d)``, the obstacle's id and the exact parameter t = n / d
 along the chord; the engine and its trace read them without building a
-fraction. A ray that ends at its chord's end q, as every engine ray stopped
-by its own hull vertex does, covers exactly the grid cells the shot scanned
-and is registered under those keys; a ray that stops short is rasterized on
-its own.
+fraction. The grid maps a segment to its cells in one place,
+``BucketGridShooter._cells``: a chord when it is shot, and every obstacle,
+tree edge or ray, when it is stored.
 
 Two engine details differ from the naive definition but provably preserve
 the cover. First, the per-shot merge test uses the nearest *foreign* hit
@@ -216,8 +215,8 @@ class BucketGridShooter(NaiveRayShooter):
     Cells are ``cell = (width, height)`` integer rectangles anchored at the
     bounds' lower-left corner; a point belongs to the cell
     ``floor((p - corner) / cell)``, keyed ``column * ny + row``.
-    Rasterization is exact and conservative: an object is registered in the
-    cell of each of its points, hence an obstacle and a chord sharing a
+    Rasterization is exact: an object is registered in the cells of its
+    points and no other, hence an obstacle and a chord sharing a
     point share that cell. Engine obstacles and chords lie inside the
     bounds, the bounding box of the vertices of the trees the grid serves;
     beyond them keys of neighbouring columns may coincide, which only adds
@@ -230,19 +229,18 @@ class BucketGridShooter(NaiveRayShooter):
         self.cw, self.ch = cell
         self.ny = (bounds.ymax - bounds.ymin) // self.ch + 1
         self.cells: dict[int, list[int]] = {}
-        # the chord of the last scan, (ox, oy, tx, ty), and its cell keys
-        self._chord = (None, None, None, None, ())
 
     @staticmethod
-    def factory_for(instance: Instance, trees=None):
-        """Engine shooter_factory for the given trees of the instance (by
-        default all of them; the engine passes those that share their box
-        region): the grid spans their bounding box, and cells start as wide
-        and tall as twice the mean edge of those trees, doubled together
-        until there are at most 4n of them, n their vertex count."""
+    def factory_for(instance: Instance, trees):
+        """Engine shooter_factory for the given trees of the instance (the
+        engine passes those that share their box region): the grid spans
+        their bounding box, and cells start as wide and tall as twice the
+        mean edge of those trees, doubled together until there are at most
+        4n of them, n their vertex count. With no tree it is one empty cell
+        at the origin."""
         px, py, voff, ea, eb, eoff = instance.columns
         xs, ys, sx, sy, edges = [], [], 0, 0, 0
-        for i in range(instance.m) if trees is None else trees:
+        for i in trees:
             tx, ty = px[voff[i] : voff[i + 1]], py[voff[i] : voff[i + 1]]
             xs += tx
             ys += ty
@@ -264,8 +262,11 @@ class BucketGridShooter(NaiveRayShooter):
 
     def _cells(self, ax, ay, bx, by, d: int):
         """Keys (column * ny + row) of the cells met by the closed segment
-        from (ax, ay) / d to (bx, by) / d, d > 0: per column, every row
-        between those of the segment's ends inside that column."""
+        from (ax, ay) / d to (bx, by) / d, d > 0, exactly the cells that hold
+        one of its points: per column, every row between those of the
+        segment's first and last point in that column. This is the grid's
+        only rasterizer: chords, tree edges and rays all take their keys
+        from it."""
         if bx < ax:
             ax, ay, bx, by = bx, by, ax, ay
         ny = self.ny
@@ -273,10 +274,13 @@ class BucketGridShooter(NaiveRayShooter):
         x0, y0 = self.x0 * d, self.y0 * d
         c0 = (ax - x0) // wd
         c1 = (bx - x0) // wd
-        if c0 == c1:
+        if c0 == c1:  # one column
             lo, hi = (ay, by) if ay <= by else (by, ay)
             k = c0 * ny
             return range(k + (lo - y0) // hd, k + (hi - y0) // hd + 1)
+        if ay == by:  # one row across columns
+            r = (ay - y0) // hd
+            return range(c0 * ny + r, c1 * ny + r + 1, ny)
         # row at scaled abscissa x is (base + dy * x) // den
         dx, dy = bx - ax, by - ay
         den = hd * dx
@@ -284,45 +288,33 @@ class BucketGridShooter(NaiveRayShooter):
         keys = []
         ra = (base + dy * ax) // den
         for c in range(c0, c1 + 1):
-            rb = (base + dy * (bx if c == c1 else x0 + (c + 1) * wd)) // den
+            num = base + dy * (bx if c == c1 else x0 + (c + 1) * wd)
+            # a point on the column's right edge lies in the next column, so
+            # a rising segment's last row here is that of the points just
+            # below the edge point
+            rb = (num - 1) // den if dy > 0 and c < c1 else num // den
             lo, hi = (ra, rb) if ra <= rb else (rb, ra)
             k = c * ny
             keys.extend(range(k + lo, k + hi + 1))
-            ra = rb
+            ra = num // den
         return keys
 
     def _push(self, ob: tuple) -> int:
         idx = super()._push(ob)
         x, y, dx, dy, tn, td, _ = ob
-        if tn == td and self._chord[:4] == (x, y, x + dx, y + dy):
-            keys = self._chord[4]  # a ray that ends at t = 1 is the chord scanned
-        else:
-            ax, ay = x * td, y * td
-            keys = self._cells(ax, ay, ax + dx * tn, ay + dy * tn, td)
-        for key in keys:
+        ax, ay = x * td, y * td
+        for key in self._cells(ax, ay, ax + dx * tn, ay + dy * tn, td):
             self.cells.setdefault(key, []).append(idx)
         return idx
 
     def insert_segments(self, segments) -> None:
         """``insert_segment`` for each ``(a, b, owner)`` of ``segments``, in
-        one loop: a vertical or horizontal segment (a bare vertex is both)
-        takes its cells directly, any other from ``_cells``."""
-        obstacles, cells, ny = self.obstacles, self.cells, self.ny
-        x0, y0, cw, ch = self.x0, self.y0, self.cw, self.ch
+        one loop, each segment's keys from ``_cells``."""
+        obstacles, cells, rasterize = self.obstacles, self.cells, self._cells
         idx = len(obstacles)
         for (ax, ay), (bx, by), owner in segments:
             obstacles.append((ax, ay, bx - ax, by - ay, 1, 1, owner))
-            if ax == bx:
-                lo, hi = (ay, by) if ay <= by else (by, ay)
-                k = (ax - x0) // cw * ny
-                keys = range(k + (lo - y0) // ch, k + (hi - y0) // ch + 1)
-            elif ay == by:
-                lo, hi = (ax, bx) if ax < bx else (bx, ax)
-                r = (ay - y0) // ch
-                keys = range((lo - x0) // cw * ny + r, (hi - x0) // cw * ny + r + 1, ny)
-            else:
-                keys = self._cells(ax, ay, bx, by, 1)
-            for key in keys:
+            for key in rasterize(ax, ay, bx, by, 1):
                 cells.setdefault(key, []).append(idx)
             idx += 1
 
@@ -330,9 +322,7 @@ class BucketGridShooter(NaiveRayShooter):
         cells = self.cells
         found = set()
         ox, oy, tx, ty = origin[0], origin[1], through[0], through[1]
-        keys = self._cells(ox, oy, tx, ty, 1)
-        self._chord = (ox, oy, tx, ty, keys)
-        for key in keys:
+        for key in self._cells(ox, oy, tx, ty, 1):
             bucket = cells.get(key)
             if bucket is not None:
                 found.update(bucket)
@@ -442,10 +432,7 @@ def hull_cover_fast(
         )
     initial_edges = len(worklist)
     if shooter_factory is None:
-        # with no tree to shoot, a grid would only cost its setup
-        shooter_factory = (
-            BucketGridShooter.factory_for(instance, shared) if shared else NaiveRayShooter
-        )
+        shooter_factory = BucketGridShooter.factory_for(instance, shared)
     shooter = shooter_factory(comps)
     shooter.insert_segments(segments)
 

@@ -34,7 +34,6 @@ from treecover.geom import (
 from treecover.hullcover import (
     BucketGridShooter,
     InternalInvariantError,
-    NaiveRayShooter,
     contained_in,
     hull_cover_fast,
 )
@@ -200,13 +199,10 @@ def checked(factory) -> _CheckedFactory:
 
 def hull_cover_checked(instance, shooter_factory=None):
     """``hull_cover_fast`` with every check; the default shooter is the
-    engine's own: the grid over the trees that share their box region, or
-    the plain store when there are none."""
+    engine's own: the grid over the trees that share their box region."""
     if shooter_factory is None:
         shared = sorted(i for _, ms in box_regions(instance)[0] if len(ms) > 1 for i in ms)
-        shooter_factory = (
-            BucketGridShooter.factory_for(instance, shared) if shared else NaiveRayShooter
-        )
+        shooter_factory = BucketGridShooter.factory_for(instance, shared)
     factory = checked(shooter_factory)
     result = hull_cover_fast(instance, shooter_factory=factory)
     factory.finish()

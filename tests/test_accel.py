@@ -183,6 +183,80 @@ def test_bulk_registration_takes_the_cells_of_each_segment(case):
     assert bulk.cells == expected == single.cells
 
 
+def segment_meets_cell(a, b, lo, hi) -> bool:
+    """Whether the closed segment [a, b] (Fraction points) has a point p with
+    lo <= p < hi on both axes: the parameter interval [0, 1] is clipped by
+    each axis' slab, tracking which of its ends are open."""
+    t_lo, lo_open, t_hi, hi_open = Fraction(0), False, Fraction(1), False
+    for k in (0, 1):
+        e = b[k] - a[k]
+        if e == 0:
+            if not lo[k] <= a[k] < hi[k]:
+                return False
+            continue
+        enter, leave = (lo[k] - a[k]) / e, (hi[k] - a[k]) / e
+        # the slab holds t >= enter, t < leave when e > 0, and t <= enter,
+        # t > leave when e < 0
+        (low, low_open), (high, high_open) = (
+            ((enter, False), (leave, True)) if e > 0 else ((leave, True), (enter, False))
+        )
+        if low > t_lo or (low == t_lo and low_open):
+            t_lo, lo_open = low, low_open
+        if high < t_hi or (high == t_hi and high_open):
+            t_hi, hi_open = high, high_open
+    return t_lo < t_hi or (t_lo == t_hi and not lo_open and not hi_open)
+
+
+def brute_cells(grid, ax, ay, bx, by, d):
+    """The keys of every cell in the segment's bounding cell range whose
+    half-open rectangle holds a point of the closed segment from (ax, ay) / d
+    to (bx, by) / d."""
+    a, b = (Fraction(ax, d), Fraction(ay, d)), (Fraction(bx, d), Fraction(by, d))
+    cols = [(v - grid.x0) // grid.cw for v in (a[0], b[0])]
+    rows = [(v - grid.y0) // grid.ch for v in (a[1], b[1])]
+    keys = []
+    for c in range(min(cols), max(cols) + 1):
+        for r in range(min(rows), max(rows) + 1):
+            lo = (grid.x0 + c * grid.cw, grid.y0 + r * grid.ch)
+            hi = (lo[0] + grid.cw, lo[1] + grid.ch)
+            if segment_meets_cell(a, b, lo, hi):
+                keys.append(c * grid.ny + r)
+    return keys
+
+
+@st.composite
+def grid_and_scaled_segment(draw):
+    """A grid of ``GRIDS`` and a horizontal, vertical, zero-length or general
+    segment with ends (x, y) / d in [-45, 45]^2, d in {1, 2, 7}, each
+    coordinate often on a cell boundary."""
+    bounds, cell = draw(st.sampled_from(GRIDS))
+    d = draw(st.sampled_from((1, 2, 7)))
+
+    def coord(lo, side):
+        if draw(st.booleans()):
+            k = draw(st.integers(-((45 + lo) // side), (45 - lo) // side))
+            return d * (lo + side * k)
+        return draw(st.integers(-45 * d, 45 * d))
+
+    kind = draw(st.sampled_from(["horizontal", "vertical", "point", "general"]))
+    ax, ay = coord(bounds.xmin, cell[0]), coord(bounds.ymin, cell[1])
+    bx = ax if kind in ("vertical", "point") else coord(bounds.xmin, cell[0])
+    by = ay if kind in ("horizontal", "point") else coord(bounds.ymin, cell[1])
+    return bounds, cell, (ax, ay, bx, by, d)
+
+
+@settings(max_examples=400, deadline=None)
+@given(grid_and_scaled_segment())
+def test_cells_are_the_cells_that_hold_a_point_of_the_segment(case):
+    """``_cells`` against an independent oracle: exact clipping of the
+    segment's parameter interval by each cell of its bounding cell range.
+    Beyond the bounds keys of neighbouring columns may coincide, so the keys
+    are compared as multisets."""
+    bounds, cell, segment = case
+    grid = BucketGridShooter(ComponentSet(1), bounds, cell)
+    assert sorted(grid._cells(*segment)) == sorted(brute_cells(grid, *segment))
+
+
 def test_grid_equal_t_hits_keep_the_lowest_id():
     # three obstacles meet the shot at (10, 0); their ids 3, 40, 41 are not
     # in the order a set of them iterates in
@@ -264,7 +338,7 @@ def test_grid_engine_scans_only_chord_candidates(monkeypatch):
     monkeypatch.setattr(_kernelpy, "scan", counting_scan)
     inst = paired("strips", 30, 5, seed=3)
     counts = []
-    for make in (NaiveRayShooter, BucketGridShooter.factory_for(inst)):
+    for make in (NaiveRayShooter, BucketGridShooter.factory_for(inst, range(inst.m))):
         scanned[0] = 0
         hull_cover_fast(inst, shooter_factory=make)
         counts.append(scanned[0])
@@ -302,14 +376,13 @@ def extent_keys(shooter, i):
 
 @pytest.mark.parametrize("kind", ["paired-strips", "combs", "nested", "paired-ladder"])
 def test_grid_registers_each_obstacle_in_the_cells_of_its_extent(kind):
-    """A ray that ends at its chord's end takes the chord's cells from the
-    shot's scan; every obstacle must still sit in exactly the cells of its
-    own extent, so a ray that stops short stays out of the rest of its
-    chord's cells."""
+    """Every obstacle sits in exactly the cells of its own extent: a ray
+    that ends at its chord's end in the chord's cells, and a ray that stops
+    short in none of the rest of its chord's cells."""
     rays = {"full": 0, "short": 0}
     for seed in range(10):
         inst = build(kind, 2 + 3 * seed, 3 + seed % 4, seed)
-        make = BucketGridShooter.factory_for(inst)
+        make = BucketGridShooter.factory_for(inst, range(inst.m))
         kept = []
 
         def factory(comps):

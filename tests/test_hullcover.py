@@ -754,7 +754,8 @@ def test_only_trees_that_share_a_box_region_reach_the_grid_and_extraction(
 ):
     """The default grid is built over the trees that share their box region
     and nothing else: its bounds are their bounding box and it holds no
-    obstacle of a lone tree; with no such tree there is no grid.
+    obstacle of a lone tree; with no such tree it is still built, once, with
+    bounds ``AABB(0, 0, 0, 0)`` and no obstacle and no cell.
     ``maximal_regions`` gets one hull per component of those trees (an empty
     list when there are none), and each lone tree is a region of its own."""
     if name.startswith("mixed"):
@@ -788,10 +789,11 @@ def test_only_trees_that_share_a_box_region_reach_the_grid_and_extraction(
         hull = convex_hull(inst.trees[i].vertices)
         assert hull not in extracted[0]
         assert cover.membership[cover.regions.index(hull)] == (i,)
-    if not shared:
-        assert grids == []
-        return
     [(grid, bounds)] = grids
+    if not shared:
+        assert bounds == AABB(0, 0, 0, 0)
+        assert len(grid) == 0 and grid.cells == {}
+        return
     xs = [x for i in shared for x, _ in inst.trees[i].vertices]
     ys = [y for i in shared for _, y in inst.trees[i].vertices]
     assert bounds == AABB(min(xs), min(ys), max(xs), max(ys))
