@@ -169,13 +169,10 @@ def maximal_boxes(boxes: list[AABB]) -> list[int]:
     )
 
 
-def box_regions(instance: Instance, index_factory=BucketGridRangeIndex):
-    """The maximal regions of the box-cover; returns (regions, BoxStats),
-    where regions lists each maximal box with its member trees, in no set
-    order. The hull engine reads it too, when two tree boxes meet: every
-    hull-cover region's trees lie in one box region (a hull lies in its
-    bounding box, and maximal boxes are pairwise disjoint), so a tree alone
-    in its box region is its own hull region.
+def box_cover_fast(instance: Instance, index_factory=BucketGridRangeIndex):
+    """Compute the box-cover; returns (Cover, BoxStats).
+
+    The cover equals the naive merge-fixpoint box cover exactly.
     """
     index = index_factory()
     # stored box id, the index of the tree whose query stored it ->
@@ -216,13 +213,4 @@ def box_regions(instance: Instance, index_factory=BucketGridRangeIndex):
         index.insert_box(i, q)
         store[i] = (q, members)
 
-    return list(store.values()), BoxStats(queries, merges)
-
-
-def box_cover_fast(instance: Instance, index_factory=BucketGridRangeIndex):
-    """Compute the box-cover; returns (Cover, BoxStats).
-
-    The cover equals the naive merge-fixpoint box cover exactly.
-    """
-    regions, stats = box_regions(instance, index_factory)
-    return Cover.build("box", regions), stats
+    return Cover.build("box", list(store.values())), BoxStats(queries, merges)

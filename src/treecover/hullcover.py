@@ -10,24 +10,17 @@ the live hulls are pairwise disjoint or strictly nested; the maximal ones
 form the cover. Obstacles are of one kind, a ray from an integer
 point that stops at a rational parameter: a tree edge stops at t = 1.
 
-The box-cover splits the problem first (``boxcover.box_regions``). Every
-hull-cover region's trees lie in one maximal box-cover region: a merge of
-phi(A) and phi(B) needs them to meet, a hull lies in its bounding box, and
-maximal boxes are pairwise disjoint, so by induction over the merges (and
-likewise for nesting) A and B share a box region. A tree alone in its box
-region is therefore a maximal hull region that contains no other: its hull
-goes straight into the cover, with no obstacle, no queued edge, no shot and
-no extraction test, and no chord of another region can reach it. The box
-cover is the fixpoint of merging boxes that meet, so when no two tree boxes
-meet (``geom.boxes_disjoint``, one sorted sweep) the tree boxes are the box
-cover and every tree is alone; the engine then skips the box pass. Only the
-trees that share their box region run through the engine as described here:
-the default grid is sized to them (one empty cell when there are none), their
-edges and bare vertices enter the shooter in one ``insert_segments`` call,
-and ``maximal_regions`` sees only their components' hulls. So ``rays_shot``
-and a trace count only the shots of those trees, and ``initial_edges`` is the
-length of the worklist before the first shot: their hull edges less those
-that their own tree covers.
+When no two tree boxes meet (``geom.boxes_disjoint``, one sorted sweep),
+the engine shoots nothing: every tree's hull is a region of its own, with
+stats (0, 0, 0) and an empty trace. The cover is the fixpoint of merging
+hulls that meet, and a hull lies in its bounding box, so the first merge
+would join two trees whose boxes meet: there is none. Nor is one hull in
+another, which would put its box inside the other's box. Otherwise
+every tree runs through the engine as described here: the default grid
+spans all trees, their edges and bare vertices enter the shooter in one
+``insert_segments`` call, and ``maximal_regions`` sees every component's
+hull. ``initial_edges`` is the length of the worklist before the first
+shot: the trees' hull edges less those that their own tree covers.
 
 A hull edge (p, q) of a tree T whose segment [p, q] is covered by T's own
 edges (one edge, or a run of collinear edges; ``tree_covers``) is never
@@ -89,7 +82,6 @@ from typing import NamedTuple
 # ``_kernelpy.scan`` is looked up at each call, so a wrapper patched onto the
 # module (perfbench's tracer, the tests' counters) sees every shot.
 from . import _kernelpy
-from .boxcover import box_regions
 from .geom import (
     AABB,
     INSIDE,
@@ -218,9 +210,8 @@ class BucketGridShooter(NaiveRayShooter):
     Rasterization is exact: an object is registered in the cells of its
     points and no other, hence an obstacle and a chord sharing a
     point share that cell. Engine obstacles and chords lie inside the
-    bounds, the bounding box of the vertices of the trees the grid serves;
-    beyond them keys of neighbouring columns may coincide, which only adds
-    candidates.
+    bounds, the bounding box of the instance's vertices; beyond them keys
+    of neighbouring columns may coincide, which only adds candidates.
     """
 
     def __init__(self, components: ComponentSet, bounds: AABB, cell):
@@ -231,27 +222,22 @@ class BucketGridShooter(NaiveRayShooter):
         self.cells: dict[int, list[int]] = {}
 
     @staticmethod
-    def factory_for(instance: Instance, trees):
-        """Engine shooter_factory for the given trees of the instance (the
-        engine passes those that share their box region): the grid spans
-        their bounding box, and cells start as wide and tall as twice the
-        mean edge of those trees, doubled together until there are at most
-        4n of them, n their vertex count. With no tree it is one empty cell
-        at the origin."""
+    def factory_for(instance: Instance):
+        """Engine shooter_factory for the instance, which has a tree: the
+        grid spans the bounding box of its vertices, and cells start as
+        wide and tall as twice the mean edge, doubled together until there
+        are at most 4n of them, n the vertex count."""
         px, py, voff, ea, eb, eoff = instance.columns
-        xs, ys, sx, sy, edges = [], [], 0, 0, 0
-        for i in trees:
-            tx, ty = px[voff[i] : voff[i + 1]], py[voff[i] : voff[i + 1]]
-            xs += tx
-            ys += ty
-            for a, b in zip(ea[eoff[i] : eoff[i + 1]], eb[eoff[i] : eoff[i + 1]]):
-                sx += abs(tx[b] - tx[a])
-                sy += abs(ty[b] - ty[a])
-            edges += eoff[i + 1] - eoff[i]
-        bounds = AABB(min(xs or [0]), min(ys or [0]), max(xs or [0]), max(ys or [0]))
-        cw, ch = max(1, 2 * sx // max(edges, 1)), max(1, 2 * sy // max(edges, 1))
+        sx = sy = 0
+        for v, e0, e1 in zip(voff, eoff, eoff[1:]):
+            for a, b in zip(ea[e0:e1], eb[e0:e1]):
+                sx += abs(px[v + b] - px[v + a])
+                sy += abs(py[v + b] - py[v + a])
+        bounds = AABB(min(px), min(py), max(px), max(py))
+        edges = max(len(ea), 1)
+        cw, ch = max(1, 2 * sx // edges), max(1, 2 * sy // edges)
         w, h = bounds.xmax - bounds.xmin, bounds.ymax - bounds.ymin
-        while (w // cw + 1) * (h // ch + 1) > max(1, 4 * len(xs)):
+        while (w // cw + 1) * (h // ch + 1) > 4 * len(px):
             cw *= 2
             ch *= 2
 
@@ -392,30 +378,23 @@ def hull_cover_fast(
 ):
     """Compute the hull-cover; returns (Cover, HullStats). When ``trace`` is
     a list, one ray record ``{"from", "to", "merge"}`` is appended to it per
-    shot; a tree alone in its box region shoots none.
+    shot.
 
     The cover equals the naive merge-fixpoint hull cover exactly.
     """
     m = instance.m
-    comps = ComponentSet(m)
-    # a tree alone in its box region is its own hull region, and no chord
-    # of another region reaches it; when no two tree boxes meet, every tree
-    # is alone and the box pass would only confirm it
+    px, py, voff, ea, eb, eoff = instance.columns
+    points = [list(zip(px[a:b], py[a:b])) for a, b in zip(voff, voff[1:])]
     if boxes_disjoint(instance.tree_boxes()):
-        alone = range(m)
-    else:
-        alone = {ms[0] for _, ms in box_regions(instance)[0] if len(ms) == 1}
+        # no two trees meet, so each is a maximal region of its own
+        regions = [(chains_polygon(*hull_chains(pts)), (i,)) for i, pts in enumerate(points)]
+        return Cover.build("hull", regions), HullStats(0, 0, 0)
 
-    shared: list[int] = []
+    comps = ComponentSet(m)
     segments: list[tuple] = []
     worklist: deque = deque()
-    px, py, voff, ea, eb, eoff = instance.columns
-    for i in range(m):
-        pts = list(zip(px[voff[i] : voff[i + 1]], py[voff[i] : voff[i + 1]]))
+    for i, pts in enumerate(points):
         hull = comps.hull[i] = hull_chains(pts)
-        if i in alone:
-            continue
-        shared.append(i)
         if eoff[i] == eoff[i + 1]:
             # a bare vertex is the zero-length segment from it to itself
             segments.append((pts[0], pts[0], i))
@@ -432,7 +411,7 @@ def hull_cover_fast(
         )
     initial_edges = len(worklist)
     if shooter_factory is None:
-        shooter_factory = BucketGridShooter.factory_for(instance, shared)
+        shooter_factory = BucketGridShooter.factory_for(instance)
     shooter = shooter_factory(comps)
     shooter.insert_segments(segments)
 
@@ -470,15 +449,12 @@ def hull_cover_fast(
             if merges > m - 1:
                 raise InternalInvariantError("more than m - 1 merges")
 
-    roots = sorted({comps.find(i) for i in shared})
+    roots = sorted(comps.hull)
     hulls = [chains_polygon(*comps.hull[r]) for r in roots]
     home = dict(zip(roots, (roots[h] for h in maximal_regions(hulls))))
     members: dict[int, list[int]] = {r: [] for r in roots if home[r] == r}
-    for i in shared:
+    for i in range(m):
         members[home[comps.find(i)]].append(i)
     regions = [(h, members[r]) for r, h in zip(roots, hulls) if home[r] == r]
-    # a lone tree is a maximal hull region and contains no other region
-    regions += [(chains_polygon(*comps.hull[i]), (i,)) for i in alone]
     cover = Cover.build("hull", regions)
     return cover, HullStats(rays_shot, merges, initial_edges)
-

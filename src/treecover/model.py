@@ -78,13 +78,12 @@ class Columns(NamedTuple):
 class Instance:
     """A forest of pairwise disjoint geometric trees, held as ``columns``,
     which the validator and both engines read. Its trees are built from
-    them on first use, unless the instance was made from trees, and its
-    tree boxes on first use; two instances are equal when their trees are."""
+    them on first use, unless the instance was made from trees; two
+    instances are equal when their trees are."""
 
-    __slots__ = ("_columns", "_trees", "_boxes")
+    __slots__ = ("_columns", "_trees")
 
     def __init__(self, trees: Iterable[GeometricTree]):
-        self._boxes = None
         self._trees = trees = tuple(trees)
         px, py, voff, ea, eb, eoff = [], [], [0], [], [], [0]
         for t in trees:
@@ -99,7 +98,7 @@ class Instance:
     @classmethod
     def from_columns(cls, columns: Columns) -> "Instance":
         inst = object.__new__(cls)
-        inst._columns, inst._trees, inst._boxes = columns, None, None
+        inst._columns, inst._trees = columns, None
         return inst
 
     @property
@@ -126,16 +125,11 @@ class Instance:
         return len(self._columns.px)
 
     def tree_boxes(self) -> tuple[AABB, ...]:
-        if self._boxes is None:
-            px, py, voff = self._columns[:3]
-            xs = [px[a:b] for a, b in zip(voff, voff[1:])]
-            ys = [py[a:b] for a, b in zip(voff, voff[1:])]
-            # each min is at most its max, so ``_make`` skips AABB's
-            # inversion check
-            self._boxes = tuple(
-                map(AABB._make, zip(map(min, xs), map(min, ys), map(max, xs), map(max, ys)))
-            )
-        return self._boxes
+        px, py, voff = self._columns[:3]
+        xs = [px[a:b] for a, b in zip(voff, voff[1:])]
+        ys = [py[a:b] for a, b in zip(voff, voff[1:])]
+        # each min is at most its max, so ``_make`` skips AABB's inversion check
+        return tuple(map(AABB._make, zip(map(min, xs), map(min, ys), map(max, xs), map(max, ys))))
 
     def __eq__(self, other):
         if not isinstance(other, Instance):

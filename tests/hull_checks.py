@@ -21,7 +21,6 @@ from fractions import Fraction
 from itertools import combinations
 
 from treecover import _kernelpy
-from treecover.boxcover import box_regions
 from treecover.geom import (
     BOUNDARY,
     _segment_intersection_set,
@@ -199,10 +198,9 @@ def checked(factory) -> _CheckedFactory:
 
 def hull_cover_checked(instance, shooter_factory=None):
     """``hull_cover_fast`` with every check; the default shooter is the
-    engine's own: the grid over the trees that share their box region."""
+    engine's own grid."""
     if shooter_factory is None:
-        shared = sorted(i for _, ms in box_regions(instance)[0] if len(ms) > 1 for i in ms)
-        shooter_factory = BucketGridShooter.factory_for(instance, shared)
+        shooter_factory = BucketGridShooter.factory_for(instance)
     factory = checked(shooter_factory)
     result = hull_cover_fast(instance, shooter_factory=factory)
     factory.finish()

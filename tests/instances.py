@@ -14,7 +14,6 @@ names them beside the generator kinds.
 
 import random
 
-from treecover.boxcover import box_regions
 from treecover.generators import generate
 from treecover.model import GeometricTree, Instance
 
@@ -176,8 +175,3 @@ def build(kind, trees, size=5, seed=0):
     if kind == "mixed":
         return mixed(seed, max(1, trees // 2), max(1, trees - trees // 2))
     return generate(kind, trees=trees, size=size, seed=seed)
-
-
-def lone_trees(inst):
-    """The trees alone in their box-cover region, in ascending order."""
-    return sorted(ms[0] for _, ms in box_regions(inst)[0] if len(ms) == 1)

@@ -28,7 +28,7 @@ from treecover.model import GeometricTree, Instance, errors_only, validate_insta
 from treecover.phicover import PHI, naive_phi_cover
 
 from hull_checks import hull_cover_checked
-from instances import INSTANCE_A, INSTANCE_B, INSTANCE_D, build, lone_trees, paired
+from instances import INSTANCE_A, INSTANCE_B, INSTANCE_D, build, paired
 from scan_oracle import OB_RAY, two_kind_record, two_kind_scan
 
 
@@ -338,7 +338,7 @@ def test_grid_engine_scans_only_chord_candidates(monkeypatch):
     monkeypatch.setattr(_kernelpy, "scan", counting_scan)
     inst = paired("strips", 30, 5, seed=3)
     counts = []
-    for make in (NaiveRayShooter, BucketGridShooter.factory_for(inst, range(inst.m))):
+    for make in (NaiveRayShooter, BucketGridShooter.factory_for(inst)):
         scanned[0] = 0
         hull_cover_fast(inst, shooter_factory=make)
         counts.append(scanned[0])
@@ -382,7 +382,7 @@ def test_grid_registers_each_obstacle_in_the_cells_of_its_extent(kind):
     rays = {"full": 0, "short": 0}
     for seed in range(10):
         inst = build(kind, 2 + 3 * seed, 3 + seed % 4, seed)
-        make = BucketGridShooter.factory_for(inst, range(inst.m))
+        make = BucketGridShooter.factory_for(inst)
         kept = []
 
         def factory(comps):
@@ -391,9 +391,10 @@ def test_grid_registers_each_obstacle_in_the_cells_of_its_extent(kind):
 
         hull_cover_fast(inst, shooter_factory=factory)
         shooter = kept[0]
-        # every tree shares its box region, so the rays come after one
-        # obstacle per tree edge or bare vertex
-        assert not lone_trees(inst), (kind, seed)
+        # every tree shares its box region, so two tree boxes meet and the
+        # engine runs: the rays come after one obstacle per tree edge or
+        # bare vertex
+        assert all(len(ms) > 1 for ms in box_cover_fast(inst)[0].membership), (kind, seed)
         first_ray = sum(max(1, len(t.edges)) for t in inst.trees)
         for i, keys in enumerate(registered_keys(shooter)):
             assert keys == extent_keys(shooter, i), (kind, seed, i)

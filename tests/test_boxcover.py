@@ -6,12 +6,11 @@ from treecover.boxcover import (
     DuplicateBoxIdError,
     LinearSegmentRangeIndex,
     box_cover_fast,
-    box_regions,
     maximal_boxes,
 )
 from treecover.generators import generate
 from treecover.geom import AABB, boxes_disjoint
-from treecover.model import GENERATOR_KINDS, Cover, Instance
+from treecover.model import GENERATOR_KINDS, Instance
 from treecover.phicover import PHI, naive_phi_cover
 
 from box_checks import CountingRangeIndex, assert_inserted_and_deleted_at_most_once
@@ -210,22 +209,15 @@ def test_box_regions_split_the_hull_cover(kind, trees, size, seed):
     """Every hull-cover region's trees lie in one box region, so a tree
     alone in its box region is its own hull region (the naive hull cover is
     the reference). Every tree is alone exactly when no two tree boxes
-    meet, the hull engine's shortcut past the box pass."""
+    meet, when the hull engine shoots nothing."""
     inst = build(kind, trees, size, seed)
-    regions, _ = box_regions(inst)
-    region_of = {i: k for k, (_, ms) in enumerate(regions) for i in ms}
+    regions = box_cover_fast(inst)[0].membership
+    region_of = {i: k for k, ms in enumerate(regions) for i in ms}
     assert sorted(region_of) == list(range(inst.m))
     assert boxes_disjoint(inst.tree_boxes()) == (len(regions) == inst.m)
     hull, _ = naive_phi_cover(inst, PHI["hull"])
     for ms in hull.membership:
         assert len({region_of[i] for i in ms}) == 1, (kind, ms)
-    for _, ms in regions:
+    for ms in regions:
         if len(ms) == 1:
             assert tuple(ms) in hull.membership, (kind, ms)
-
-
-def test_box_cover_is_built_from_the_box_regions():
-    for kind in SPLIT_KINDS:
-        inst = build(kind, 9, 4, 3)
-        regions, stats = box_regions(inst)
-        assert box_cover_fast(inst) == (Cover.build("box", regions), stats)

@@ -6,10 +6,12 @@ from fractions import Fraction
 import pytest
 
 from treecover import _kernelpy, hullcover
+from treecover.boxcover import LinearSegmentRangeIndex, box_cover_fast
 from treecover.generators import generate
 from treecover.geom import (
     AABB,
     ConvexPolygon,
+    boxes_disjoint,
     chain_edges,
     convex_hull,
     hull_chains,
@@ -42,7 +44,6 @@ from instances import (
     INSTANCE_D,
     SPLIT_KINDS,
     build,
-    lone_trees,
     mixed,
     reversed_trees,
     tree,
@@ -233,7 +234,7 @@ def assert_budget(inst, stats: HullStats):
 
 class TestHullCoverFast:
     def test_instance_b_two_segments(self):
-        # each segment is alone in its box region, so neither shoots
+        # the two segments' boxes do not meet, so neither shoots
         cover, stats = hull_cover_fast(INSTANCE_B)
         assert len(cover.regions) == 2
         assert stats == (0, 0, 0)
@@ -472,55 +473,52 @@ def test_shot_counts_grow_at_most_linearly():
         assert m <= hull_cover_fast(generate("nested", trees=m))[1].rays_shot <= 2 * m
 
 
-def counting_box_pass(monkeypatch):
-    """Patches the hull engine's box pass to count its calls; returns the
-    list that gets one entry per call."""
-    calls = []
-    box_regions = hullcover.box_regions
+def test_hull_runs_make_no_range_index_query(monkeypatch):
+    """Counts, not times: the hull engine queries no range index (the box
+    pass that it once ran first made ``cross`` quadratic). On ``cross``,
+    ``strips`` and ``ladder`` no two tree boxes meet, so every tree is a
+    region of its own and nothing is shot."""
+    queries = []
+    query = LinearSegmentRangeIndex.query
 
-    def counted(inst):
-        calls.append(inst.m)
-        return box_regions(inst)
+    def counted(self, rect):
+        queries.append(rect)
+        return query(self, rect)
 
-    monkeypatch.setattr(hullcover, "box_regions", counted)
-    return calls
-
-
-def test_the_box_pass_runs_only_where_two_tree_boxes_meet(monkeypatch):
-    """Counts, not times: on ``cross``, ``strips`` and ``ladder`` no two
-    tree boxes meet, so every tree is alone and the hull engine never runs
-    the box pass (whose grid queries made ``cross`` quadratic); on
-    ``combs``, ``nested``, ``diag`` and ``mixed`` boxes meet and it runs
-    once."""
-    calls = counting_box_pass(monkeypatch)
+    monkeypatch.setattr(LinearSegmentRangeIndex, "query", counted)
     for kind in ("cross", "strips", "ladder"):
         for m in (1000, 10000):
             cover, stats = hull_cover_fast(build(kind, m, 5, 1))
             assert (len(cover.regions), stats) == (m, (0, 0, 0))
-    assert calls == []
-    for kind in ("combs", "nested", "diag", "mixed"):
-        inst = build(kind, 40, 5, 1)
-        hull_cover_fast(inst)
-        assert calls == [inst.m], kind
-        calls.clear()
+    for kind in SPLIT_KINDS:
+        for order in ("", "reversed-"):
+            hull_cover_fast(build(order + kind, 40, 5, 1))
+    assert queries == []
+    box_cover_fast(build("mixed", 4, 5, 1))
+    assert queries
 
 
 @pytest.mark.parametrize("kind", SPLIT_KINDS)
 @pytest.mark.parametrize("order", ["", "reversed-"], ids=["given", "reversed"])
 def test_the_box_pass_agrees_with_the_disjoint_boxes_shortcut(kind, order, monkeypatch):
-    """With ``boxes_disjoint`` patched to report a meeting pair, the engine
-    takes every lone tree from the box pass instead: its cover, stats and
-    trace do not change."""
+    """The shortcut taken when no two tree boxes meet changes no cover: with
+    ``boxes_disjoint`` patched to report a meeting pair, the engine runs
+    every tree through the grid, the worklist and extraction, and its cover
+    is unchanged. Where the shortcut applies, that run merges nothing;
+    elsewhere the patch changes nothing, stats and trace included."""
     for seed in range(3):
         inst = build(order + kind, 12, 4, seed)
         trace = []
         cover, stats = hull_cover_fast(inst, trace=trace)
         with monkeypatch.context() as patch:
-            calls = counting_box_pass(patch)
             patch.setattr(hullcover, "boxes_disjoint", lambda boxes: False)
             whole = []
-            assert hull_cover_fast(inst, trace=whole) == (cover, stats), (kind, seed)
-        assert whole == trace and calls == [inst.m]
+            whole_cover, whole_stats = hull_cover_fast(inst, trace=whole)
+        assert whole_cover == cover, (kind, seed)
+        if boxes_disjoint(inst.tree_boxes()):
+            assert (stats, trace, whole_stats.merges) == ((0, 0, 0), [], 0), (kind, seed)
+        else:
+            assert (whole_stats, whole) == (stats, trace), (kind, seed)
 
 
 class RecordingShooter(NaiveRayShooter):
@@ -546,7 +544,8 @@ class RecordingShooter(NaiveRayShooter):
 
 def recorded_run(inst, trace=None):
     """``hull_cover_fast`` with a ``RecordingShooter``: (cover, stats,
-    shooter)."""
+    shooter). A run that makes no shooter, where no two tree boxes meet,
+    returns an empty one."""
     shooters = []
 
     def factory(comps):
@@ -554,7 +553,7 @@ def recorded_run(inst, trace=None):
         return shooters[0]
 
     cover, stats = hull_cover_fast(inst, shooter_factory=factory, trace=trace)
-    return cover, stats, shooters[0]
+    return cover, stats, shooters[0] if shooters else RecordingShooter(ComponentSet(0))
 
 
 def never_covered(monkeypatch):
@@ -565,10 +564,9 @@ def never_covered(monkeypatch):
 
 @pytest.mark.parametrize("kind", SPLIT_KINDS)
 def test_every_live_hull_edge_is_shot_exactly_once(kind):
-    """Trees that share their box region shoot each edge of their live
-    hulls at most once, and every edge of their final hulls that their own
-    tree's edges do not cover; a covered edge is never shot, and a tree
-    alone in its box region shoots no edge at all."""
+    """Each edge of a live hull is shot at most once, and every edge of a
+    final hull that its own tree's edges do not cover is shot; a covered
+    edge is never shot, and where no two tree boxes meet nothing is."""
     for seed in range(10):
         inst = build(kind, 2 + 3 * seed, 3 + seed % 4, seed)
         _, stats, shooter = recorded_run(inst)
@@ -578,13 +576,12 @@ def test_every_live_hull_edge_is_shot_exactly_once(kind):
         assert all(shot[1] for shot in shooter.shots), (kind, seed)
         covered = covered_hull_edges(inst)
         assert covered.isdisjoint(chords), (kind, seed)
-        # vertices are globally distinct, so an origin names its tree
-        lone = lone_trees(inst)
-        lone_vertices = {v for i in lone for v in inst.trees[i].vertices}
-        assert not any(origin in lone_vertices for origin, _ in chords), (kind, seed)
-        comps = shooter.components
-        roots = {comps.find(i) for i in range(inst.m) if i not in lone}
-        final = {e for r in roots for e in chain_edges(*comps.hull[r])}
+        if boxes_disjoint(inst.tree_boxes()):
+            assert (chords, stats) == ([], (0, 0, 0)), (kind, seed)
+            continue
+        # the hulls of the live components, keyed by their roots
+        hulls = shooter.components.hull.values()
+        final = {e for hull in hulls for e in chain_edges(*hull)}
         assert final - covered <= set(chords), (kind, seed)
 
 
@@ -596,8 +593,8 @@ def digest(trace):
 # (before, since) the engine skipped the hull edges that a tree's own edges
 # cover. The combs "before" traces end rays at non-integer points, and were
 # recorded while shots still built fractions for the trace's end points.
-# Every strips tree is alone in its box region, so its trace is empty (the
-# sha256 of "[]"). The paired "before" traces were recorded before the
+# No two strips tree boxes meet, so nothing is shot and the trace is empty
+# (the sha256 of "[]"). The paired "before" traces were recorded before the
 # engine split the forest by its box regions, and did not change with it.
 TRACE_GOLDEN = {
     ("combs", 0): (
@@ -674,76 +671,40 @@ def test_shots_build_fractions_only_when_read(kind, seed, monkeypatch):
     assert digest(trace) == TRACE_GOLDEN[kind, seed][1]
 
 
-# name -> (rays_shot and trace digest of the engine with every tree in one
-# box region, hull edges of the trees alone in their box region that their
-# own edges do not cover, trace digest of the engine). Recorded once the
-# engine skipped covered hull edges; before that, the columns read (40, 22),
-# (42, 24), (43, 25) and (3, 0).
+# name -> (rays_shot, trace digest). Each instance has trees alone in their
+# box region beside trees whose boxes meet, and the lone trees are shot like
+# the others. Before the engine skipped covered hull edges, the rays read
+# 40, 42, 43 and 3.
 SPLIT_GOLDEN = {
-    "mixed-0": (
-        24,
-        "d5d7cd39c21bd13ad053a0e3c984d100a8eeaa2a860dcd26ef5d81e8601cdbb0",
-        15,
-        "e41c8f9145f358993d03b3d639d5983a3b0ce5333a75720598c1a8cc73cb0570",
-    ),
-    "mixed-1": (
-        24,
-        "451f4f5db8a797c1cec15875221ec308a0d3e7ee7f330a09d52833d7178c53fe",
-        15,
-        "115f2e78e63dd0910d975f8c1053e64d0e8a06d35f3cf21646fa855f9636885a",
-    ),
-    "mixed-2": (
-        20,
-        "3593e8de714e802095cf60f8f813e52f6393c7a41d9a5aa21635c1ae4d6e08bc",
-        11,
-        "6deedf6ef6fd04ef79e31aeaf2631d2d5a71c29c19dc9721f492164250619a9d",
-    ),
-    # the lone trees are bare vertices, whose hulls have no edge
-    "bare": (
-        1,
-        "a746cd365d2e9ea06b94098c7fa18a5da451498aac65c2a8f890d0c5a445a189",
-        0,
-        "a746cd365d2e9ea06b94098c7fa18a5da451498aac65c2a8f890d0c5a445a189",
-    ),
+    "mixed-0": (24, "d5d7cd39c21bd13ad053a0e3c984d100a8eeaa2a860dcd26ef5d81e8601cdbb0"),
+    "mixed-1": (24, "451f4f5db8a797c1cec15875221ec308a0d3e7ee7f330a09d52833d7178c53fe"),
+    "mixed-2": (20, "3593e8de714e802095cf60f8f813e52f6393c7a41d9a5aa21635c1ae4d6e08bc"),
+    "bare": (1, "a746cd365d2e9ea06b94098c7fa18a5da451498aac65c2a8f890d0c5a445a189"),
 }
 
 
+def lone_trees(inst):
+    """The trees alone in their box-cover region, in ascending order."""
+    return sorted(ms[0] for ms in box_cover_fast(inst)[0].membership if len(ms) == 1)
+
+
 @pytest.mark.parametrize("name", sorted(SPLIT_GOLDEN))
-def test_lone_trees_drop_out_of_the_trace(name, monkeypatch):
-    """The trace is the unsplit engine's trace without the rays from
-    vertices of trees alone in their box region (vertices are globally
-    distinct, so an origin names its tree), and ``rays_shot`` and
-    ``initial_edges`` drop by those trees' hull edges that their own edges
-    do not cover. The unsplit engine is this one with every tree in one box
-    region."""
+def test_lone_trees_drop_out_of_the_trace(name):
+    """A tree alone in its box region shoots like any other once two tree
+    boxes meet: ``rays_shot`` and the trace are the recorded ones, and each
+    hull edge of a lone tree that its own edges do not cover is shot once
+    (vertices are globally distinct, so an origin names its tree)."""
     inst = INSTANCE_BARE if name == "bare" else mixed(int(name[-1]))
-    before_rays, before_digest, lone_edges, after_digest = SPLIT_GOLDEN[name]
     trace = []
     cover, stats = hull_cover_fast(inst, trace=trace)
-    whole = []
-    with monkeypatch.context() as patch:
-        patch.setattr(
-            hullcover, "box_regions", lambda inst: ([(None, list(range(inst.m)))], None)
-        )
-        whole_cover, whole_stats = hull_cover_fast(inst, trace=whole)
-    assert (whole_stats.rays_shot, digest(whole)) == (before_rays, before_digest)
-    assert whole_cover == cover
+    assert (stats.rays_shot, digest(trace)) == SPLIT_GOLDEN[name]
+    assert cover.canonical() == naive_phi_cover(inst, HULL)[0].canonical()
     lone = lone_trees(inst)
     assert lone and len(lone) < inst.m
     covered = covered_hull_edges(inst)
-    edges = sum(
-        len(set(chain_edges(*hull_chains(inst.trees[i].vertices))) - covered)
-        for i in lone
-    )
-    assert edges == lone_edges
+    edges = {e for i in lone for e in chain_edges(*hull_chains(inst.trees[i].vertices))}
     lone_vertices = {v for i in lone for v in inst.trees[i].vertices}
-    assert trace == [r for r in whole if tuple(r["from"]) not in lone_vertices]
-    assert stats == (
-        before_rays - lone_edges,
-        whole_stats.merges,
-        whole_stats.initial_edges - lone_edges,
-    )
-    assert digest(trace) == after_digest
+    assert sum(tuple(r["from"]) in lone_vertices for r in trace) == len(edges - covered)
 
 
 @pytest.mark.parametrize(
@@ -752,12 +713,11 @@ def test_lone_trees_drop_out_of_the_trace(name, monkeypatch):
 def test_only_trees_that_share_a_box_region_reach_the_grid_and_extraction(
     name, monkeypatch
 ):
-    """The default grid is built over the trees that share their box region
-    and nothing else: its bounds are their bounding box and it holds no
-    obstacle of a lone tree; with no such tree it is still built, once, with
-    bounds ``AABB(0, 0, 0, 0)`` and no obstacle and no cell.
-    ``maximal_regions`` gets one hull per component of those trees (an empty
-    list when there are none), and each lone tree is a region of its own."""
+    """When two tree boxes meet, the default grid is built once, over the
+    bounding box of all trees, and holds every tree's obstacles;
+    ``maximal_regions`` gets one hull per component, those of trees alone
+    in their box region included. When no two tree boxes meet (``strips``)
+    there is no grid and no ``maximal_regions`` call."""
     if name.startswith("mixed"):
         inst = mixed(int(name[-1]))
     else:
@@ -780,28 +740,22 @@ def test_only_trees_that_share_a_box_region_reach_the_grid_and_extraction(
     cover, stats = hull_cover_fast(inst)
     assert cover.canonical() == naive_phi_cover(inst, HULL)[0].canonical()
 
-    lone = set(lone_trees(inst))
-    shared = [i for i in range(inst.m) if i not in lone]
-    assert bool(lone) == (name != "paired-strips" and name != "paired-ladder")
-    assert bool(shared) == (name != "strips")
-    assert len(extracted) == 1 and len(extracted[0]) == len(shared) - stats.merges
-    for i in lone:
-        hull = convex_hull(inst.trees[i].vertices)
-        assert hull not in extracted[0]
-        assert cover.membership[cover.regions.index(hull)] == (i,)
-    [(grid, bounds)] = grids
-    if not shared:
-        assert bounds == AABB(0, 0, 0, 0)
-        assert len(grid) == 0 and grid.cells == {}
+    if name == "strips":
+        assert boxes_disjoint(inst.tree_boxes())
+        assert (grids, extracted, stats) == ([], [], (0, 0, 0))
         return
-    xs = [x for i in shared for x, _ in inst.trees[i].vertices]
-    ys = [y for i in shared for _, y in inst.trees[i].vertices]
+    assert len(extracted) == 1 and len(extracted[0]) == inst.m - stats.merges
+    lone = lone_trees(inst)
+    assert bool(lone) == name.startswith("mixed")
+    for i in lone:
+        assert convex_hull(inst.trees[i].vertices) in extracted[0]
+    [(grid, bounds)] = grids
+    xs = [x for t in inst.trees for x, _ in t.vertices]
+    ys = [y for t in inst.trees for _, y in t.vertices]
     assert bounds == AABB(min(xs), min(ys), max(xs), max(ys))
-    # one obstacle per tree edge or bare vertex of the shared trees, then
-    # the rays, each owned by the root of a shared tree
-    trees = sum(max(1, len(inst.trees[i].edges)) for i in shared)
-    assert sorted({ob[6] for ob in grid.obstacles[:trees]}) == shared
-    assert not any(ob[6] in lone for ob in grid.obstacles)
+    # one obstacle per tree edge or bare vertex, then the rays
+    trees = sum(max(1, len(t.edges)) for t in inst.trees)
+    assert sorted({ob[6] for ob in grid.obstacles[:trees]}) == list(range(inst.m))
     assert {i for ids in grid.cells.values() for i in ids} == set(range(len(grid)))
 
 
@@ -872,25 +826,11 @@ def test_covered_edges_drop_out_of_the_shots(name, monkeypatch):
     assert cover == whole_cover
     kept = [s for s in whole_shooter.shots if s[0] not in covered]
     assert shooter.shots == kept
-    assert stats == (
-        len(kept),
-        whole_stats.merges,
-        whole_stats.initial_edges - len(covered & shared_hull_edges(inst)),
-    )
+    # where no two tree boxes meet, no edge is queued, covered or not
+    dropped = 0 if boxes_disjoint(inst.tree_boxes()) else len(covered)
+    assert stats == (len(kept), whole_stats.merges, whole_stats.initial_edges - dropped)
     if name.startswith(("combs", "arc")):
         assert len(kept) < len(whole_shooter.shots)
-
-
-def shared_hull_edges(inst):
-    """The directed edges of the own hulls of the trees that share their box
-    region."""
-    lone = set(lone_trees(inst))
-    return {
-        e
-        for i, t in enumerate(inst.trees)
-        if i not in lone
-        for e in chain_edges(*hull_chains(t.vertices))
-    }
 
 
 def test_debug_checks_reject_crossing_hulls():
