@@ -9,13 +9,15 @@ processed the store is the cover itself. A query whose one hit contains it
 is not repeated: in a disjoint store that box meets no other.
 
 The range index is pluggable. The default, `BucketGridRangeIndex`, keys
-each stored box to a grid shaped by the box itself, so a query looks only at
+each stored box to a grid shaped by the box itself and walks only the
+occupied cells of each grid that a query can hit, so a query looks only at
 boxes near it; `LinearSegmentRangeIndex`, its base class, is the exact
 linear scan it is tested against. Both return identical results.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
 from typing import NamedTuple
 
 from .geom import AABB, box_union, boxes_intersect, outermost
@@ -76,6 +78,129 @@ class LinearSegmentRangeIndex:
 SMALL_STORE = 4
 
 
+class _CellLines:
+    """The occupied cells of one grid, line by line: column-major in the
+    grid itself, row-major in its ``twin``.
+
+    ``lines`` maps the key of each occupied line (a column, or a row) to its
+    occupied cells, keyed along the line, each with the ids placed there.
+    The sorted line keys (``keys``), and each line's sorted cell keys
+    (``along``), are built the first time a query needs them and kept
+    sorted after that: sorted eagerly, long lines would pay an ``insort``
+    on every insert. The twin is built the first time a query needs it
+    and kept up after that; it shares each cell's id set with the grid."""
+
+    __slots__ = ("lines", "keys", "along", "twin")
+
+    def __init__(self):
+        self.lines: dict[int, dict[int, set[int]]] = {}
+        self.keys: list[int] | None = None
+        self.along: dict[int, list[int]] = {}
+        self.twin: _CellLines | None = None
+
+    def place(self, box_id: int, us, vs) -> None:
+        """Add ``box_id`` to the cells of lines ``us`` at ``vs``."""
+        lines = self.lines
+        for u in us:
+            line = lines.get(u)
+            for v in vs:
+                ids = None if line is None else line.get(v)
+                if ids is None:
+                    ids = set()
+                    self._link(u, v, ids)
+                    if self.twin is not None:
+                        self.twin._link(v, u, ids)
+                    line = lines[u]
+                ids.add(box_id)
+
+    def _link(self, u: int, v: int, ids: set[int]) -> None:
+        """Store the new cell (u, v) with its id set ``ids``."""
+        line = self.lines.get(u)
+        if line is None:
+            line = self.lines[u] = {}
+            if self.keys is not None:
+                insort(self.keys, u)
+        line[v] = ids
+        along = self.along.get(u)
+        if along is not None:
+            insort(along, v)
+
+    def remove(self, box_id: int, us, vs) -> None:
+        """Take ``box_id`` out of the cells of lines ``us`` at ``vs``."""
+        for u in us:
+            for v in vs:
+                ids = self.lines[u][v]
+                ids.discard(box_id)
+                if not ids:
+                    self._unlink(u, v)
+                    if self.twin is not None:
+                        self.twin._unlink(v, u)
+
+    def _unlink(self, u: int, v: int) -> None:
+        """Drop the emptied cell (u, v), and its line if that empties."""
+        line = self.lines[u]
+        del line[v]
+        if line:
+            along = self.along.get(u)
+            if along is not None:
+                del along[bisect_left(along, v)]
+            return
+        del self.lines[u]
+        self.along.pop(u, None)
+        if self.keys is not None:
+            del self.keys[bisect_left(self.keys, u)]
+
+    def row_major(self) -> _CellLines:
+        """The twin, built from the grid's cells if this is its first use."""
+        twin = self.twin
+        if twin is None:
+            twin = self.twin = _CellLines()
+            for u, line in self.lines.items():
+                for v, ids in line.items():
+                    twin._link(v, u, ids)
+        return twin
+
+    def walk(
+        self, u0: int, u1: int, v0: int, v1: int, out: set[int], most: int | None = None
+    ):
+        """Add to ``out`` the ids in the cells [v0, v1] of the lines [u0, u1]
+        and return None; or, when that would visit more than ``most``
+        lines, add nothing and return how many it would visit. Each level
+        probes the keys in its range when there are no more of them than
+        occupied ones, and bisects the sorted occupied keys otherwise."""
+        lines = self.lines
+        if u1 - u0 < len(lines):
+            if most is not None and u1 - u0 >= most:
+                return u1 - u0 + 1
+            us = range(u0, u1 + 1)
+        else:
+            keys = self.keys
+            if keys is None:
+                keys = self.keys = sorted(lines)
+            first, stop = bisect_left(keys, u0), bisect_right(keys, u1)
+            if most is not None and stop - first > most:
+                return stop - first
+            us = keys[first:stop]
+        along = self.along
+        dv = v1 - v0
+        for u in us:
+            line = lines.get(u)
+            if line is None:
+                continue
+            if dv < len(line):
+                for v in range(v0, v1 + 1):
+                    ids = line.get(v)
+                    if ids is not None:
+                        out |= ids
+            else:
+                vs = along.get(u)
+                if vs is None:
+                    vs = along[u] = sorted(line)
+                for v in vs[bisect_left(vs, v0) : bisect_right(vs, v1)]:
+                    out |= line[v]
+        return None
+
+
 class BucketGridRangeIndex(LinearSegmentRangeIndex):
     """Range index over grids of box buckets, one grid per box shape.
 
@@ -86,8 +211,15 @@ class BucketGridRangeIndex(LinearSegmentRangeIndex):
     query rectangle that share a point share that point's cell in the box's
     grid, so the boxes in the rectangle's cells include every box it meets,
     a box containing it included; ``query`` confirms each of them exactly.
-    Per grid, a query visits the rectangle's cells or the grid's occupied
-    cells, whichever are fewer.
+
+    Per grid, a query walks only the occupied cells it can hit: the grid's
+    occupied columns in its range and, in each, the occupied rows in its
+    range. At each level it probes its own keys when they are no more than
+    the occupied ones, and bisects the sorted occupied keys otherwise. A
+    query whose column walk would visit more than two columns walks the
+    row-major order instead (occupied rows, each with its columns) when
+    that visits fewer rows. Per grid the walk costs at most min(rectangle
+    cells, occupied cells), up to a log factor.
 
     While the store holds at most ``SMALL_STORE`` boxes it is scanned whole;
     boxes wait in ``pending`` and are placed when it outgrows that, so a
@@ -96,18 +228,15 @@ class BucketGridRangeIndex(LinearSegmentRangeIndex):
 
     def __init__(self):
         super().__init__()
-        # grid key -> cell key -> ids of the boxes placed in that cell
-        self.grids: dict[tuple[int, int], dict[tuple[int, int], set[int]]] = {}
+        self.grids: dict[tuple[int, int], _CellLines] = {}
         self.pending: dict[int, None] = {}
 
     @staticmethod
     def _cells(box: AABB):
-        """The key of the box's grid and the keys of its cells there."""
+        """The key of the box's grid, and the box's columns and rows there."""
         a = (box.xmax - box.xmin).bit_length()
         b = (box.ymax - box.ymin).bit_length()
-        cols = {box.xmin >> a, box.xmax >> a}
-        rows = {box.ymin >> b, box.ymax >> b}
-        return (a, b), [(cx, cy) for cx in cols for cy in rows]
+        return (a, b), {box.xmin >> a, box.xmax >> a}, {box.ymin >> b, box.ymax >> b}
 
     def _register(self, box_id: int, box: AABB) -> None:
         self.pending[box_id] = None
@@ -116,41 +245,35 @@ class BucketGridRangeIndex(LinearSegmentRangeIndex):
         if box_id in self.pending:
             del self.pending[box_id]
             return
-        shape, keys = self._cells(box)
-        cells = self.grids[shape]
-        for key in keys:
-            ids = cells[key]
-            ids.discard(box_id)
-            if not ids:
-                del cells[key]
-        if not cells:
+        shape, cols, rows = self._cells(box)
+        grid = self.grids[shape]
+        grid.remove(box_id, cols, rows)
+        if not grid.lines:
             del self.grids[shape]
 
     def _candidates(self, rect: AABB):
         if len(self.boxes) <= SMALL_STORE:
             return self.boxes
         if self.pending:
+            grids = self.grids
             for i in self.pending:
-                shape, keys = self._cells(self.boxes[i])
-                cells = self.grids.setdefault(shape, {})
-                for key in keys:
-                    cells.setdefault(key, set()).add(i)
+                shape, cols, rows = self._cells(self.boxes[i])
+                grid = grids.get(shape)
+                if grid is None:
+                    grid = grids[shape] = _CellLines()
+                grid.place(i, cols, rows)
             self.pending.clear()
         x0, y0, x1, y1 = rect.xmin, rect.ymin, rect.xmax, rect.ymax
         out: set[int] = set()
-        for (a, b), cells in self.grids.items():
+        for (a, b), grid in self.grids.items():
             cx0, cx1 = x0 >> a, x1 >> a
             cy0, cy1 = y0 >> b, y1 >> b
-            if (cx1 - cx0 + 1) * (cy1 - cy0 + 1) <= len(cells):
-                for cx in range(cx0, cx1 + 1):
-                    for cy in range(cy0, cy1 + 1):
-                        ids = cells.get((cx, cy))
-                        if ids:
-                            out |= ids
-            else:
-                for (cx, cy), ids in cells.items():
-                    if cx0 <= cx <= cx1 and cy0 <= cy <= cy1:
-                        out |= ids
+            cols = grid.walk(cx0, cx1, cy0, cy1, out, 2)
+            if cols is not None:
+                # more than two columns to walk: walk the rows if fewer
+                rows = grid.row_major()
+                if rows.walk(cy0, cy1, cx0, cx1, out, cols - 1) is not None:
+                    grid.walk(cx0, cx1, cy0, cy1, out)
         return out
 
 

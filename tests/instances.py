@@ -8,8 +8,10 @@ Letters match the worked examples exercised throughout the suite:
 
 ``paired`` builds many box regions of two hull-disjoint trees each, so the
 hull engine shoots in every region; ``mixed`` puts one box region of combs
-beside strips whose trees are each alone in their box region. ``build``
-names them beside the generator kinds.
+beside strips whose trees are each alone in their box region.
+``turned_cross``, ``stacked`` and ``tower`` are families of lone
+single-segment trees whose box queries span many cells of another family's
+grid (``BOX_INDEX_KINDS``). ``build`` names them beside the generator kinds.
 """
 
 import random
@@ -147,6 +149,49 @@ def mixed(seed=0, combs=6, strips=6):
     return Instance(tuple(left) + tuple(moved))
 
 
+def turned_cross(m):
+    """``cross`` turned so that its rungs lie above its columns: k = ceil(m
+    / 2) rungs ((0, 2L + 10i), (L, 2L + 10i + 1)) and m - k columns ((10i,
+    0), (10i + 1, L)), L = 10k. Every tree is alone in its box region. A
+    rung's query spans every occupied column of the columns' grid but none
+    of its occupied rows."""
+    k = m - m // 2
+    length = 10 * k
+    rungs = [tree([(0, 2 * length + 10 * i), (length, 2 * length + 10 * i + 1)])
+             for i in range(k)]
+    columns = [tree([(10 * i, 0), (10 * i + 1, length)]) for i in range(m // 2)]
+    return Instance(tuple(rungs + columns))
+
+
+def stacked(m):
+    """k = ceil(m / 2) short segments ((0, 100i), (1, 100i + 60)) stacked in
+    one column, beside m - k tall segments ((10^6 + 10i, 0), (10^6 + 10i +
+    1, 100k)). Every tree is alone in its box region. A tall segment's query
+    spans as many rows of the short segments' grid as that grid occupies,
+    in a column it does not occupy."""
+    k = m - m // 2
+    short = [tree([(0, 100 * i), (1, 100 * i + 60)]) for i in range(k)]
+    tall = [tree([(10**6 + 10 * i, 0), (10**6 + 10 * i + 1, 100 * k)])
+            for i in range(m // 2)]
+    return Instance(tuple(short + tall))
+
+
+def tower(m):
+    """k = ceil(m / 2) points (10i, 0) in a row, beneath a tower of m - k
+    diagonal segments ((0, y), (L, y + L)), y = (j + 1)(L + 10), L = 10k,
+    whose boxes are L x L squares. Every tree is alone in its box region. A
+    square's query spans every occupied column of the points' grid and
+    more rows than columns, but none of its occupied rows."""
+    k = m - m // 2
+    length = 10 * k
+    points = [tree([(10 * i, 0)]) for i in range(k)]
+    squares = []
+    for j in range(m // 2):
+        y = (j + 1) * (length + 10)
+        squares.append(tree([(0, y), (length, y + length)]))
+    return Instance(tuple(points + squares))
+
+
 def reversed_trees(inst):
     """The instance with its trees in reverse order."""
     return Instance(inst.trees[::-1])
@@ -161,17 +206,32 @@ SPLIT_KINDS = (
     "paired-strips", "paired-ladder", "mixed",
 )
 
+# ``build`` kinds of single-segment trees, each alone in its box region,
+# whose queries span many cells of another family's grid: the box range
+# index must walk only the occupied cells a query can hit
+BOX_INDEX_KINDS = (
+    "cross", "reversed-cross", "turned-cross", "reversed-turned-cross", "stacked",
+    "tower",
+)
+
 
 def build(kind, trees, size=5, seed=0):
     """``generate(kind, trees, size, seed)`` for the generator kinds; for
     "paired-strips" and "paired-ladder", ``paired`` with ``trees // 2``
     pairs (at least one); for "mixed", ``mixed`` with about half the trees
-    on each side; for "reversed-" and a kind, that kind's instance with its
-    trees in reverse order."""
+    on each side; for "turned-cross", "stacked" and "tower", those
+    functions (size and seed are ignored); for "reversed-" and a kind,
+    that kind's instance with its trees in reverse order."""
     if kind.startswith("reversed-"):
         return reversed_trees(build(kind[len("reversed-") :], trees, size, seed))
     if kind.startswith("paired-"):
         return paired(kind[len("paired-") :], max(1, trees // 2), size, seed)
     if kind == "mixed":
         return mixed(seed, max(1, trees // 2), max(1, trees - trees // 2))
+    if kind == "turned-cross":
+        return turned_cross(trees)
+    if kind == "stacked":
+        return stacked(trees)
+    if kind == "tower":
+        return tower(trees)
     return generate(kind, trees=trees, size=size, seed=seed)

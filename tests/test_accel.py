@@ -424,10 +424,66 @@ def random_box(rng, span):
     return AABB(x, y, x + side(), y + side())
 
 
+def thin_box(rng, span):
+    """A box span / 4 to span long, starting at one of four points of its
+    long axis, and at most span / 64 across (at least 2), wide or tall:
+    many such boxes share a few rows (or columns) of their grids."""
+    start = span * rng.randint(-2, 1) // 2
+    across = rng.randint(-span, span)
+    long, wide = rng.randint(span >> 2, span), rng.randint(0, max(2, span >> 6))
+    if rng.random() < 0.5:
+        return AABB(across, start, across + wide, start + long)
+    return AABB(start, across, start + long, across + wide)
+
+
+def wide_query(rng, span):
+    """A rectangle across the whole range of x or y, at most 2 * span the
+    other way."""
+    a = rng.randint(-2 * span, 2 * span)
+    b = a + rng.randint(0, 2 * span)
+    if rng.random() < 0.5:
+        return AABB(-3 * span, a, 3 * span, b)
+    return AABB(a, -3 * span, b, 3 * span)
+
+
+def cells(grid):
+    """The occupied cells of a grid, keyed (column, row), from its
+    column-major order."""
+    return {(u, v): ids for u, line in grid.lines.items() for v, ids in line.items()}
+
+
+def assert_cells_kept_up(bucket):
+    """Every grid's sorted keys are the sorted keys they stand for, and its
+    row-major twin, once built, holds the same cells with the same id
+    sets."""
+    for grid in bucket.grids.values():
+        orders = [grid] if grid.twin is None else [grid, grid.twin]
+        for order in orders:
+            assert order.keys is None or order.keys == sorted(order.lines)
+            assert set(order.along) <= set(order.lines)
+            for u, vs in order.along.items():
+                assert vs == sorted(order.lines[u])
+            assert all(order.lines.values())
+        assert all(cells(grid).values())
+        if grid.twin is not None:
+            transposed = {(u, v): ids for (v, u), ids in cells(grid.twin).items()}
+            assert transposed == cells(grid)
+            for (u, v), ids in cells(grid).items():
+                assert grid.twin.lines[v][u] is ids
+
+
 def test_bucket_range_index_matches_linear():
     rng = random.Random(9)
+    # events the run must reach: queries that walk the row-major order, that
+    # bisect its sorted rows, and that bisect along a column and along a row;
+    # deletes that empty a column of a grid with sorted columns, and a row of
+    # a grid's twin
+    seen = dict.fromkeys(
+        ("rows", "sorted rows", "along", "along rows", "column emptied", "row emptied"), 0
+    )
     for trial in range(300):
         span = (5, 40, 1000, 10**6)[trial % 4]
+        thin = trial % 2 == 1
         linear, bucket = LinearSegmentRangeIndex(), BucketGridRangeIndex()
         live = []
         next_id = 0
@@ -437,18 +493,35 @@ def test_bucket_range_index_matches_linear():
         for _ in range(rng.randint(1, 90)):
             op = rng.random()
             if op < grow * 0.7 or not live:
-                box = random_box(rng, span)
+                make = thin_box if thin and rng.random() < 0.7 else random_box
+                box = make(rng, span)
                 linear.insert_box(next_id, box)
                 bucket.insert_box(next_id, box)
                 live.append(next_id)
                 next_id += 1
             elif op < 0.7:
                 bid = live.pop(rng.randrange(len(live)))
+                shape = bucket._cells(bucket.boxes[bid])[0]
+                grid = bucket.grids.get(shape)
+                before = None
+                if grid is not None and grid.twin is not None:
+                    before = len(grid.lines), len(grid.twin.lines), grid.keys is not None
                 linear.delete_box(bid)
                 bucket.delete_box(bid)
+                if before is not None:
+                    seen["column emptied"] += before[2] and len(grid.lines) < before[0]
+                    seen["row emptied"] += len(grid.twin.lines) < before[1]
             else:
-                rect = random_box(rng, span)
+                make = wide_query if thin and rng.random() < 0.5 else random_box
+                rect = make(rng, span)
                 assert linear.query(rect) == bucket.query(rect), (trial, rect)
+                twins = [g.twin for g in bucket.grids.values() if g.twin is not None]
+                seen["rows"] += bool(twins)
+                seen["sorted rows"] += any(t.keys is not None for t in twins)
+                seen["along"] += any(g.along for g in bucket.grids.values())
+                seen["along rows"] += any(t.along for t in twins)
+            assert_cells_kept_up(bucket)
+    assert all(seen.values()), seen
 
 
 def test_bucket_range_index_keys_boxes_by_shape():
@@ -463,17 +536,20 @@ def test_bucket_range_index_keys_boxes_by_shape():
     for bid, box in boxes.items():
         bucket.insert_box(bid, box)
     assert bucket.query(AABB(-100, -100, 100, 100)) == set(boxes)
-    assert bucket.grids == {
+    # each box is in the grid keyed by its shape, in at most 2 x 2 cells
+    assert {shape: cells(grid) for shape, grid in bucket.grids.items()} == {
         (1, 4): {(-1, -1): {0}, (-1, 0): {0}, (0, -1): {0}, (0, 0): {0}},
         (0, 0): {(3, 5): {1}},
         (20, 3): {(0, 1): {2}, (0, 2): {2}},
         (2, 3): {(-2, -1): {3}, (-2, 0): {3}, (-1, -1): {3}, (-1, 0): {3}},
         (2, 0): {(1, -2): {4}, (2, -2): {4}},
     }
+    assert_cells_kept_up(bucket)
 
 
 def placed_ids(bucket):
-    return {i for cells in bucket.grids.values() for ids in cells.values() for i in ids}
+    grids = bucket.grids.values()
+    return {i for grid in grids for ids in cells(grid).values() for i in ids}
 
 
 def test_bucket_range_index_places_boxes_once_the_store_outgrows_small():

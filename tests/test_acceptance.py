@@ -28,6 +28,7 @@ from treecover.phicover import (
 from box_checks import CountingRangeIndex, assert_inserted_and_deleted_at_most_once
 from childenv import child_env
 from hull_checks import boundary_intersection_points
+from instances import BOX_INDEX_KINDS, build
 
 KINDS = ("strips", "combs", "nested")
 
@@ -358,4 +359,20 @@ def test_criterion_10_scaling_subquadratic():
         "ACCEPTANCE 10 PASS: validator and accelerated engines on combs at "
         "n=1e3/1e4/1e5, strips, ladder and arc at n=1e3/1e4, growth ratios "
         f"{'; '.join(report)}, all < 25"
+    )
+
+
+def test_criterion_10_box_index_scaling_subquadratic():
+    # every tree of these families is alone, but each query rectangle spans
+    # many cells of another family's grid: a range index that walks the
+    # query's cells, or every occupied cell of a grid, goes quadratic
+    growth = {
+        kind: _growth(box_cover_fast, build(kind, 1000), build(kind, 10_000))[0]
+        for kind in BOX_INDEX_KINDS
+    }
+    report = ", ".join(f"{kind} {r:.1f}" for kind, r in growth.items())
+    assert all(r < 25 for r in growth.values()), report
+    print(
+        "ACCEPTANCE 10 (box index) PASS: box engine growth from 1e3 to 1e4 "
+        f"trees: {report}, all < 25"
     )

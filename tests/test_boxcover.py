@@ -10,11 +10,12 @@ from treecover.boxcover import (
 )
 from treecover.generators import generate
 from treecover.geom import AABB, boxes_disjoint
-from treecover.model import GENERATOR_KINDS, Instance
+from treecover.model import GENERATOR_KINDS, Instance, errors_only, validate_instance
 from treecover.phicover import PHI, naive_phi_cover
 
 from box_checks import CountingRangeIndex, assert_inserted_and_deleted_at_most_once
 from instances import (
+    BOX_INDEX_KINDS,
     INSTANCE_A,
     INSTANCE_B,
     INSTANCE_E,
@@ -140,6 +141,19 @@ class TestBoxCoverFast:
                 cover, stats = box_cover_fast(order)
                 oracle, _ = naive_phi_cover(order, BOX)
                 assert cover.canonical() == oracle.canonical(), (kind, seed)
+
+    @pytest.mark.parametrize("kind", BOX_INDEX_KINDS)
+    def test_box_index_families(self, kind):
+        # validator-clean; at 40 trees the cover is the naive one, and at
+        # 1,000 trees, where the grids walk sorted keys and row-major twins,
+        # cover and stats are the linear scan's
+        small, big = build(kind, 40), build(kind, 1000)
+        for inst in (small, big):
+            assert errors_only(validate_instance(inst)) == [], kind
+        oracle, _ = naive_phi_cover(small, BOX)
+        assert box_cover_fast(small)[0].canonical() == oracle.canonical(), kind
+        linear = box_cover_fast(big, index_factory=LinearSegmentRangeIndex)
+        assert box_cover_fast(big) == linear, kind
 
     @pytest.mark.parametrize("kind", GENERATOR_KINDS)
     def test_merges_count_the_absorbed_trees(self, kind):
