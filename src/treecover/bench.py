@@ -1,5 +1,8 @@
-"""The ``bench`` command: fast and naive cover times over a size ladder.
+"""The ``bench`` command: fast-engine cover times over a size ladder.
 
+Each row times ``hull_cover_fast`` or ``box_cover_fast`` on one instance,
+and its ``ops`` and ``merges`` are that engine's stats. The ``algo`` column
+always reads ``fast``, so the CSV keeps the columns its readers expect.
 ``cli`` imports this module only to run ``bench``, so other commands do not
 compile it.
 """
@@ -16,38 +19,15 @@ from .hullcover import hull_cover_fast
 from .model import GenerationError
 
 
-class _CountingPhi:
-    """Wraps a region function and counts intersection tests (bench ops);
-    every other attribute is the wrapped function's."""
-
-    def __init__(self, inner):
-        self._inner = inner
-        self.tests = 0
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-    def intersects(self, a, b):
-        self.tests += 1
-        return self._inner.intersects(a, b)
-
-
-def _bench_one(inst, phi_name: str, algo: str):
-    """One measured run; returns (wall_ms, ops, merges)."""
+def _bench_one(inst, phi_name: str):
+    """One measured run of the fast engine; returns (wall_ms, ops, merges)."""
     t0 = time.perf_counter()
-    if algo == "fast":
-        if phi_name == "hull":
-            _, stats = hull_cover_fast(inst)
-            ops, merges = stats.rays_shot, stats.merges
-        else:
-            _, stats = box_cover_fast(inst)
-            ops, merges = stats.queries, stats.merges
+    if phi_name == "hull":
+        _, stats = hull_cover_fast(inst)
+        ops, merges = stats.rays_shot, stats.merges
     else:
-        from .phicover import PHI, naive_phi_cover
-
-        phi = _CountingPhi(PHI[phi_name])
-        _, forest = naive_phi_cover(inst, phi)
-        ops, merges = phi.tests, len(forest.script())
+        _, stats = box_cover_fast(inst)
+        ops, merges = stats.queries, stats.merges
     wall_ms = (time.perf_counter() - t0) * 1000.0
     return wall_ms, ops, merges
 
@@ -103,12 +83,11 @@ def run(args) -> int:
     for kind in kinds:
         for n_target in sizes:
             inst = _bench_instance(kind, n_target, args.seed)
-            for algo in ("fast", "naive"):
-                _bench_one(inst, args.phi, algo)  # warmup, excluded
-                samples = [_bench_one(inst, args.phi, algo) for _ in range(3)]
-                wall = statistics.median(s[0] for s in samples)
-                ops, merges = samples[0][1], samples[0][2]
-                rows.append(f"{kind},{inst.n},{algo},{wall:.3f},{ops},{merges}")
+            _bench_one(inst, args.phi)  # warmup, excluded
+            samples = [_bench_one(inst, args.phi) for _ in range(3)]
+            wall = statistics.median(s[0] for s in samples)
+            ops, merges = samples[0][1], samples[0][2]
+            rows.append(f"{kind},{inst.n},fast,{wall:.3f},{ops},{merges}")
     _write(args.output, "\n".join(rows) + "\n")
     print(f"wrote {args.output} ({len(rows) - 1} rows)", file=sys.stderr)
     return EXIT_OK

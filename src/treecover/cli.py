@@ -27,9 +27,9 @@ from .model import (
     validate_instance,
 )
 
-# bench, generators, phicover and render serve the gen, naive, oracle,
-# well-definedness, bench and render commands only; each imports them
-# itself, so a plain `cover` start does not compile them
+# generators serves gen and bench, phicover the naive, oracle and
+# well-definedness commands, and bench and render their own commands; each
+# command imports them itself, so a plain `cover` start does not compile them
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -257,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--output", required=True)
     sp.set_defaults(func=cmd_gen)
 
-    sp = sub.add_parser("bench", help="time fast vs naive over a size ladder")
+    sp = sub.add_parser("bench", help="time the fast engine over a size ladder")
     sp.add_argument("--phi", choices=("hull", "box"), required=True)
     sp.add_argument("--kinds", required=True, help="comma-separated kinds")
     sp.add_argument("--sizes", required=True, help="comma-separated positive target n")

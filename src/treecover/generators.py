@@ -1,8 +1,10 @@
 """Deterministic instance generators for tests, benchmarks and ``treecover
 gen``.
 
-Every instance they return is validator-clean. The CLI imports this module
-only for ``gen`` and ``bench``, so a ``cover`` start does not compile it.
+Every instance they return is validator-clean and validated once: ``nested``
+validates each ring spacing it tries, ``generate`` every other kind. The CLI
+imports this module only for ``gen`` and ``bench``, so a ``cover`` start does
+not compile it.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ def generate(kind: str, trees: int = 4, size: int = 4, seed: int = 0) -> Instanc
     elif kind == "diag":
         inst = _gen_diag(trees)
     else:
-        inst = _gen_nested(trees, size, seed)
+        return _gen_nested(trees, size, seed)  # validates its own candidates
     bad = errors_only(validate_instance(inst))
     if bad:
         raise AssertionError(f"generator {kind} produced invalid instance: {bad[0]}")

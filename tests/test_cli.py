@@ -250,7 +250,8 @@ class TestBench:
         ) == 0
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "kind,n,algo,wall_ms,ops,merges"
-        assert len(lines) == 1 + 6  # fast+naive per size
+        assert len(lines) == 1 + 3  # one row per size
+        assert [line.split(",")[2] for line in lines[1:]] == ["fast"] * 3
 
     def test_deterministic_modulo_timing(self, tmp_path):
         outs = []
@@ -281,7 +282,7 @@ class TestBench:
              "--output", str(out)]
         ) == 0
         rows = [r.split(",") for r in out.read_text().strip().splitlines()[1:]]
-        assert [(r[0], r[1]) for r in rows] == [("cross", "40")] * 2 + [("diag", "40")] * 2
+        assert [(r[0], r[1]) for r in rows] == [("cross", "40"), ("diag", "40")]
 
     def test_nested_sized_by_its_real_n(self, tmp_path):
         # nested rings grow with the ring count, so one ring's vertex count
@@ -292,7 +293,7 @@ class TestBench:
              "--output", str(out)]
         ) == 0
         rows = [r.split(",") for r in out.read_text().strip().splitlines()[1:]]
-        assert [r[0] for r in rows] == ["nested", "nested"]
+        assert [r[0] for r in rows] == ["nested"]
         assert all(100 < int(r[1]) <= 200 for r in rows), rows
 
     def test_arc_sized_up_to_its_tree_cap(self, monkeypatch):
@@ -607,6 +608,26 @@ def test_cover_runs_load_only_what_they_execute(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "[0, 0] []"]
+
+
+def test_bench_runs_time_only_the_fast_engines(tmp_path):
+    # bench times hull_cover_fast and box_cover_fast alone, so a run of it
+    # never compiles the naive oracle or the records' code generator it uses;
+    # -S keeps site-packages' start-up imports out of the child
+    unused = ("dataclasses", "treecover.phicover")
+    code = (
+        "import sys; import treecover.cli as cli; "
+        f"unused = {unused!r}; "
+        "codes = [cli.main(['bench', '--phi', phi, '--kinds', 'combs,nested', "
+        "'--sizes', '40', '--output', phi + '.csv']) for phi in ('hull', 'box')]; "
+        "print(codes, [m for m in unused if m in sys.modules])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True,
+        env=child_env(), cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[0, 0] []"]
 
 
 def test_traced_hull_cover_leaves_fractions_unloaded(tmp_path):
