@@ -17,10 +17,8 @@ from .geom import (
     box_of,
     box_union,
     boxes_intersect,
-    circles_intersect,
     convex_hull,
     merge_convex_hulls,
-    min_enclosing_circle,
     orient,
     point_in_convex_polygon,
     polygons_intersect,
@@ -36,10 +34,11 @@ from .model import (
     validate_instance,
 )
 
-# the naive process and the generators are resolved on first use (PEP 562),
-# so importing the package, or its CLI, does not compile them
+# the naive process, its min-circle code and the generators are resolved on
+# first use (PEP 562), so importing the package, or its CLI, does not compile them
 _PHICOVER_NAMES = frozenset(
-    ("PHI", "MergePolicy", "check_phi_properties", "check_well_defined", "naive_phi_cover")
+    ("PHI", "MergePolicy", "check_phi_properties", "check_well_defined",
+     "circles_intersect", "min_enclosing_circle", "naive_phi_cover")
 )
 
 

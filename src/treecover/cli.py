@@ -276,12 +276,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # a cover or validate run makes no reference cycles (the parser, which
-    # holds some, is built once per process), so the cyclic collector's
-    # passes would find nothing: it is paused, and every exit restores the
-    # caller's state
+    # a cover, validate or bench run makes no reference cycles (the parser,
+    # which holds some, is built once per process), so the cyclic
+    # collector's passes would find nothing: it is paused, and every exit
+    # restores the caller's state
     enabled = gc.isenabled()
-    if args.func in (cmd_cover, cmd_validate):
+    if args.func in (cmd_cover, cmd_validate, cmd_bench):
         gc.disable()
     try:
         return args.func(args)

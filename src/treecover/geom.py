@@ -1,10 +1,10 @@
-"""Exact 2-D geometry: predicates, convex polygons, boxes, circles.
+"""Exact 2-D geometry: predicates, convex polygons, boxes.
 
 Coordinates of input points are integers bounded by 2^30, so every predicate
 here is exact (integer or Fraction arithmetic). Ray-hit and segment-crossing
-points carry exact rational coordinates. Only the minimum-enclosing-circle
-corner works in floating point, with a documented epsilon; its values never
-feed the exact engines.
+points carry exact rational coordinates. ``Circle`` is only the record of a
+min-circle region; the floating-point code that makes and compares circles
+lives with that demonstrator in ``phicover``.
 
 All values are immutable and all operations are pure functions. A
 ``ConvexPolygon`` is its canonical vertex tuple, and the polygon predicates
@@ -14,8 +14,6 @@ from the kernel, ``_kernelpy``.
 
 from __future__ import annotations
 
-import math
-import random
 from bisect import bisect_left
 from heapq import heappop, heappush
 from operator import index, sub
@@ -42,8 +40,6 @@ BOUNDARY = "boundary"
 INSIDE = "inside"
 
 _SEG_RELATION_NAMES = (DISJOINT, TOUCHING, CROSSING)
-
-MEC_EPS = 1e-9
 
 
 def orient(a, b, c) -> int:
@@ -465,71 +461,3 @@ class Circle(_CircleFields):
         if r < 0:
             raise ValueError("negative radius")
         return tuple.__new__(cls, (cx, cy, r))
-
-    def contains_point(self, p, eps: float = MEC_EPS) -> bool:
-        dx = p[0] - self.cx
-        dy = p[1] - self.cy
-        return dx * dx + dy * dy <= self.r * self.r + eps
-
-
-def _circle_two(a, b) -> Circle:
-    cx = (a[0] + b[0]) / 2.0
-    cy = (a[1] + b[1]) / 2.0
-    return Circle(cx, cy, math.dist((cx, cy), a))
-
-
-def _circumcircle(a, b, c):
-    d = 2.0 * (a[0] * (b[1] - c[1]) + b[0] * (c[1] - a[1]) + c[0] * (a[1] - b[1]))
-    if d == 0:
-        return None
-    aa = a[0] * a[0] + a[1] * a[1]
-    bb = b[0] * b[0] + b[1] * b[1]
-    cc = c[0] * c[0] + c[1] * c[1]
-    ux = (aa * (b[1] - c[1]) + bb * (c[1] - a[1]) + cc * (a[1] - b[1])) / d
-    uy = (aa * (c[0] - b[0]) + bb * (a[0] - c[0]) + cc * (b[0] - a[0])) / d
-    return Circle(ux, uy, math.dist((ux, uy), a))
-
-
-def min_enclosing_circle(points) -> Circle:
-    """Smallest enclosing circle, randomized incremental (floating point).
-
-    The shuffle uses a fixed internal seed so results are deterministic for
-    a given input."""
-    pts = sorted(set((p[0], p[1]) for p in points))
-    if not pts:
-        raise ValueError("min_enclosing_circle of empty point set")
-    random.Random(0x5EED).shuffle(pts)
-    c = Circle(float(pts[0][0]), float(pts[0][1]), 0.0)
-    for i, p in enumerate(pts):
-        if c.contains_point(p):
-            continue
-        c = Circle(float(p[0]), float(p[1]), 0.0)
-        for j in range(i):
-            q = pts[j]
-            if c.contains_point(q):
-                continue
-            c = _circle_two(p, q)
-            for k in range(j):
-                r = pts[k]
-                if c.contains_point(r):
-                    continue
-                cc = _circumcircle(p, q, r)
-                if cc is not None:
-                    c = cc
-    return c
-
-
-def circles_intersect(c1: Circle, c2: Circle, eps: float = MEC_EPS) -> bool:
-    return math.dist((c1.cx, c1.cy), (c2.cx, c2.cy)) <= c1.r + c2.r + eps
-
-
-def enclosing_circle_of_two(c1: Circle, c2: Circle) -> Circle:
-    """Smallest circle containing both closed disks (analytic)."""
-    d = math.dist((c1.cx, c1.cy), (c2.cx, c2.cy))
-    if d + c2.r <= c1.r:
-        return c1
-    if d + c1.r <= c2.r:
-        return c2
-    r = (d + c1.r + c2.r) / 2.0
-    t = (r - c1.r) / d
-    return Circle(c1.cx + (c2.cx - c1.cx) * t, c1.cy + (c2.cy - c1.cy) * t, r)

@@ -6,11 +6,15 @@ cover repeatedly replaces two intersecting live regions by their merge until
 the live set is pairwise disjoint, recording the history as a binary forest.
 For hull and box the result is independent of merge order; for the minimum
 enclosing circle it is not, which `check_well_defined` can demonstrate.
+
+The min-circle demonstrator's floating-point code lives here with its one
+tolerance rule, ``_within``; no exact engine imports it.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass
 from itertools import combinations
@@ -24,11 +28,8 @@ from .geom import (
     box_of,
     box_union,
     boxes_intersect,
-    circles_intersect,
     convex_hull,
-    enclosing_circle_of_two,
     merge_convex_hulls,
-    min_enclosing_circle,
     point_in_convex_polygon,
     polygons_intersect,
 )
@@ -75,31 +76,102 @@ class BoxPhi:
         return outer.contains_box(inner)
 
 
+MEC_EPS = 1e-9
+
+
+def _within(a, b, r: float) -> bool:
+    """Whether the centers of a and b, each a point or a Circle, lie at most
+    r apart, up to MEC_EPS * max(1, r) plus four ulps of the largest
+    magnitude in play: every float comparison of the min-circle demonstrator.
+    Floats near 2^30 are 2.4e-7 apart, and sampled MECs from +-10 to +-2^30
+    miss their own points by at most 1.25 ulps."""
+    slack = MEC_EPS * max(1.0, r) + 4 * math.ulp(max(map(abs, (*a, *b))))
+    return math.dist(a[:2], b[:2]) <= r + slack
+
+
+def _circle_two(a, b) -> Circle:
+    cx = (a[0] + b[0]) / 2.0
+    cy = (a[1] + b[1]) / 2.0
+    return Circle(cx, cy, math.dist((cx, cy), a))
+
+
+def _circumcircle(a, b, c):
+    d = 2.0 * (a[0] * (b[1] - c[1]) + b[0] * (c[1] - a[1]) + c[0] * (a[1] - b[1]))
+    if d == 0:
+        return None
+    aa = a[0] * a[0] + a[1] * a[1]
+    bb = b[0] * b[0] + b[1] * b[1]
+    cc = c[0] * c[0] + c[1] * c[1]
+    ux = (aa * (b[1] - c[1]) + bb * (c[1] - a[1]) + cc * (a[1] - b[1])) / d
+    uy = (aa * (c[0] - b[0]) + bb * (a[0] - c[0]) + cc * (b[0] - a[0])) / d
+    return Circle(ux, uy, math.dist((ux, uy), a))
+
+
+def min_enclosing_circle(points) -> Circle:
+    """Smallest enclosing circle, randomized incremental (Welzl 1991).
+
+    The shuffle uses a fixed internal seed so results are deterministic for
+    a given input."""
+    pts = sorted(set((p[0], p[1]) for p in points))
+    if not pts:
+        raise ValueError("min_enclosing_circle of empty point set")
+    random.Random(0x5EED).shuffle(pts)
+    c = Circle(float(pts[0][0]), float(pts[0][1]), 0.0)
+    for i, p in enumerate(pts):
+        if _within(c, p, c.r):
+            continue
+        c = Circle(float(p[0]), float(p[1]), 0.0)
+        for j in range(i):
+            q = pts[j]
+            if _within(c, q, c.r):
+                continue
+            c = _circle_two(p, q)
+            for k in range(j):
+                r = pts[k]
+                if _within(c, r, c.r):
+                    continue
+                cc = _circumcircle(p, q, r)
+                if cc is not None:
+                    c = cc
+    return c
+
+
+def circles_intersect(c1: Circle, c2: Circle) -> bool:
+    return _within(c1, c2, c1.r + c2.r)
+
+
+def enclosing_circle_of_two(c1: Circle, c2: Circle) -> Circle:
+    """Smallest circle containing both closed disks (analytic)."""
+    d = math.dist((c1.cx, c1.cy), (c2.cx, c2.cy))
+    if d + c2.r <= c1.r:
+        return c1
+    if d + c1.r <= c2.r:
+        return c2
+    r = (d + c1.r + c2.r) / 2.0
+    t = (r - c1.r) / d
+    return Circle(c1.cx + (c2.cx - c1.cx) * t, c1.cy + (c2.cy - c1.cy) * t, r)
+
+
 class MinCirclePhi:
-    """Floating-point demonstrator; eps is absolute on center distances."""
+    """The minimum enclosing circle, the floating-point counterexample: it
+    keeps Property 1 (phi(A) contains A) but fails Property 2."""
 
     tag = "mincircle"
-
-    def __init__(self, eps: float = 1e-9):
-        self.eps = eps
 
     def apply_to_points(self, points) -> Circle:
         return min_enclosing_circle(points)
 
     def intersects(self, a, b) -> bool:
-        return circles_intersect(a, b, self.eps)
+        return circles_intersect(a, b)
 
     def merge(self, a, b) -> Circle:
         return enclosing_circle_of_two(a, b)
 
     def contains_point(self, region, p) -> bool:
-        return region.contains_point(p, self.eps)
+        return _within(region, p, region.r)
 
     def region_contains(self, outer, inner) -> bool:
-        import math
-
-        d = math.dist((outer.cx, outer.cy), (inner.cx, inner.cy))
-        return d + inner.r <= outer.r + self.eps
+        return _within(outer, inner, outer.r - inner.r)
 
 
 PHI = {"hull": HullPhi(), "box": BoxPhi(), "mincircle": MinCirclePhi()}

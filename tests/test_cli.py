@@ -462,6 +462,8 @@ def test_deeply_nested_cover_is_a_parse_error(segment, tmp_path, capsys):
 def test_main_leaves_the_collector_as_it_found_it(
     segment, crossing, tmp_path, monkeypatch, capsys
 ):
+    from treecover import bench
+
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
     out = str(tmp_path / "out.json")
@@ -471,7 +473,14 @@ def test_main_leaves_the_collector_as_it_found_it(
         paused.append(not gc.isenabled())
         raise InternalInvariantError("breach")
 
+    box_cover_fast = bench.box_cover_fast
+
+    def timed(instance):
+        paused.append(not gc.isenabled())
+        return box_cover_fast(instance)
+
     monkeypatch.setattr(cli, "hull_cover_fast", breach)
+    monkeypatch.setattr(bench, "box_cover_fast", timed)
     runs = [
         (["validate", "--input", segment], 0),
         (["validate", "--input", crossing], 3),
@@ -480,6 +489,8 @@ def test_main_leaves_the_collector_as_it_found_it(
         (["cover", "--phi", "hull", "--input", segment, "--output", out], 1),
         (["cover", "--phi", "box", "--input", str(bad), "--output", out], 2),
         (["cover", "--phi", "box", "--input", crossing, "--output", out], 3),
+        (["bench", "--phi", "box", "--kinds", "combs", "--sizes", "40",
+          "--output", str(tmp_path / "bench.csv")], 0),
     ]
     was_enabled = gc.isenabled()
     try:
@@ -490,8 +501,9 @@ def test_main_leaves_the_collector_as_it_found_it(
                 assert gc.isenabled() == enabled, argv
     finally:
         (gc.enable if was_enabled else gc.disable)()
-    # the engine ran with the collector paused, whatever the caller's state
-    assert paused == [True, True]
+    # the engines ran with the collector paused, whatever the caller's
+    # state: the hull cover once, and bench's warm-up and three timed runs
+    assert paused == [True] * 5 * 2
 
 
 def test_parser_is_built_on_the_first_main_call_only(segment):
@@ -587,13 +599,13 @@ def test_cli_import_leaves_naive_process_and_renderer_unloaded():
 def test_cover_runs_load_only_what_they_execute(tmp_path):
     # A `cover` start compiles what it imports, so importing the CLI and
     # running both fast engines must leave out the records' code generator,
-    # rational arithmetic, the bench command, the generators and the
-    # naive-process commands.
+    # rational arithmetic, random numbers, the bench command, the generators
+    # and the naive-process commands.
     # -S keeps site-packages' start-up imports out of the child.
     inp = tmp_path / "d.json"
     inp.write_text(serialize_instance(INSTANCE_D))
-    unused = ("dataclasses", "fractions", "treecover.bench", "treecover.generators",
-              "treecover.phicover", "treecover.render")
+    unused = ("dataclasses", "fractions", "random", "treecover.bench",
+              "treecover.generators", "treecover.phicover", "treecover.render")
     code = (
         "import sys; import treecover.cli as cli; "
         f"unused = {unused!r}; "

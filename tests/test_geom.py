@@ -24,17 +24,21 @@ from treecover.geom import (
     chain_edges,
     chain_has_edge,
     chains_polygon,
-    circles_intersect,
     convex_hull,
-    enclosing_circle_of_two,
     hull_chains,
     merge_convex_hulls,
     merge_hull_chains,
-    min_enclosing_circle,
     orient,
     point_in_convex_polygon,
     polygons_intersect,
     segments_intersect,
+)
+from treecover.phicover import (
+    PHI,
+    check_phi_properties,
+    circles_intersect,
+    enclosing_circle_of_two,
+    min_enclosing_circle,
 )
 
 from helpers import all_left_of_edges, brute_min_circle, frac_point, wrap_hull
@@ -541,3 +545,66 @@ class TestCircles:
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):
             Circle(0, 0, -1)
+
+
+L = geom.COORD_LIMIT
+MINCIRCLE = PHI["mincircle"]
+
+
+def spread_points(rng):
+    """2 to 12 points anywhere in the input range."""
+    return [(rng.randint(-L, L), rng.randint(-L, L)) for _ in range(rng.randint(2, 12))]
+
+
+def clustered_points(rng):
+    """2 to 12 points within 8 of a center anywhere in the input range, so
+    a small circle has a center whose floats are spaced about 1e-7 apart."""
+    cx, cy = rng.randint(-L + 8, L - 8), rng.randint(-L + 8, L - 8)
+    k = rng.randint(2, 12)
+    return [(cx + rng.randint(-8, 8), cy + rng.randint(-8, 8)) for _ in range(k)]
+
+
+class TestMinCircleAtLargeCoordinates:
+    @pytest.mark.parametrize("sampler", [spread_points, clustered_points])
+    def test_property1_holds(self, sampler):
+        report = check_phi_properties(MINCIRCLE, sampler=sampler, samples=300, seed=1)
+        assert report.property1_ok, report.property1_witness
+
+    def test_points_on_a_large_boundary_are_contained(self):
+        # the diameter's ends and the third point all lie sqrt(L^2 + 144)
+        # from the origin, which rounds to the float L
+        pts = [(-L, 12), (L, -12), (12, L)]
+        c = min_enclosing_circle(pts)
+        assert (c.cx, c.cy, c.r) == (0.0, 0.0, float(L))
+        assert all(MINCIRCLE.contains_point(c, p) for p in pts)
+
+    @given(
+        st.lists(st.tuples(st.integers(-50, 50), st.integers(-50, 50)), min_size=1, max_size=12),
+        st.sampled_from([(-1, -1), (-1, 1), (1, -1), (1, 1)]),
+    )
+    @settings(max_examples=100)
+    def test_matches_brute_force_near_a_corner(self, pts, corner):
+        # a shift leaves the radius as it is, so the brute force runs on
+        # the small points and the MEC on the points moved near a corner
+        shifted = [(x + corner[0] * (L - 50), y + corner[1] * (L - 50)) for x, y in pts]
+        c = min_enclosing_circle(shifted)
+        assert c.r == pytest.approx(brute_min_circle(pts)[2], abs=1e-6)
+        for p in shifted:
+            assert math.dist((c.cx, c.cy), p) <= c.r + 1e-6
+
+    def test_a_small_circle_near_a_corner_excludes_a_point_two_out(self):
+        assert not MINCIRCLE.contains_point(Circle(L, L - 1, 1), (L, L - 3))
+        c = min_enclosing_circle([(L, L), (L, L - 2), (L, L - 3)])
+        assert (c.cx, c.cy, c.r) == (float(L), L - 1.5, 1.5)
+
+    def test_tangent_circles_meet(self):
+        c1 = Circle(-L, -L, L * math.sqrt(2))
+        c2 = Circle(L, L, math.dist((-L, -L), (L, L)) - c1.r)
+        assert circles_intersect(c1, c2) and circles_intersect(c2, c1)
+
+    def test_circles_apart_do_not_meet(self):
+        # the slack is MEC_EPS of r1 + r2, about two units for these
+        assert not circles_intersect(Circle(-L, 0, L - 2), Circle(L, 0, L - 2))
+        # and a few ulps of 2^30 for small circles one unit apart
+        assert not circles_intersect(Circle(L - 10, L, 4), Circle(L, L, 5))
+        assert circles_intersect(Circle(L - 10, L, 4), Circle(L, L, 6))
