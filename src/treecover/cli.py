@@ -209,7 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--scale",
             type=int,
             default=1,
-            help="multiply decimal coordinates into integers (at least 1)",
+            help="multiply decimal coordinates into integers (at least 1); each product "
+            "must be an integer, exactly",
         )
 
     sp = sub.add_parser("validate", help="validate an instance file")

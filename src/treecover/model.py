@@ -4,18 +4,20 @@ The wire format is UTF-8 JSON:
 
     {"trees": [{"vertices": [[x, y], ...], "edges": [[i, j], ...]}, ...]}
 
-Coordinates are integers with |x|, |y| <= 2^30 (decimal inputs are rejected;
-the CLI offers a scaling flag that multiplies them into integers). Cover
-files use 0-based tree indices in their membership lists.
+Coordinates are integers with |x|, |y| <= 2^30. Decimals are rejected unless
+a scale above 1 is given (the CLI's ``--scale``): each coordinate times the
+scale, computed exactly, must then be an integer in that range. Cover files
+use 0-based tree indices in their membership lists.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from functools import cache
 from itertools import accumulate, chain, repeat
 from operator import index, itemgetter, lt
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, NoReturn
 
 from . import _kernelpy
 from .geom import (
@@ -158,40 +160,52 @@ class Violation(NamedTuple):
 # wire format
 
 
-def _as_coord(v, scale: int, ti: int, vi: int, axis: str):
-    # the location prefix is formatted only on error: this runs per coordinate
+def load_json(text: str, parse_float=None):
+    """The JSON value of text, its decimals read by parse_float (float by
+    default); raises ParseError where text is no JSON Python can read."""
+    try:
+        return json.loads(text, parse_float=parse_float)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"syntax error at line {e.lineno}, column {e.colno}: {e.msg}") from None
+    except RecursionError:
+        raise ParseError("JSON nested too deeply") from None
+    except ValueError as e:  # an integer longer than sys.get_int_max_str_digits()
+        raise ParseError(str(e).partition(";")[0]) from None
+
+
+@cache
+def _exact():
+    """``Decimal`` and a context in which every product is exact. Only a
+    scale above 1 reads decimals, so only it imports ``decimal``."""
+    from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
+    return Decimal, Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
+
+
+def _coord(v, scale: int) -> int:
+    """The coordinate that the wire value v stands for: v times scale,
+    computed exactly, which must be an integer with |c| <= 2^30. v is an int
+    or, above scale 1, a ``Decimal``; raises ParseError naming the fault."""
     if type(v) is int:
-        iv = v * scale
-    elif type(v) is float and scale != 1:
-        scaled = v * scale
-        if not math.isfinite(scaled):
-            raise ParseError(f"tree {ti} vertex {vi} {axis}: {v} * {scale} is not finite")
-        iv = round(scaled)
-        if abs(scaled - iv) > 1e-9:
-            raise ParseError(f"tree {ti} vertex {vi} {axis}: {v} * {scale} is not an integer")
+        c = v * scale
+    elif scale == 1 or type(v) is not _exact()[0]:
+        raise ParseError(f"expected integer coordinate, got {v!r}")
     else:
-        raise ParseError(
-            f"tree {ti} vertex {vi} {axis}: expected integer coordinate, got {v!r}"
-        )
-    if abs(iv) > COORD_LIMIT:
-        raise ParseError(
-            f"tree {ti} vertex {vi} {axis}: coordinate {iv} out of range (|c| <= 2^30)"
-        )
-    return iv
+        p = _exact()[1].multiply(v, scale)
+        c = _exact()[1].to_integral_value(p)
+        if c != p:
+            raise ParseError(f"{v} * {scale} is not an integer")
+    # a Decimal c is compared as one, so that no huge int is ever built
+    if not -COORD_LIMIT <= c <= COORD_LIMIT:
+        raise ParseError(f"coordinate {c} out of range (|c| <= 2^30)")
+    return int(c)
 
 
 def parse_instance(text: str, scale: int = 1) -> Instance:
     """Parse the JSON wire format; rejects malformed input before validation.
 
-    The columns are built and checked in bulk; input that fails a check, or
-    whose coordinates need scaling from decimals, is parsed again item by
-    item, which converts the decimals and names the first fault."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"syntax error at line {e.lineno}, column {e.colno}: {e.msg}") from None
-    except RecursionError:
-        raise ParseError("JSON nested too deeply") from None
+    The columns are built and checked in bulk; input that fails a check is
+    walked again item by item, which names the first fault."""
+    obj = load_json(text, _exact()[0] if scale != 1 else None)
     if not isinstance(obj, dict):
         raise ParseError("top level must be an object")
     extra = set(obj) - {"trees"}
@@ -203,13 +217,13 @@ def parse_instance(text: str, scale: int = 1) -> Instance:
         raise ParseError("empty forest")
     columns = _bulk_columns(obj["trees"], scale)
     if columns is None:
-        return Instance(_parse_trees(obj["trees"], scale))
+        _raise_first_fault(obj["trees"], scale)
     return Instance.from_columns(columns)
 
 
 def _bulk_columns(tobjs: list, scale: int) -> Columns | None:
-    """The columns of the wire trees, or None unless every coordinate is an
-    integer and the input passes every check of ``_parse_trees``."""
+    """The columns of the wire trees, or None unless the input passes every
+    check of ``_raise_first_fault``."""
     # each tree has two keys, both lists: exactly "vertices" and "edges"
     if not set(map(type, tobjs)) <= {dict} or not set(map(len, tobjs)) <= {2}:
         return None
@@ -232,10 +246,13 @@ def _bulk_columns(tobjs: list, scale: int) -> Columns | None:
         xy, ends = tuple(chain.from_iterable(verts)), tuple(chain.from_iterable(edges))
     except TypeError:  # a number or null where a pair belongs
         return None
+    if scale != 1:
+        try:
+            xy = tuple([_coord(c, scale) for c in xy])
+        except ParseError:
+            return None
     if not {*map(type, xy), *map(type, ends)} <= {int}:
         return None
-    if scale != 1:
-        xy = tuple([c * scale for c in xy])
     if min(xy) < -COORD_LIMIT or max(xy) > COORD_LIMIT:
         return None
     ea, eb = ends[0::2], ends[1::2]
@@ -246,9 +263,8 @@ def _bulk_columns(tobjs: list, scale: int) -> Columns | None:
     return Columns(xy[0::2], xy[1::2], (0, *accumulate(vlen)), ea, eb, (0, *accumulate(elen)))
 
 
-def _parse_trees(tobjs: list, scale: int) -> list[GeometricTree]:
-    """The wire trees parsed item by item; raises on the first fault."""
-    trees = []
+def _raise_first_fault(tobjs: list, scale: int) -> NoReturn:
+    """Walk the wire trees item by item and raise on the first fault."""
     for ti, tobj in enumerate(tobjs):
         if not isinstance(tobj, dict):
             raise ParseError(f"tree {ti}: expected object")
@@ -261,17 +277,14 @@ def _parse_trees(tobjs: list, scale: int) -> list[GeometricTree]:
             raise ParseError(f"tree {ti}: vertices must be a nonempty list")
         if not isinstance(eraw, list):
             raise ParseError(f"tree {ti}: edges must be a list")
-        verts = []
         for vi, pair in enumerate(vraw):
             if not isinstance(pair, list) or len(pair) != 2:
                 raise ParseError(f"tree {ti} vertex {vi}: expected [x, y]")
-            verts.append(
-                (
-                    _as_coord(pair[0], scale, ti, vi, "x"),
-                    _as_coord(pair[1], scale, ti, vi, "y"),
-                )
-            )
-        edges = []
+            for axis, v in zip("xy", pair):
+                try:
+                    _coord(v, scale)
+                except ParseError as e:
+                    raise ParseError(f"tree {ti} vertex {vi} {axis}: {e}") from None
         for ei, pair in enumerate(eraw):
             if (
                 not isinstance(pair, list)
@@ -281,11 +294,9 @@ def _parse_trees(tobjs: list, scale: int) -> list[GeometricTree]:
             ):
                 raise ParseError(f"tree {ti} edge {ei}: expected [i, j] integer indices")
             i, j = pair
-            if not (0 <= i < len(verts)) or not (0 <= j < len(verts)):
+            if not (0 <= i < len(vraw)) or not (0 <= j < len(vraw)):
                 raise ParseError(f"tree {ti} edge {ei}: index out of range")
-            edges.append((i, j))
-        trees.append(GeometricTree(tuple(verts), tuple(edges)))
-    return trees
+    raise AssertionError("the bulk parse refused wire trees without a fault")
 
 
 def instance_to_obj(instance: Instance) -> dict:
@@ -524,12 +535,10 @@ class Cover(NamedTuple):
 
     @staticmethod
     def from_json(text: str) -> "Cover":
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"syntax error at line {e.lineno}, column {e.colno}: {e.msg}") from None
-        except RecursionError:
-            raise ParseError("JSON nested too deeply") from None
+        return Cover.from_obj(load_json(text))
+
+    @staticmethod
+    def from_obj(obj) -> "Cover":
         try:
             phi = obj["phi"]
             regions = []

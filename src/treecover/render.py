@@ -7,10 +7,9 @@ deterministic (fixed float formatting, stable element order).
 
 from __future__ import annotations
 
-import json
 import sys
 
-from .model import Cover, Instance, ParseError
+from .model import Cover, Instance, ParseError, load_json
 
 
 def _is_point(v) -> bool:
@@ -26,10 +25,11 @@ def read_overlay(text: str, m: int):
     """The cover and trace rays of cover JSON drawn over an instance of m
     trees, as (Cover, list of rays or None); raises ParseError when either
     is malformed or a membership names a tree outside the instance."""
-    cover = Cover.from_json(text)
+    obj = load_json(text)
+    cover = Cover.from_obj(obj)
     if any(not 0 <= i < m for ms in cover.membership for i in ms):
         raise ParseError(f"malformed cover: membership names a tree not in 0..{m - 1}")
-    trace = json.loads(text).get("trace", {})
+    trace = obj.get("trace", {})
     if not isinstance(trace, dict):
         raise ParseError("malformed cover: trace must be an object")
     rays = trace.get("rays")

@@ -1,11 +1,16 @@
 """The instance parser as it stood before the columnar one, kept verbatim
 as the oracle that ``tests/test_parse_reference.py`` compares
 ``model.parse_instance`` against: one pass over the wire trees, item by
-item, that raises on the first fault it meets.
+item, that raises on the first fault it meets. Its one change is the rule
+for decimals above scale 1: it reads them as ``Decimal`` and scales them as
+``Fraction``s, exactly, where it once scaled floats within a tolerance.
+``Fraction`` builds 10^-e for an exponent e, so it suits only inputs of
+modest exponents.
 """
 
 import json
-import math
+from decimal import Decimal
+from fractions import Fraction
 
 from treecover.geom import COORD_LIMIT
 from treecover.model import GeometricTree, Instance, ParseError
@@ -15,13 +20,11 @@ def _as_coord(v, scale: int, ti: int, vi: int, axis: str):
     # the location prefix is formatted only on error: this runs per coordinate
     if type(v) is int:
         iv = v * scale
-    elif type(v) is float and scale != 1:
-        scaled = v * scale
-        if not math.isfinite(scaled):
-            raise ParseError(f"tree {ti} vertex {vi} {axis}: {v} * {scale} is not finite")
-        iv = round(scaled)
-        if abs(scaled - iv) > 1e-9:
+    elif type(v) is Decimal and scale != 1:
+        scaled = Fraction(v) * scale
+        if scaled.denominator != 1:
             raise ParseError(f"tree {ti} vertex {vi} {axis}: {v} * {scale} is not an integer")
+        iv = int(scaled)
     else:
         raise ParseError(
             f"tree {ti} vertex {vi} {axis}: expected integer coordinate, got {v!r}"
@@ -36,7 +39,7 @@ def _as_coord(v, scale: int, ti: int, vi: int, axis: str):
 def parse_instance(text: str, scale: int = 1) -> Instance:
     """Parse the JSON wire format; rejects malformed input before validation."""
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, parse_float=Decimal if scale != 1 else None)
     except json.JSONDecodeError as e:
         raise ParseError(f"syntax error at line {e.lineno}, column {e.colno}: {e.msg}") from None
     if not isinstance(obj, dict):

@@ -599,12 +599,13 @@ def test_cli_import_leaves_naive_process_and_renderer_unloaded():
 def test_cover_runs_load_only_what_they_execute(tmp_path):
     # A `cover` start compiles what it imports, so importing the CLI and
     # running both fast engines must leave out the records' code generator,
-    # rational arithmetic, random numbers, the bench command, the generators
-    # and the naive-process commands.
+    # rational and decimal arithmetic (only --scale above 1 reads decimals),
+    # random numbers, the bench command, the generators and the
+    # naive-process commands.
     # -S keeps site-packages' start-up imports out of the child.
     inp = tmp_path / "d.json"
     inp.write_text(serialize_instance(INSTANCE_D))
-    unused = ("dataclasses", "fractions", "random", "treecover.bench",
+    unused = ("dataclasses", "decimal", "fractions", "random", "treecover.bench",
               "treecover.generators", "treecover.phicover", "treecover.render")
     code = (
         "import sys; import treecover.cli as cli; "

@@ -1,6 +1,9 @@
 import copy
 import json
 import pickle
+import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +12,7 @@ from hypothesis import strategies as st
 from treecover.cli import main
 from treecover.boxcover import BoxStats
 from treecover.generators import ARC_MAX_TREES, generate
-from treecover.geom import AABB, Circle, ConvexPolygon, box_of
+from treecover.geom import AABB, COORD_LIMIT, Circle, ConvexPolygon, box_of
 from treecover.hullcover import HullStats
 from treecover.model import (
     Cover,
@@ -23,6 +26,7 @@ from treecover.model import (
     validate_instance,
 )
 
+from childenv import child_env
 from instances import CROSSING_TREES, INSTANCE_D, tree
 
 
@@ -75,6 +79,50 @@ class TestParse:
         with pytest.raises(ParseError, match="not an integer"):
             parse_instance('{"trees":[{"vertices":[[0.3,0]],"edges":[]}]}', scale=2)
 
+    def test_scaled_two_decimal_coordinates_equal_their_integer_twins(self):
+        # in floats, 5187951.9 * 100 is 518795190.00000006
+        rng = random.Random(33)
+        ints = [518795190] + [rng.randint(-COORD_LIMIT, COORD_LIMIT) for _ in range(2000)]
+        pairs = ",".join(
+            "[%s%d.%02d,0]" % ("-" if i < 0 else "", abs(i) // 100, abs(i) % 100) for i in ints
+        )
+        text = '{"trees":[{"vertices":[%s],"edges":[]}]}' % pairs
+        assert parse_instance(text, scale=100).columns.px == tuple(ints)
+
+    @pytest.mark.parametrize(
+        "value, outcome",
+        [
+            ("1e999999999", "coordinate 1.00E+1000000001 out of range"),
+            ("1e-999999999", "1E-999999999 * 100 is not an integer"),
+            ("0E-999999999", "(0,)"),
+        ],
+    )
+    def test_scale_decides_extreme_exponents_at_once(self, value, outcome):
+        # exact arithmetic that built the integer 10^999999999 would run for
+        # minutes, so a child process times the parse
+        code = (
+            "from treecover.model import ParseError, parse_instance\n"
+            "try:\n"
+            f"    print(parse_instance('{{\"trees\":[{{\"vertices\":[[{value},0]],"
+            "\"edges\":[]}]}', scale=100).columns.px)\n"
+            "except ParseError as e:\n"
+            "    print(e)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=child_env(),
+            timeout=20,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert outcome in proc.stdout
+
+    def test_overlong_integer_is_a_parse_error(self):
+        # Python reads no integer of more than 4300 digits by default
+        big = "1" * 5000
+        with pytest.raises(ParseError):
+            parse_instance('{"trees":[{"vertices":[[%s,0]],"edges":[]}]}' % big)
+        with pytest.raises(ParseError):
+            Cover.from_json('{"phi":"box","regions":[{"box":[%s,0,1,1]}],"membership":[[0]]}' % big)
+
     @pytest.mark.parametrize(
         "pair, scale, message",
         [
@@ -82,6 +130,18 @@ class TestParse:
             ("[7,true]", 1, "tree 1 vertex 2 y: expected integer coordinate, got True"),
             ("[0.3,7]", 2, "tree 1 vertex 2 x: 0.3 * 2 is not an integer"),
             ("[7,0.3]", 2, "tree 1 vertex 2 y: 0.3 * 2 is not an integer"),
+            # in floats, 0.30000000000000004 * 100 is 30.000000000000004
+            (
+                "[0.30000000000000004,7]",
+                100,
+                "tree 1 vertex 2 x: 0.30000000000000004 * 100 is not an integer",
+            ),
+            ("[NaN,7]", 2, "tree 1 vertex 2 x: expected integer coordinate, got nan"),
+            (
+                "[7,1e400]",
+                100,
+                "tree 1 vertex 2 y: coordinate 1.00E+402 out of range (|c| <= 2^30)",
+            ),
             (
                 "[%d,7]" % (2**30 + 1),
                 1,

@@ -184,3 +184,16 @@ def test_decimal_instances_scale_to_their_integer_twins(seed):
     text = json.dumps(decimal)
     assert_same(text, 10)
     assert parse_instance(text, scale=10) == parse_instance(json.dumps(obj))
+    # near 10^6-10^7 with two decimals, where a float times 100 misses its
+    # integer by more than 1e-9: 5187951.9 * 100 is 518795190.00000006
+    rng = random.Random(seed)
+    for t in obj["trees"]:
+        t["vertices"] = [
+            [518795190 + x, rng.randrange(10**8, 10**9) + y] for x, y in t["vertices"]
+        ]
+    decimal = copy.deepcopy(obj)
+    for t in decimal["trees"]:
+        t["vertices"] = [[x / 100, y / 100] for x, y in t["vertices"]]
+    text = json.dumps(decimal)
+    assert_same(text, 100)
+    assert parse_instance(text, scale=100) == parse_instance(json.dumps(obj))
