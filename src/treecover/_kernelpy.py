@@ -161,29 +161,21 @@ def scan(ox, oy, tx, ty, obstacles, parent, own_root):
     return ia, na, da, if_, nf, df
 
 
-def find_contacts(sx1, sy1, sx2, sy2, seg_tree):
+def find_contacts(sx1, sy1, sx2, sy2, xlo, ylo, xhi, yhi, seg_tree):
     """Contact check over all segment pairs, used by the instance validator.
 
+    Takes the segments' ends and their extents (xlo <= xhi, ylo <= yhi).
     Returns sorted index pairs (i, j), i < j, where the closed segments
     touch or cross, except the legal case of two edges of the same tree
     meeting exactly at a shared endpoint. An x-interval sweep prunes the
     candidate pairs (worst case still quadratic, near-linear on real
-    inputs), and ``seg_relation`` classifies each one that is left. On a
-    valid input those are mostly two edges of one tree at their shared
-    vertex, which its shared-endpoint rule decides without orientation
-    tests.
+    inputs). On a valid input most pairs left are two edges of one tree
+    at their shared vertex s; those are decided here by ``seg_relation``'s
+    shared-endpoint rule, ends tested in its order: they cross iff their
+    other ends point the same way from s. ``seg_relation`` classifies
+    every other pair.
     """
-    m = len(sx1)
-    xlo = [0] * m
-    xhi = [0] * m
-    ylo = [0] * m
-    yhi = [0] * m
-    for i in range(m):
-        a, b = sx1[i], sx2[i]
-        xlo[i], xhi[i] = (a, b) if a <= b else (b, a)
-        a, b = sy1[i], sy2[i]
-        ylo[i], yhi[i] = (a, b) if a <= b else (b, a)
-    order = sorted(range(m), key=lambda k: xlo[k])
+    order = sorted(range(len(xlo)), key=xlo.__getitem__)
     active: list[int] = []
     out = []
     for i in order:
@@ -195,20 +187,23 @@ def find_contacts(sx1, sy1, sx2, sy2, seg_tree):
             keep.append(j)
             if yhi[j] < ylo[i] or ylo[j] > yhi[i]:
                 continue
-            rel = seg_relation(
-                sx1[i], sy1[i], sx2[i], sy2[i], sx1[j], sy1[j], sx2[j], sy2[j]
-            )
-            if rel == 0:
-                continue
-            if seg_tree[i] == seg_tree[j]:
-                shared = (
-                    (sx1[i] == sx1[j] and sy1[i] == sy1[j])
-                    or (sx1[i] == sx2[j] and sy1[i] == sy2[j])
-                    or (sx2[i] == sx1[j] and sy2[i] == sy1[j])
-                    or (sx2[i] == sx2[j] and sy2[i] == sy2[j])
-                )
-                if shared and rel == 1:
+            ax, ay, bx, by = sx1[i], sy1[i], sx2[i], sy2[i]
+            cx, cy, dx, dy = sx1[j], sy1[j], sx2[j], sy2[j]
+            if seg_tree[i] != seg_tree[j]:
+                if not seg_relation(ax, ay, bx, by, cx, cy, dx, dy):
                     continue
+            elif (ax == cx and ay == cy) or (ax == dx and ay == dy):
+                ux, uy = bx - ax, by - ay
+                wx, wy = (dx - ax, dy - ay) if cx == ax and cy == ay else (cx - ax, cy - ay)
+                if ux * wy != uy * wx or ux * wx + uy * wy <= 0:
+                    continue
+            elif (bx == cx and by == cy) or (bx == dx and by == dy):
+                ux, uy = ax - bx, ay - by
+                wx, wy = (dx - bx, dy - by) if cx == bx and cy == by else (cx - bx, cy - by)
+                if ux * wy != uy * wx or ux * wx + uy * wy <= 0:
+                    continue
+            elif not seg_relation(ax, ay, bx, by, cx, cy, dx, dy):
+                continue
             out.append((i, j) if i < j else (j, i))
         keep.append(i)
         active = keep

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from heapq import heappop, heappush
-from operator import index, sub
+from operator import index
 from typing import NamedTuple
 
 # Bound once at import: perfbench's tracer patches ``_kernelpy.seg_relation``
-# to count the pairs that ``find_contacts`` tests, and these calls stay out
-# of that count.
+# to count the pairs that ``find_contacts`` hands it (those its shared-endpoint
+# rule leaves undecided), and these calls stay out of that count.
 from ._kernelpy import _on_segment_collinear as _on_segment
 from ._kernelpy import orient as _orient
 from ._kernelpy import seg_relation as _seg_relation
@@ -350,21 +350,24 @@ def box_union(a: AABB, b: AABB) -> AABB:
     )
 
 
-def sweep_along_y(x1, y1, x2, y2) -> bool:
-    """Whether an interval sweep over these segments, or over boxes given by
-    two opposite corners, should run along y instead of x.
+def sweep_along_y(xlo, ylo, xhi, yhi) -> bool:
+    """Whether an interval sweep over these boxes, given by their extents
+    (xlo <= xhi, ylo <= yhi; a segment's are its bounding box's), should
+    run along y instead of x.
 
-    A sweep along x keeps about sum(|x2 - x1| + 1) / (W + 1) intervals
-    active, W being the x-spread: each closed interval covers |x2 - x1| + 1
-    of the W + 1 integer abscissae. Along y the same holds with y. Sweep y
-    only when its count is strictly smaller, compared in integers, so ties
-    keep x; a column of vertical edges, where W = 0, sweeps y."""
-    if not x1:
+    A sweep along x keeps about sum(xhi - xlo + 1) / (W + 1) intervals
+    active, W = max(xhi) - min(xlo) being the x-spread: each closed interval
+    covers xhi - xlo + 1 of the W + 1 integer abscissae. Along y the same
+    holds with y. Sweep y only when its count is strictly smaller, compared
+    in integers, so ties keep x; a column of vertical edges, where W = 0,
+    sweeps y."""
+    if not xlo:
         return False
-    dx = sum(map(abs, map(sub, x2, x1))) + len(x1)
-    dy = sum(map(abs, map(sub, y2, y1))) + len(y1)
-    w = max(max(x1), max(x2)) - min(min(x1), min(x2)) + 1
-    h = max(max(y1), max(y2)) - min(min(y1), min(y2)) + 1
+    n = len(xlo)
+    dx = sum(xhi) - sum(xlo) + n
+    dy = sum(yhi) - sum(ylo) + n
+    w = max(xhi) - min(xlo) + 1
+    h = max(yhi) - min(ylo) + 1
     return dy * w < dx * h
 
 

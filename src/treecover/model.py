@@ -337,10 +337,12 @@ def validate_instance(instance: Instance) -> list[Violation]:
     A vertex strictly inside a segment s either ends another segment, which
     then meets s away from s's ends, so ``find_contacts`` reports the pair,
     or it ends no segment. So ``find_vertex_hits`` runs only on the ends of
-    contact pairs and on vertices that end no segment, such as single-vertex
-    trees. Most pairs that ``find_contacts`` tests are two edges of one tree
-    at a shared vertex, which ``seg_relation`` decides by its shared-endpoint
-    rule.
+    contact pairs and on vertices that end no segment: when the structure
+    checks pass and no edge has zero length, only the vertices of
+    single-vertex trees. Each segment's extents are computed once; they
+    pick the sweep axis and feed ``find_contacts``. Most pairs it tests are
+    two edges of one tree at a shared vertex, and it decides those itself,
+    without ``seg_relation``.
     """
     out: list[Violation] = []
     px, py, voff, ea, eb, eoff = instance.columns
@@ -388,6 +390,9 @@ def validate_instance(instance: Instance) -> list[Violation]:
             out.append(Violation("edge-count", msg, (ti,)))
         elif k:
             out.append(Violation("not-connected", f"tree {ti}: {1 + k} components", (ti,)))
+    # no structure fault and no zero-length edge: every tree is connected by
+    # its edges, so each vertex of a tree with two or more vertices ends one
+    whole = not out and len(seg_a) == len(ea)
 
     if max(map(abs, px), default=0) > COORD_LIMIT or max(map(abs, py), default=0) > COORD_LIMIT:
         out += [
@@ -413,13 +418,23 @@ def validate_instance(instance: Instance) -> list[Violation]:
     sy1 = [py[a] for a in seg_a]
     sx2 = [px[b] for b in seg_b]
     sy2 = [py[b] for b in seg_b]
+    xlo = [a if a <= b else b for a, b in zip(sx1, sx2)]
+    xhi = [b if a <= b else a for a, b in zip(sx1, sx2)]
+    ylo = [a if a <= b else b for a, b in zip(sy1, sy2)]
+    yhi = [b if a <= b else a for a, b in zip(sy1, sy2)]
     # both searches return index pairs, which swapping x and y leaves alone,
     # so they sweep whichever axis keeps fewer segments active
-    along_y = sweep_along_y(sx1, sy1, sx2, sy2)
-    segs = (sy1, sx1, sy2, sx2) if along_y else (sx1, sy1, sx2, sy2)
-    contacts = _kernelpy.find_contacts(*segs, seg_tree)
+    along_y = sweep_along_y(xlo, ylo, xhi, yhi)
+    if along_y:
+        segs, ext = (sy1, sx1, sy2, sx2), (ylo, xlo, yhi, xhi)
+    else:
+        segs, ext = (sx1, sy1, sx2, sy2), (xlo, ylo, xhi, yhi)
+    contacts = _kernelpy.find_contacts(*segs, *ext, seg_tree)
 
-    near = set(range(len(px))).difference(seg_a, seg_b)
+    if whole:
+        near = {a for a, b in zip(voff, voff[1:]) if b - a == 1}
+    else:
+        near = set(range(len(px))).difference(seg_a, seg_b)
     for i, j in contacts:
         near.update((seg_a[i], seg_b[i], seg_a[j], seg_b[j]))
     cand = sorted(near)
@@ -450,7 +465,8 @@ def validate_instance(instance: Instance) -> list[Violation]:
             out.append(Violation("edges-cross", msg, (ti, tj)))
 
     # warning: shared axis coordinate across different trees (box-cover ties);
-    # each coordinate maps to the first tree that has it, or to -1 once warned
+    # each coordinate maps to the first tree that has it, or to -1 once warned;
+    # the warning flag goes by position, which builds a Violation faster
     x_tree: dict[int, int] = {}
     y_tree: dict[int, int] = {}
     for x, y, ti in zip(px, py, p_tree):
@@ -458,12 +474,12 @@ def validate_instance(instance: Instance) -> list[Violation]:
         if t != ti and t >= 0:
             x_tree[x] = -1
             msg = f"trees {t} and {ti} share x = {x}"
-            out.append(Violation("shared-coordinate", msg, (t, ti), warning=True))
+            out.append(Violation("shared-coordinate", msg, (t, ti), True))
         t = y_tree.setdefault(y, ti)
         if t != ti and t >= 0:
             y_tree[y] = -1
             msg = f"trees {t} and {ti} share y = {y}"
-            out.append(Violation("shared-coordinate", msg, (t, ti), warning=True))
+            out.append(Violation("shared-coordinate", msg, (t, ti), True))
 
     return out
 

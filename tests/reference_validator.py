@@ -1,6 +1,8 @@
-"""The validator as it stood before its single-pass rewrite, kept verbatim
-as the oracle that ``tests/test_validator_reference.py`` compares
-``model.validate_instance`` and ``_kernelpy.seg_relation`` against.
+"""The validator as it stood before its single-pass rewrite, kept as the
+oracle that ``tests/test_validator_reference.py`` compares
+``model.validate_instance`` and ``_kernelpy.seg_relation`` against. Only
+its calls into the package follow today's signatures: ``sweep_along_y``
+and ``find_contacts`` read segment extents.
 
 ``reference_validate`` runs every kernel search on the whole input: the
 vertex-hit search over every vertex, the contact search over every segment.
@@ -146,9 +148,11 @@ def reference_validate(instance):
             p_tree.append(ti)
     # both searches return index pairs, which swapping x and y leaves alone,
     # so they sweep whichever axis keeps fewer segments active
-    verts, segs = (px, py), (sx1, sy1, sx2, sy2)
-    if sweep_along_y(*segs):
-        verts, segs = (py, px), (sy1, sx1, sy2, sx2)
+    xlo, xhi = list(map(min, sx1, sx2)), list(map(max, sx1, sx2))
+    ylo, yhi = list(map(min, sy1, sy2)), list(map(max, sy1, sy2))
+    verts, segs, ext = (px, py), (sx1, sy1, sx2, sy2), (xlo, ylo, xhi, yhi)
+    if sweep_along_y(*ext):
+        verts, segs, ext = (py, px), (sy1, sx1, sy2, sx2), (ylo, xlo, yhi, xhi)
     for vi, sj in _kernelpy.find_vertex_hits(*verts, *segs):
         out.append(
             Violation(
@@ -159,7 +163,7 @@ def reference_validate(instance):
             )
         )
 
-    for i, j in _kernelpy.find_contacts(*segs, seg_tree):
+    for i, j in _kernelpy.find_contacts(*segs, *ext, seg_tree):
         a = ((sx1[i], sy1[i]), (sx2[i], sy2[i]))
         b = ((sx1[j], sy1[j]), (sx2[j], sy2[j]))
         pts, _ = _segment_intersection_set(a[0], a[1], b[0], b[1])

@@ -101,6 +101,17 @@ def columns(segs):
     return [[s[k // 2][k % 2] for s, _, _ in segs] for k in range(4)]
 
 
+def extents(x1, y1, x2, y2):
+    """The segments' extents xlo, ylo, xhi, yhi, as ``sweep_along_y`` and
+    ``find_contacts`` read them."""
+    return (
+        list(map(min, x1, x2)),
+        list(map(min, y1, y2)),
+        list(map(max, x1, x2)),
+        list(map(max, y1, y2)),
+    )
+
+
 def transpose(inst):
     return Instance(
         tuple(
@@ -233,7 +244,7 @@ def test_corpus_takes_both_axes():
     picks = Counter()
     for inst in INSTANCES:
         for case in (inst, transpose(inst)):
-            picks[sweep_along_y(*columns(segment_table(case)))] += 1
+            picks[sweep_along_y(*extents(*columns(segment_table(case))))] += 1
     assert picks[True] >= 20 and picks[False] >= 20, picks
 
 
@@ -310,12 +321,15 @@ def test_kernels_give_the_same_pairs_on_swapped_columns():
         for case in (inst, transpose(inst)):
             segs, verts = segment_table(case), vertex_table(case)
             x1, y1, x2, y2 = columns(segs)
+            xlo, ylo, xhi, yhi = extents(x1, y1, x2, y2)
             trees = [t for _, t, _ in segs]
             px = [p[0] for p, _ in verts]
             py = [p[1] for p, _ in verts]
             contacts = oracle_contacts(segs)
-            assert _kernelpy.find_contacts(x1, y1, x2, y2, trees) == contacts
-            assert _kernelpy.find_contacts(y1, x1, y2, x2, trees) == contacts
+            got = _kernelpy.find_contacts(x1, y1, x2, y2, xlo, ylo, xhi, yhi, trees)
+            assert got == contacts
+            got = _kernelpy.find_contacts(y1, x1, y2, x2, ylo, xlo, yhi, xhi, trees)
+            assert got == contacts
             hits = oracle_vertex_hits(verts, segs)
             assert _kernelpy.find_vertex_hits(px, py, x1, y1, x2, y2) == hits
             assert _kernelpy.find_vertex_hits(py, px, y1, x1, y2, x2) == hits

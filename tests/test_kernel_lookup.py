@@ -54,12 +54,33 @@ def calls(monkeypatch):
     ids=["hull", "box"],
 )
 def test_cli_cover_reaches_the_patched_kernel(phi, reached, calls, tmp_path):
-    inp = tmp_path / "in.json"
-    inp.write_text(serialize_instance(generate("combs", trees=4, size=4, seed=1)))
-    out = tmp_path / "cover.json"
-    assert main(["cover", "--phi", phi, "--input", str(inp), "--output", str(out)]) == 0
-    for name in reached:
-        assert calls[name] > 0, (phi, name, dict(calls))
+    # combs reach every hook but seg_relation, since find_contacts decides
+    # their candidate pairs, two edges of one tree at a shared end, itself;
+    # the rings of nested trees reach seg_relation too
+    inputs = (("combs", [n for n in reached if n != "seg_relation"]), ("nested", reached))
+    inp, out = tmp_path / "in.json", tmp_path / "cover.json"
+    for kind, names in inputs:
+        calls.clear()
+        inp.write_text(serialize_instance(generate(kind, trees=4, size=4, seed=1)))
+        assert main(["cover", "--phi", phi, "--input", str(inp), "--output", str(out)]) == 0
+        for name in names:
+            assert calls[name] > 0, (phi, kind, name, dict(calls))
+
+
+def test_validator_decides_shared_end_pairs_without_seg_relation(calls):
+    # on these kinds every candidate pair is two edges of one tree at a
+    # shared end; nested and diag keep pairs of different trees, which keep
+    # perfbench's pair counter reachable
+    kinds = [("strips", 20), ("ladder", 20), ("combs", 4), ("arc", 20), ("nested", 20), ("diag", 20)]
+    for kind, trees in kinds:
+        inst = generate(kind, trees=trees, size=4, seed=1)
+        calls.clear()
+        assert model.errors_only(model.validate_instance(inst)) == []
+        assert calls["find_contacts"] == 1, (kind, dict(calls))
+        if kind in ("nested", "diag"):
+            assert calls["seg_relation"] > 0, (kind, dict(calls))
+        else:
+            assert calls["seg_relation"] == 0, (kind, dict(calls))
 
 
 def test_geometry_predicates_stay_out_of_the_pair_count(calls):

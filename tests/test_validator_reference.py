@@ -4,7 +4,9 @@
 rewrite: a pass per check, a union-find per tree, the vertex-hit search over
 every vertex, and ``seg_relation`` without its shared-endpoint rule. The
 rewrite must return the same violations in the same order, and the kernel
-the same relation for every pair of segments on a small grid.
+the same relation for every pair of segments on a small grid; on the pairs
+that share an end, so must ``find_contacts``, which decides two edges of
+one tree there without ``seg_relation``.
 """
 
 import random
@@ -17,7 +19,7 @@ from treecover.geom import COORD_LIMIT
 from treecover.model import GeometricTree, Instance, validate_instance
 
 from reference_validator import reference_validate, seg_relation
-from test_contacts import INSTANCES, transpose
+from test_contacts import INSTANCES, extents, transpose
 
 GRID = [(x, y) for x in range(4) for y in range(4)]
 SEGMENTS = [(a, b) for a in GRID for b in GRID]
@@ -26,12 +28,25 @@ SEGMENTS = [(a, b) for a in GRID for b in GRID]
 def test_seg_relation_matches_reference_on_every_pair_of_a_4x4_grid():
     assert len(SEGMENTS) ** 2 == 65536
     got = Counter()
+    shared = Counter()
     for (a, b) in SEGMENTS:
         for (c, d) in SEGMENTS:
             rel = _kernelpy.seg_relation(*a, *b, *c, *d)
             assert rel == seg_relation(*a, *b, *c, *d), (a, b, c, d)
             got[rel] += 1
+            if a == b or c == d or not {a, b} & {c, d}:
+                continue
+            # find_contacts decides two edges of one tree at a shared end
+            # itself; it must agree with seg_relation, and a pair of two
+            # trees goes to seg_relation
+            cols = [[a[0], c[0]], [a[1], c[1]], [b[0], d[0]], [b[1], d[1]]]
+            for trees, want in (([0, 0], rel == 2), ([0, 1], rel != 0)):
+                pairs = _kernelpy.find_contacts(*cols, *extents(*cols), trees)
+                assert pairs == ([(0, 1)] if want else []), (a, b, c, d, trees)
+            shared[rel, len({a, b} & {c, d})] += 1
     assert got[0] and got[1] and got[2]
+    # reversed, collinear-overlapping and both-ends-shared pairs all occur
+    assert shared[1, 1] and shared[2, 1] and shared[2, 2], shared
 
 
 def random_tree(rng):
