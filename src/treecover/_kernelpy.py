@@ -28,72 +28,48 @@ def orient(ax, ay, bx, by, cx, cy):
     return 0
 
 
-def _on_segment_collinear(px, py, ax, ay, bx, by):
-    # assumes p collinear with a-b
-    if ax != bx:
-        lo, hi = (ax, bx) if ax <= bx else (bx, ax)
-        return lo <= px <= hi
-    lo, hi = (ay, by) if ay <= by else (by, ay)
-    return lo <= py <= hi
+def _on_segment(px, py, ax, ay, bx, by):
+    """Whether p, known to be collinear with a and b, lies on the closed
+    segment ab: in its x range and in its y range, so a zero-length
+    segment holds only its own point."""
+    return (ax <= px <= bx or bx <= px <= ax) and (ay <= py <= by or by <= py <= ay)
 
 
 def seg_relation(p1x, p1y, p2x, p2y, q1x, q1y, q2x, q2y):
     """Classify two closed segments: 0 disjoint, 1 touching, 2 crossing.
 
-    Crossing means they share a point interior to both (this includes
-    collinear overlap of positive length); touching means boundary-only
-    contact.
-
-    Segments with a shared endpoint s are decided from their other ends u
-    and w about s: they cross when u and w point the same way (cross
-    product 0, dot product > 0), and otherwise touch at s only, zero-length
-    segments included. Two edges of a tree that meet at a vertex, the
-    validator's most common pair, take this path.
+    The rule is SEGMENTS-INTERSECT (Cormen et al., *Introduction to
+    Algorithms*, section 33.1). The segments cross properly when the ends
+    of each lie strictly on opposite sides of the other's line. Otherwise
+    they meet only at ends of one that lie on the other (``_ends_on``):
+    none is disjoint, one distinct point touching, and two distinct points
+    a collinear overlap of positive length, which counts as crossing.
     """
-    if p1x == q1x and p1y == q1y:
-        return _from_shared_end(p2x - p1x, p2y - p1y, q2x - p1x, q2y - p1y)
-    if p1x == q2x and p1y == q2y:
-        return _from_shared_end(p2x - p1x, p2y - p1y, q1x - p1x, q1y - p1y)
-    if p2x == q1x and p2y == q1y:
-        return _from_shared_end(p1x - p2x, p1y - p2y, q2x - p2x, q2y - p2y)
-    if p2x == q2x and p2y == q2y:
-        return _from_shared_end(p1x - p2x, p1y - p2y, q1x - p2x, q1y - p2y)
     d1 = orient(q1x, q1y, q2x, q2y, p1x, p1y)
     d2 = orient(q1x, q1y, q2x, q2y, p2x, p2y)
     d3 = orient(p1x, p1y, p2x, p2y, q1x, q1y)
     d4 = orient(p1x, p1y, p2x, p2y, q2x, q2y)
-
-    if ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and (
-        (d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)
-    ):
+    if d1 * d2 < 0 and d3 * d4 < 0:
         return 2
-
-    if d1 == 0 and d2 == 0 and d3 == 0 and d4 == 0:
-        # all collinear: compare 1-D intervals along the dominant axis
-        if p1x != p2x or q1x != q2x:
-            a_lo, a_hi = (p1x, p2x) if p1x <= p2x else (p2x, p1x)
-            b_lo, b_hi = (q1x, q2x) if q1x <= q2x else (q2x, q1x)
-        else:
-            a_lo, a_hi = (p1y, p2y) if p1y <= p2y else (p2y, p1y)
-            b_lo, b_hi = (q1y, q2y) if q1y <= q2y else (q2y, q1y)
-        lo = a_lo if a_lo >= b_lo else b_lo
-        hi = a_hi if a_hi <= b_hi else b_hi
-        if lo > hi:
-            return 0
-        return 1 if lo == hi else 2
-
-    touch = (
-        (d1 == 0 and _on_segment_collinear(p1x, p1y, q1x, q1y, q2x, q2y))
-        or (d2 == 0 and _on_segment_collinear(p2x, p2y, q1x, q1y, q2x, q2y))
-        or (d3 == 0 and _on_segment_collinear(q1x, q1y, p1x, p1y, p2x, p2y))
-        or (d4 == 0 and _on_segment_collinear(q2x, q2y, p1x, p1y, p2x, p2y))
-    )
-    return 1 if touch else 0
+    if d1 and d2 and d3 and d4:
+        return 0  # no end lies on the other's line
+    return len(_ends_on(p1x, p1y, p2x, p2y, q1x, q1y, q2x, q2y, d1, d2, d3, d4))
 
 
-def _from_shared_end(ux, uy, wx, wy):
-    # seg_relation of two segments from one point s to s + u and s + w
-    return 2 if ux * wy == uy * wx and ux * wx + uy * wy > 0 else 1
+def _ends_on(p1x, p1y, p2x, p2y, q1x, q1y, q2x, q2y, d1, d2, d3, d4):
+    """The set of distinct ends of segments p and q that lie on the other
+    segment, given ``seg_relation``'s orientations d1 to d4 of those ends
+    about the other's line; it never holds more than two points."""
+    ends = set()
+    if d1 == 0 and _on_segment(p1x, p1y, q1x, q1y, q2x, q2y):
+        ends.add((p1x, p1y))
+    if d2 == 0 and _on_segment(p2x, p2y, q1x, q1y, q2x, q2y):
+        ends.add((p2x, p2y))
+    if d3 == 0 and _on_segment(q1x, q1y, p1x, p1y, p2x, p2y):
+        ends.add((q1x, q1y))
+    if d4 == 0 and _on_segment(q2x, q2y, p1x, p1y, p2x, p2y):
+        ends.add((q2x, q2y))
+    return ends
 
 
 def _uf_find(parent, i):
@@ -170,10 +146,11 @@ def find_contacts(sx1, sy1, sx2, sy2, xlo, ylo, xhi, yhi, seg_tree):
     meeting exactly at a shared endpoint. An x-interval sweep prunes the
     candidate pairs (worst case still quadratic, near-linear on real
     inputs). On a valid input most pairs left are two edges of one tree
-    at their shared vertex s; those are decided here by ``seg_relation``'s
-    shared-endpoint rule, ends tested in its order: they cross iff their
-    other ends point the same way from s. ``seg_relation`` classifies
-    every other pair.
+    at their shared vertex s. Those are decided inline, for speed, by
+    ``seg_relation``'s rule applied to a shared end: s lies on both, and a
+    second meeting end exists, making the pair cross, iff their other ends
+    point the same way from s (cross product 0, dot product > 0).
+    ``seg_relation`` classifies every other pair.
     """
     order = sorted(range(len(xlo)), key=xlo.__getitem__)
     active: list[int] = []

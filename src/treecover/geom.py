@@ -22,7 +22,7 @@ from typing import NamedTuple
 # Bound once at import: perfbench's tracer patches ``_kernelpy.seg_relation``
 # to count the pairs that ``find_contacts`` hands it (those its shared-endpoint
 # rule leaves undecided), and these calls stay out of that count.
-from ._kernelpy import _on_segment_collinear as _on_segment
+from ._kernelpy import _ends_on, _on_segment
 from ._kernelpy import orient as _orient
 from ._kernelpy import seg_relation as _seg_relation
 
@@ -188,9 +188,9 @@ def point_in_convex_polygon(p, poly: ConvexPolygon) -> str:
     px, py = p
     v = poly.vertices
     if len(v) < 3:
-        # the point or the segment from v[0] to v[-1]: p on its line and box
+        # the point or the segment from v[0] to v[-1]
         (ax, ay), (bx, by) = v[0], v[-1]
-        on = _orient(ax, ay, bx, by, px, py) == 0 and poly.bbox().contains_point(p)
+        on = _orient(ax, ay, bx, by, px, py) == 0 and _on_segment(px, py, ax, ay, bx, by)
         return BOUNDARY if on else OUTSIDE
     # turns are strict, so a point on an edge's line beyond the edge lies
     # right of a neighbouring edge: o == 0 and no o < 0 is the boundary
@@ -222,56 +222,28 @@ def polygons_intersect(p: ConvexPolygon, q: ConvexPolygon) -> bool:
 
 
 def _segment_intersection_set(a: Point, b: Point, c: Point, d: Point):
-    """Exact intersection of two closed integer segments.
+    """Exact intersection of two closed integer segments, by
+    ``seg_relation``'s rule.
 
-    Returns (points, overlap): the isolated intersection points, or the two
-    endpoints of a positive-length collinear overlap with overlap=True.
+    Returns (points, overlap): the rational crossing point of a proper
+    crossing, else the ends of either segment that lie on the other,
+    sorted; two of them are the ends of a positive-length collinear
+    overlap, with overlap=True.
     """
-    rel = _seg_relation(a[0], a[1], b[0], b[1], c[0], c[1], d[0], d[1])
-    if rel == 0:
-        return (), False
-    # imported here, where a Fraction is built, so that a cover run, which
-    # builds none, does not load it
+    # imported here: a cover run builds no Fraction and does not load it
     from fractions import Fraction
 
-    d1 = orient(c, d, a)
-    d2 = orient(c, d, b)
-    d3 = orient(a, b, c)
-    d4 = orient(a, b, d)
-    if d1 == 0 and d2 == 0 and d3 == 0 and d4 == 0:
-        # collinear: order the four endpoints along the line
-        key = (lambda p: p[0]) if a[0] != b[0] or c[0] != d[0] else (lambda p: p[1])
-        lo1, hi1 = sorted((a, b), key=key)
-        lo2, hi2 = sorted((c, d), key=key)
-        lo = max(lo1, lo2, key=key)
-        hi = min(hi1, hi2, key=key)
-        if key(lo) == key(hi):
-            return ((Fraction(lo[0]), Fraction(lo[1])),), False
-        return (
-            (Fraction(lo[0]), Fraction(lo[1])),
-            (Fraction(hi[0]), Fraction(hi[1])),
-        ), True
-    if ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and (
-        (d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)
-    ):
-        # proper crossing at one interior rational point
-        rx, ry = b[0] - a[0], b[1] - a[1]
-        sx, sy = d[0] - c[0], d[1] - c[1]
-        den = rx * sy - ry * sx
-        tn = (c[0] - a[0]) * sy - (c[1] - a[1]) * sx
-        t = Fraction(tn, den)
-        return ((a[0] + t * rx, a[1] + t * ry),), False
-    # touching at an endpoint of one of the segments
-    pts = set()
-    if d1 == 0 and _on_segment(a[0], a[1], c[0], c[1], d[0], d[1]):
-        pts.add((Fraction(a[0]), Fraction(a[1])))
-    if d2 == 0 and _on_segment(b[0], b[1], c[0], c[1], d[0], d[1]):
-        pts.add((Fraction(b[0]), Fraction(b[1])))
-    if d3 == 0 and _on_segment(c[0], c[1], a[0], a[1], b[0], b[1]):
-        pts.add((Fraction(c[0]), Fraction(c[1])))
-    if d4 == 0 and _on_segment(d[0], d[1], a[0], a[1], b[0], b[1]):
-        pts.add((Fraction(d[0]), Fraction(d[1])))
-    return tuple(sorted(pts)), False
+    (ax, ay), (bx, by), (cx, cy), (dx, dy) = a, b, c, d
+    d1 = _orient(cx, cy, dx, dy, ax, ay)
+    d2 = _orient(cx, cy, dx, dy, bx, by)
+    d3 = _orient(ax, ay, bx, by, cx, cy)
+    d4 = _orient(ax, ay, bx, by, dx, dy)
+    if d1 * d2 < 0 and d3 * d4 < 0:
+        rx, ry, sx, sy = bx - ax, by - ay, dx - cx, dy - cy
+        t = Fraction((cx - ax) * sy - (cy - ay) * sx, rx * sy - ry * sx)
+        return ((ax + t * rx, ay + t * ry),), False
+    ends = sorted(_ends_on(ax, ay, bx, by, cx, cy, dx, dy, d1, d2, d3, d4))
+    return tuple((Fraction(x), Fraction(y)) for x, y in ends), len(ends) == 2
 
 
 def merge_convex_hulls(p: ConvexPolygon, q: ConvexPolygon) -> ConvexPolygon:

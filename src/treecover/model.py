@@ -16,7 +16,7 @@ import json
 import math
 from functools import cache
 from itertools import accumulate, chain, repeat
-from operator import index, itemgetter, lt
+from operator import itemgetter, lt
 from typing import Iterable, NamedTuple, NoReturn
 
 from . import _kernelpy
@@ -511,6 +511,15 @@ def region_obj(region: Region) -> dict:
     return {"circle": [region.cx, region.cy, region.r]}
 
 
+def _int(v) -> int:
+    """A cover's polygon or box coordinate or membership index: a JSON
+    integer only; a boolean, a float, a string or 1e400 (read as inf)
+    raises TypeError."""
+    if type(v) is not int:
+        raise TypeError(f"expected an integer, got {v!r}")
+    return v
+
+
 class Cover(NamedTuple):
     """A set of pairwise disjoint regions plus tree membership, stored in
     canonical order (regions sorted by value, membership lists sorted)."""
@@ -559,10 +568,8 @@ class Cover(NamedTuple):
             phi = obj["phi"]
             regions = []
             for robj in obj["regions"]:
-                # polygon and box coordinates are integers: a float, a
-                # string or 1e400 (read as inf) raises TypeError
                 if "vertices" in robj:
-                    vertices = tuple((index(x), index(y)) for x, y in robj["vertices"])
+                    vertices = tuple((_int(x), _int(y)) for x, y in robj["vertices"])
                     if not vertices or convex_hull(vertices).vertices != vertices:
                         raise ValueError(
                             "a polygon must list its convex hull's vertices in "
@@ -570,13 +577,13 @@ class Cover(NamedTuple):
                         )
                     regions.append(ConvexPolygon(vertices))
                 elif "box" in robj:
-                    regions.append(AABB(*map(index, robj["box"])))
+                    regions.append(AABB(*map(_int, robj["box"])))
                 else:
                     circle = Circle(*robj["circle"])
                     if not all(map(math.isfinite, circle)):
                         raise ValueError("circle values must be finite")
                     regions.append(circle)
-            membership = tuple(tuple(map(index, ms)) for ms in obj["membership"])
+            membership = tuple(tuple(map(_int, ms)) for ms in obj["membership"])
             if len(membership) != len(regions):
                 raise ValueError("membership must hold one list of trees per region")
         except (KeyError, TypeError, ValueError) as e:

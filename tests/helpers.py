@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's own algorithms: the hull oracle is a
 gift-wrapping march (the library uses a monotone chain), the enclosing-circle
-oracle enumerates all pairs and triples, and containment is a half-plane
-check written from scratch.
+oracle enumerates all pairs and triples, containment is a half-plane
+check written from scratch, and the segment-contact oracles test every
+pair of segments, or of vertex and segment, without a sweep.
 """
 
 import math
@@ -102,3 +103,78 @@ def brute_min_circle(points):
 
 def frac_point(x, y):
     return (Fraction(x), Fraction(y))
+
+
+def on_segment(p, a, b):
+    """Whether p, integer or rational, lies on the closed segment ab."""
+    return (
+        cross(a, b, p) == 0
+        and min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
+        and min(a[1], b[1]) <= p[1] <= max(a[1], b[1])
+    )
+
+
+def meet(a, b, c, d):
+    """Whether closed segments ab and cd share a point."""
+    d1, d2 = cross(c, d, a), cross(c, d, b)
+    d3, d4 = cross(a, b, c), cross(a, b, d)
+    if d1 * d2 < 0 and d3 * d4 < 0:
+        return True
+    return any(
+        on_segment(p, *s) for p, s in ((a, (c, d)), (b, (c, d)), (c, (a, b)), (d, (a, b)))
+    )
+
+
+def overlap_length2(a, b, c, d):
+    """For collinear ab and cd: their overlap's length, times |b - a|^2 (0
+    when they share one point at most); None when they are not collinear."""
+    if cross(a, b, c) or cross(a, b, d):
+        return None
+    ux, uy = b[0] - a[0], b[1] - a[1]
+    tc = (c[0] - a[0]) * ux + (c[1] - a[1]) * uy
+    td = (d[0] - a[0]) * ux + (d[1] - a[1]) * uy
+    return max(0, min(max(tc, td), ux * ux + uy * uy) - max(min(tc, td), 0))
+
+
+def segment_table(inst):
+    """(segment, tree, edge index) per edge, skipping zero-length ones,
+    in the validator's order."""
+    out = []
+    for ti, t in enumerate(inst.trees):
+        for ei, (i, j) in enumerate(t.edges):
+            if t.vertices[i] != t.vertices[j]:
+                out.append(((t.vertices[i], t.vertices[j]), ti, ei))
+    return out
+
+
+def vertex_table(inst):
+    return [(v, ti) for ti, t in enumerate(inst.trees) for v in t.vertices]
+
+
+def oracle_contacts(segs):
+    """Pairs (i, j), i < j, of meeting segments, except two edges of one
+    tree whose only common point is a shared endpoint; ``segs`` as
+    ``segment_table`` returns them."""
+    out = []
+    for i, ((a, b), ti, _) in enumerate(segs):
+        for j in range(i + 1, len(segs)):
+            (c, d), tj, _ = segs[j]
+            if not meet(a, b, c, d):
+                continue
+            shared = {a, b} & {c, d}
+            if ti == tj and shared and not overlap_length2(a, b, c, d):
+                continue
+            out.append((i, j))
+    return out
+
+
+def oracle_vertex_hits(verts, segs):
+    """Pairs (vertex, segment) of a vertex inside a segment, not at an end;
+    ``verts`` and ``segs`` as ``vertex_table`` and ``segment_table`` return
+    them."""
+    return [
+        (vi, sj)
+        for vi, (p, _) in enumerate(verts)
+        for sj, ((a, b), _, _) in enumerate(segs)
+        if p != a and p != b and on_segment(p, a, b)
+    ]

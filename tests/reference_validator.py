@@ -1,57 +1,72 @@
 """The validator as it stood before its single-pass rewrite, kept as the
 oracle that ``tests/test_validator_reference.py`` compares
-``model.validate_instance`` and ``_kernelpy.seg_relation`` against. Only
-its calls into the package follow today's signatures: ``sweep_along_y``
-and ``find_contacts`` read segment extents.
+``model.validate_instance`` against.
 
-``reference_validate`` runs every kernel search on the whole input: the
-vertex-hit search over every vertex, the contact search over every segment.
+``reference_validate`` shares no search with the package: it takes vertex
+hits and contact pairs from the all-pairs oracles in ``helpers``, and each
+contact's meeting point from ``segment_intersection_set``, its own copy of
+``geom._segment_intersection_set`` as it was before the contact rule was
+written once, so the violation messages stay pinned apart from the product.
 """
 
-from treecover import _kernelpy
-from treecover._kernelpy import _on_segment_collinear, orient
-from treecover.geom import COORD_LIMIT, _segment_intersection_set, sweep_along_y
+from fractions import Fraction
+
+from treecover.geom import COORD_LIMIT
 from treecover.model import Violation
 
+from helpers import (
+    cross,
+    meet,
+    on_segment,
+    oracle_contacts,
+    oracle_vertex_hits,
+    segment_table,
+    vertex_table,
+)
 
-def seg_relation(p1x, p1y, p2x, p2y, q1x, q1y, q2x, q2y):
-    """Classify two closed segments: 0 disjoint, 1 touching, 2 crossing.
 
-    Crossing means they share a point interior to both (this includes
-    collinear overlap of positive length); touching means boundary-only
-    contact.
+def segment_intersection_set(a, b, c, d):
+    """``geom._segment_intersection_set`` as it stood before the contact
+    rule was written once, with the brute-force ``meet`` and ``on_segment``
+    in place of the kernel's predicates. Its collinear branch orders
+    points along one axis, which holds for segments of positive length,
+    the only ones the validator passes.
     """
-    d1 = orient(q1x, q1y, q2x, q2y, p1x, p1y)
-    d2 = orient(q1x, q1y, q2x, q2y, p2x, p2y)
-    d3 = orient(p1x, p1y, p2x, p2y, q1x, q1y)
-    d4 = orient(p1x, p1y, p2x, p2y, q2x, q2y)
-
+    if not meet(a, b, c, d):
+        return (), False
+    d1 = cross(c, d, a)
+    d2 = cross(c, d, b)
+    d3 = cross(a, b, c)
+    d4 = cross(a, b, d)
+    if d1 == 0 and d2 == 0 and d3 == 0 and d4 == 0:
+        # collinear: order the four endpoints along the line
+        key = (lambda p: p[0]) if a[0] != b[0] or c[0] != d[0] else (lambda p: p[1])
+        lo1, hi1 = sorted((a, b), key=key)
+        lo2, hi2 = sorted((c, d), key=key)
+        lo = max(lo1, lo2, key=key)
+        hi = min(hi1, hi2, key=key)
+        if key(lo) == key(hi):
+            return ((Fraction(lo[0]), Fraction(lo[1])),), False
+        return (
+            (Fraction(lo[0]), Fraction(lo[1])),
+            (Fraction(hi[0]), Fraction(hi[1])),
+        ), True
     if ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and (
         (d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)
     ):
-        return 2
-
-    if d1 == 0 and d2 == 0 and d3 == 0 and d4 == 0:
-        # all collinear: compare 1-D intervals along the dominant axis
-        if p1x != p2x or q1x != q2x:
-            a_lo, a_hi = (p1x, p2x) if p1x <= p2x else (p2x, p1x)
-            b_lo, b_hi = (q1x, q2x) if q1x <= q2x else (q2x, q1x)
-        else:
-            a_lo, a_hi = (p1y, p2y) if p1y <= p2y else (p2y, p1y)
-            b_lo, b_hi = (q1y, q2y) if q1y <= q2y else (q2y, q1y)
-        lo = a_lo if a_lo >= b_lo else b_lo
-        hi = a_hi if a_hi <= b_hi else b_hi
-        if lo > hi:
-            return 0
-        return 1 if lo == hi else 2
-
-    touch = (
-        (d1 == 0 and _on_segment_collinear(p1x, p1y, q1x, q1y, q2x, q2y))
-        or (d2 == 0 and _on_segment_collinear(p2x, p2y, q1x, q1y, q2x, q2y))
-        or (d3 == 0 and _on_segment_collinear(q1x, q1y, p1x, p1y, p2x, p2y))
-        or (d4 == 0 and _on_segment_collinear(q2x, q2y, p1x, p1y, p2x, p2y))
-    )
-    return 1 if touch else 0
+        # proper crossing at one interior rational point
+        rx, ry = b[0] - a[0], b[1] - a[1]
+        sx, sy = d[0] - c[0], d[1] - c[1]
+        den = rx * sy - ry * sx
+        tn = (c[0] - a[0]) * sy - (c[1] - a[1]) * sx
+        t = Fraction(tn, den)
+        return ((a[0] + t * rx, a[1] + t * ry),), False
+    # touching at an endpoint of one of the segments
+    pts = set()
+    for p, (u, v) in ((a, (c, d)), (b, (c, d)), (c, (a, b)), (d, (a, b))):
+        if on_segment(p, u, v):
+            pts.add((Fraction(p[0]), Fraction(p[1])))
+    return tuple(sorted(pts)), False
 
 
 def reference_validate(instance):
@@ -125,70 +140,35 @@ def reference_validate(instance):
             else:
                 where[v] = (ti, vi)
 
-    # flat segment table for the kernel batches
-    sx1, sy1, sx2, sy2, seg_tree, seg_idx = [], [], [], [], [], []
-    for ti, tree in enumerate(instance.trees):
-        for ei, (i, j) in enumerate(tree.edges):
-            a = tree.vertices[i]
-            b = tree.vertices[j]
-            if a == b:
-                continue  # self-loop already reported
-            sx1.append(a[0])
-            sy1.append(a[1])
-            sx2.append(b[0])
-            sy2.append(b[1])
-            seg_tree.append(ti)
-            seg_idx.append(ei)
-
-    px, py, p_tree = [], [], []
-    for ti, tree in enumerate(instance.trees):
-        for v in tree.vertices:
-            px.append(v[0])
-            py.append(v[1])
-            p_tree.append(ti)
-    # both searches return index pairs, which swapping x and y leaves alone,
-    # so they sweep whichever axis keeps fewer segments active
-    xlo, xhi = list(map(min, sx1, sx2)), list(map(max, sx1, sx2))
-    ylo, yhi = list(map(min, sy1, sy2)), list(map(max, sy1, sy2))
-    verts, segs, ext = (px, py), (sx1, sy1, sx2, sy2), (xlo, ylo, xhi, yhi)
-    if sweep_along_y(*ext):
-        verts, segs, ext = (py, px), (sy1, sx1, sy2, sx2), (ylo, xlo, yhi, xhi)
-    for vi, sj in _kernelpy.find_vertex_hits(*verts, *segs):
+    segs, verts = segment_table(instance), vertex_table(instance)
+    for vi, sj in oracle_vertex_hits(verts, segs):
+        (x, y), tv = verts[vi]
+        ts = segs[sj][1]
         out.append(
             Violation(
                 "vertex-on-edge",
-                f"vertex ({px[vi]},{py[vi]}) of tree {p_tree[vi]} lies inside an edge "
-                f"of tree {seg_tree[sj]}",
-                tuple(sorted({p_tree[vi], seg_tree[sj]})),
+                f"vertex ({x},{y}) of tree {tv} lies inside an edge of tree {ts}",
+                tuple(sorted({tv, ts})),
             )
         )
 
-    for i, j in _kernelpy.find_contacts(*segs, *ext, seg_tree):
-        a = ((sx1[i], sy1[i]), (sx2[i], sy2[i]))
-        b = ((sx1[j], sy1[j]), (sx2[j], sy2[j]))
-        pts, _ = _segment_intersection_set(a[0], a[1], b[0], b[1])
+    for i, j in oracle_contacts(segs):
+        (a, b), ti, ei = segs[i]
+        (c, d), tj, ej = segs[j]
+        pts, _ = segment_intersection_set(a, b, c, d)
         at = ""
         if pts:
             px_, py_ = pts[0]
             fx = int(px_) if px_.denominator == 1 else px_
             fy = int(py_) if py_.denominator == 1 else py_
             at = f" at ({fx},{fy})"
-        ti, tj = seg_tree[i], seg_tree[j]
         if ti == tj:
             out.append(
-                Violation(
-                    "edges-cross",
-                    f"tree {ti}: edges {seg_idx[i]} and {seg_idx[j]} cross{at}",
-                    (ti,),
-                )
+                Violation("edges-cross", f"tree {ti}: edges {ei} and {ej} cross{at}", (ti,))
             )
         else:
             out.append(
-                Violation(
-                    "edges-cross",
-                    f"trees {ti} and {tj}: edges cross{at}",
-                    (ti, tj),
-                )
+                Violation("edges-cross", f"trees {ti} and {tj}: edges cross{at}", (ti, tj))
             )
 
     # warning: shared axis coordinate across different trees (box-cover ties)

@@ -90,6 +90,18 @@ class TestSegmentsIntersect:
     def test_t_touch(self):
         assert segments_intersect(((0, 0), (4, 0)), ((2, 0), (2, 3))) == TOUCHING
 
+    def test_point_beside_vertical_segment_on_its_end_line_is_disjoint(self):
+        assert segments_intersect(((1, 0), (1, 0)), ((5, 0), (5, 3))) == DISJOINT
+        assert segments_intersect(((5, 0), (5, 3)), ((1, 0), (1, 0))) == DISJOINT
+
+    def test_two_points_on_one_horizontal_line_are_disjoint(self):
+        assert segments_intersect(((0, 0), (0, 0)), ((5, 0), (5, 0))) == DISJOINT
+
+    def test_point_on_segment_touches(self):
+        assert segments_intersect(((2, 1), (2, 1)), ((0, 0), (4, 2))) == TOUCHING
+        assert segments_intersect(((0, 0), (4, 2)), ((4, 2), (4, 2))) == TOUCHING
+        assert segments_intersect(((3, 3), (3, 3)), ((3, 3), (3, 3))) == TOUCHING
+
 
 class TestConvexHull:
     def test_triangle_with_interior_point(self):

@@ -394,6 +394,23 @@ class TestCover:
         c = Cover.build("box", [(AABB(0, 0, 4, 2), [0, 1]), (AABB(9, 9, 10, 10), [2])])
         assert Cover.from_json(c.to_json()) == c
 
+    @pytest.mark.parametrize(
+        "regions, membership",
+        [
+            ('[{"box":[false,false,true,true]}]', "[[0]]"),
+            ('[{"box":[0,0,1,1]}]', "[[false]]"),
+            ('[{"vertices":[[0,0],[1,0],[false,true]]}]', "[[0]]"),
+            ('[{"box":[0,0,1.0,1]}]', "[[0]]"),
+            ('[{"box":[0,0,1,1]}]', '[["0"]]'),
+        ],
+        ids=["bool-box", "bool-membership", "bool-vertex", "float-box", "string-membership"],
+    )
+    def test_non_integer_values_are_parse_errors(self, regions, membership):
+        # JSON true and false are no integers, though Python's bool is one
+        text = '{"phi":"box","regions":%s,"membership":%s}' % (regions, membership)
+        with pytest.raises(ParseError, match="malformed cover: expected an integer"):
+            Cover.from_json(text)
+
     def test_json_shape(self):
         r = ConvexPolygon(((0, 0), (1, 0), (0, 1)))
         obj = json.loads(Cover.build("hull", [(r, [0])]).to_json())

@@ -1,12 +1,13 @@
-"""``validate_instance`` and ``seg_relation`` against their earlier forms.
+"""``validate_instance`` and the segment predicates against brute force.
 
-``reference_validator`` keeps the validator as it was before its single-pass
-rewrite: a pass per check, a union-find per tree, the vertex-hit search over
-every vertex, and ``seg_relation`` without its shared-endpoint rule. The
-rewrite must return the same violations in the same order, and the kernel
-the same relation for every pair of segments on a small grid; on the pairs
-that share an end, so must ``find_contacts``, which decides two edges of
-one tree there without ``seg_relation``.
+``reference_validator`` keeps the validator as it was before its
+single-pass rewrite: a pass per check, a union-find per tree, and all-pairs
+contact and vertex-hit searches. The rewrite must return the same
+violations in the same order. On every pair of segments of a small grid,
+zero-length ones included, ``seg_relation`` and
+``geom._segment_intersection_set`` must agree with the brute-force
+oracles, and on the pairs that share an end so must ``find_contacts``,
+which decides two edges of one tree there without ``seg_relation``.
 """
 
 import random
@@ -15,10 +16,11 @@ from collections import Counter
 import pytest
 
 from treecover import _kernelpy
-from treecover.geom import COORD_LIMIT
+from treecover.geom import COORD_LIMIT, _segment_intersection_set
 from treecover.model import GeometricTree, Instance, validate_instance
 
-from reference_validator import reference_validate, seg_relation
+from helpers import cross, meet, on_segment, overlap_length2
+from reference_validator import reference_validate
 from test_contacts import INSTANCES, extents, transpose
 
 GRID = [(x, y) for x in range(4) for y in range(4)]
@@ -31,9 +33,18 @@ def test_seg_relation_matches_reference_on_every_pair_of_a_4x4_grid():
     shared = Counter()
     for (a, b) in SEGMENTS:
         for (c, d) in SEGMENTS:
+            # crossing is a proper crossing or a collinear overlap of
+            # positive length, touching any other meeting
+            proper = cross(c, d, a) * cross(c, d, b) < 0 and cross(a, b, c) * cross(a, b, d) < 0
+            overlap = bool(overlap_length2(a, b, c, d))
+            want = 2 if proper or overlap else int(meet(a, b, c, d))
             rel = _kernelpy.seg_relation(*a, *b, *c, *d)
-            assert rel == seg_relation(*a, *b, *c, *d), (a, b, c, d)
-            got[rel] += 1
+            assert rel == want, (a, b, c, d)
+            pts, ov = _segment_intersection_set(a, b, c, d)
+            assert bool(pts) == (want > 0), (a, b, c, d, pts)
+            assert all(on_segment(p, a, b) and on_segment(p, c, d) for p in pts), (a, b, c, d)
+            assert ov == (len(pts) == 2) == overlap, (a, b, c, d, pts)
+            got[rel, a == b or c == d] += 1
             if a == b or c == d or not {a, b} & {c, d}:
                 continue
             # find_contacts decides two edges of one tree at a shared end
@@ -44,7 +55,10 @@ def test_seg_relation_matches_reference_on_every_pair_of_a_4x4_grid():
                 pairs = _kernelpy.find_contacts(*cols, *extents(*cols), trees)
                 assert pairs == ([(0, 1)] if want else []), (a, b, c, d, trees)
             shared[rel, len({a, b} & {c, d})] += 1
-    assert got[0] and got[1] and got[2]
+    # every class occurs with and without a zero-length segment, except a
+    # crossing, which needs two segments of positive length
+    assert all(got[rel, False] for rel in (0, 1, 2)), got
+    assert got[0, True] and got[1, True] and not got[2, True], got
     # reversed, collinear-overlapping and both-ends-shared pairs all occur
     assert shared[1, 1] and shared[2, 1] and shared[2, 2], shared
 
