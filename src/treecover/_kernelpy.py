@@ -80,15 +80,16 @@ def _uf_find(parent, i):
 
 
 def scan(ox, oy, tx, ty, obstacles, parent, own_root):
-    """First-hit scan of the infinite ray from (ox, oy) through (tx, ty)
-    over the obstacle records ``obstacles``.
+    """First-hit scan of the chord from (ox, oy) to (tx, ty), the points
+    (ox, oy) + t (tx - ox, ty - oy) with 0 < t <= 1, over the obstacle
+    records ``obstacles``.
 
     Returns (idx_all, n_all, d_all, idx_f, n_f, d_f): the nearest hit over
     all obstacles and the nearest hit over obstacles whose owner's current
-    union-find root differs from ``own_root`` (own filtering disabled when
-    own_root < 0). Hits at parameter t = 0 are excluded; parameters are
-    exact fractions n/d with d > 0; ties keep the lowest list index.
-    Index -1 means no hit.
+    union-find root differs from ``own_root`` (with own_root = -1 every
+    owner differs, so both hits are the same). Parameters are exact
+    fractions n/d with d > 0; ties keep the lowest list index. Index -1
+    means no hit.
     """
     ex = tx - ox
     ey = ty - oy
@@ -103,7 +104,7 @@ def scan(ox, oy, tx, ty, obstacles, parent, own_root):
         if den == 0:
             # collinear, or a bare vertex: the start lies at t = n / d and the
             # end at t = m / (d td); the hit is the nearer end ahead, or the
-            # far end when the obstacle spans the origin
+            # far end when the obstacle spans the origin, if it lies at t <= 1
             if ex * wy - ey * wx != 0:
                 continue
             d = ex * ex + ey * ey
@@ -114,6 +115,8 @@ def scan(ox, oy, tx, ty, obstacles, parent, own_root):
                     continue
                 n = m
                 d *= td
+            if n > d:
+                continue
         else:
             n = wx * vy - wy * vx
             sn = wx * ey - wy * ex
@@ -121,19 +124,18 @@ def scan(ox, oy, tx, ty, obstacles, parent, own_root):
                 den = -den
                 n = -n
                 sn = -sn
-            if n <= 0 or sn < 0 or sn * td > tn * den:
+            if n <= 0 or n > den or sn < 0 or sn * td > tn * den:
                 continue
             d = den
         if ia < 0 or n * da < na * d:
             ia = idx
             na = n
             da = d
-        if own_root >= 0:
-            if _uf_find(parent, owner) != own_root:
-                if if_ < 0 or n * df < nf * d:
-                    if_ = idx
-                    nf = n
-                    df = d
+        if _uf_find(parent, owner) != own_root:
+            if if_ < 0 or n * df < nf * d:
+                if_ = idx
+                nf = n
+                df = d
     return ia, na, da, if_, nf, df
 
 

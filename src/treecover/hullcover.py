@@ -17,10 +17,10 @@ hulls that meet, and a hull lies in its bounding box, so the first merge
 would join two trees whose boxes meet: there is none. Nor is one hull in
 another, which would put its box inside the other's box. Otherwise
 every tree runs through the engine as described here: the default grid
-spans all trees, their edges and bare vertices enter the shooter in one
-``insert_segments`` call, and ``maximal_regions`` sees every component's
-hull. ``initial_edges`` is the length of the worklist before the first
-shot: the trees' hull edges less those that their own tree covers.
+spans all trees, the shooter is built from the records of their edges and
+bare vertices, and ``maximal_regions`` sees every component's hull.
+``initial_edges`` is the length of the worklist before the first shot: the
+trees' hull edges less those that their own tree covers.
 
 A hull edge (p, q) of a tree T whose segment [p, q] is covered by T's own
 edges (one edge, or a run of collinear edges; ``tree_covers``) is never
@@ -41,19 +41,23 @@ hull whose ends lie in one tree is an edge of that tree's hull (vertices are
 globally distinct). So only initial edges can be covered, and the test runs
 once per tree at set-up: each tree vertex is walked at most twice.
 
-The ray shooter is pluggable. Every engine shot runs along an edge (p, q)
-of the shooter's own hull, and q is an obstacle of the shooter's own
-component, so the first hit lies on the chord [p, q]; both shooters serve
-only such shots. The engine's default, `BucketGridShooter`, scans only the
-obstacles bucketed in the grid cells that the chord crosses.
-`NaiveRayShooter` scans every stored obstacle per shot (exact, quadratic
-overall) and is the reference the tests compare against; both give
-identical results. A shot returns each hit as the kernel's integers
-``(obstacle, n, d)``, the obstacle's id and the exact parameter t = n / d
-along the chord; the engine and its trace read them without building a
-fraction. The grid maps a segment to its cells in one place,
-``BucketGridShooter._cells``: a chord when it is shot, and every obstacle,
-tree edge or ray, when it is stored.
+The ray shooter is pluggable: ``shooter_factory(components, obstacles)``
+builds it from the list of obstacle records of the tree edges and bare
+vertices, tree by tree, and the list is its store, to which only
+``shoot_from`` adds. A shooter serves one contract, the chord. Every
+engine shot runs along an edge (p, q) of the shooter's own hull, and q is
+an obstacle of the shooter's own component, so the first hit lies on the
+chord [p, q]; both shooters, and the kernel's ``scan`` under them, report
+only hits at 0 < t <= 1. The engine's default, `BucketGridShooter`,
+scans only the obstacles bucketed in the grid cells that the chord
+crosses. `NaiveRayShooter` scans every stored obstacle per shot (exact,
+quadratic overall) and is the reference the tests compare against; both
+give identical results on every chord. A shot returns each hit as the
+kernel's integers ``(obstacle, n, d)``, the obstacle's id and the exact
+parameter t = n / d along the chord; the engine and its trace read them
+without building a fraction. The grid maps a segment to its cells in one
+place, ``BucketGridShooter._cells``, and registers an obstacle, tree
+record or ray, in one place, ``BucketGridShooter._register``.
 
 Two engine details differ from the naive definition but provably preserve
 the cover. First, the per-shot merge test uses the nearest *foreign* hit
@@ -129,20 +133,20 @@ class ComponentSet:
 class NaiveRayShooter:
     """Baseline shooter: permanent obstacle store, linear scan per shot.
 
-    Obstacles are tree edges, bare vertices and previously shot rays, all
-    stored alike: ``obstacles`` holds one record ``(x, y, dx, dy, tn, td,
-    owner)`` per obstacle, the points (x, y) + t (dx, dy) with
-    0 <= t <= tn / td, in the layout ``_kernelpy.scan`` reads. A tree edge
-    is a ray that stops at t = 1, a bare vertex one with direction (0, 0),
-    and a shot ray runs from its integer origin along its chord's integer
-    direction up to the exact rational parameter of its hit. Every shot
-    inserts its ray as a new obstacle; a ray that escapes all obstacles
-    inserts nothing. An obstacle's id is its index in the list.
+    The store is the list ``obstacles`` it is built from, the tree records
+    that ``hull_cover_fast`` makes, one ``(x, y, dx, dy, tn, td, owner)``
+    per obstacle: the points (x, y) + t (dx, dy) with 0 <= t <= tn / td, in
+    the layout ``_kernelpy.scan`` reads. A tree edge is a ray that stops at
+    t = 1, and a bare vertex one with direction (0, 0). Only ``shoot_from``
+    adds to the store: each shot appends its ray, from its integer origin
+    along its chord's integer direction up to the exact rational parameter
+    of its hit; a chord that hits nothing appends nothing. An obstacle's id
+    is its index in the list.
     """
 
-    def __init__(self, components: ComponentSet):
+    def __init__(self, components: ComponentSet, obstacles: list):
         self.components = components
-        self.obstacles: list[tuple] = []
+        self.obstacles = obstacles
 
     def __len__(self) -> int:
         return len(self.obstacles)
@@ -151,58 +155,38 @@ class NaiveRayShooter:
         self.obstacles.append(ob)
         return len(self.obstacles) - 1
 
-    def insert_segment(self, a, b, owner: int) -> int:
-        return self._push((a[0], a[1], b[0] - a[0], b[1] - a[1], 1, 1, owner))
-
-    def insert_segments(self, segments) -> None:
-        """Inserts each ``(a, b, owner)`` of ``segments`` in turn, tree edges
-        and bare vertices (a == b) before the first shot."""
-        for a, b, owner in segments:
-            self.insert_segment(a, b, owner)
-
-    def _insert_ray(self, origin, direction, tn: int, td: int, owner: int) -> int:
-        return self._push((*origin, *direction, tn, td, owner))
-
     def _scan(self, origin, through, own_root: int):
         return _kernelpy.scan(
-            origin[0],
-            origin[1],
-            through[0],
-            through[1],
-            self.obstacles,
-            self.components.parent,
-            own_root,
+            *origin, *through, self.obstacles, self.components.parent, own_root
         )
 
     def shoot_from(self, origin, through, own_root: int):
-        """Engine shot: returns (hit, merge_hit), each ``(obstacle, n, d)``
-        for a hit at t = n / d (d > 0, not necessarily in lowest terms) or
-        None. hit is the overall first hit; merge_hit is the nearest hit
-        owned by a foreign component when it lies at t <= 1 on the chord.
-        Inserts the ray up to the merge hit when merging, else up to the
-        first hit."""
+        """Engine shot along the chord from origin to through: returns (hit,
+        merge_hit), each ``(obstacle, n, d)`` for a hit on the chord at
+        t = n / d (d > 0, not necessarily in lowest terms) or None. hit is
+        the first hit; merge_hit is the first hit owned by a foreign
+        component. Stores the ray up to the merge hit when merging, else up
+        to the first hit."""
         ia, na, da, if_, nf, df = self._scan(origin, through, own_root)
         if ia < 0:
             return None, None
-        e = (through[0] - origin[0], through[1] - origin[1])
-        if if_ >= 0 and nf <= df:  # foreign hit with t <= 1
-            self._insert_ray(origin, e, nf, df, own_root)
-            return (ia, na, da), (if_, nf, df)
-        self._insert_ray(origin, e, na, da, own_root)
-        return (ia, na, da), None
+        hit = ia, na, da
+        merge_hit = (if_, nf, df) if if_ >= 0 else None
+        _, n, d = merge_hit or hit
+        ox, oy = origin
+        self._push((ox, oy, through[0] - ox, through[1] - oy, n, d, own_root))
+        return hit, merge_hit
 
 
 class BucketGridShooter(NaiveRayShooter):
     """Shooter over a grid of obstacle buckets, bounded by the shot chord.
 
-    Every obstacle is registered in each cell it meets. A shot from origin
-    through ``through`` scans only the obstacles registered in the cells
-    that the chord [origin, through] meets, in obstacle-id order, so a hit
-    at t <= 1 is the one the full scan finds, tie-break included. A chord
-    must end on an obstacle, as every engine chord does: when no candidate
-    is hit at t <= 1 the shot reports no hit, like a ray that escapes, and
-    inserts nothing. The foreign result of ``_scan`` is exact only at
-    t <= 1, the only place ``shoot_from`` reads it.
+    Every obstacle is registered in each cell it meets (``_register``), the
+    tree records when the grid is built and each ray as it is stored. A
+    shot from origin through ``through`` scans only the obstacles
+    registered in the cells that the chord [origin, through] meets, in
+    obstacle-id order, so its hits are the ones the full scan finds,
+    tie-break included.
 
     Cells are ``cell = (width, height)`` integer rectangles anchored at the
     bounds' lower-left corner; a point belongs to the cell
@@ -214,12 +198,14 @@ class BucketGridShooter(NaiveRayShooter):
     of neighbouring columns may coincide, which only adds candidates.
     """
 
-    def __init__(self, components: ComponentSet, bounds: AABB, cell):
-        super().__init__(components)
+    def __init__(self, components: ComponentSet, obstacles: list, bounds: AABB, cell):
+        super().__init__(components, obstacles)
         self.x0, self.y0 = bounds.xmin, bounds.ymin
         self.cw, self.ch = cell
         self.ny = (bounds.ymax - bounds.ymin) // self.ch + 1
         self.cells: dict[int, list[int]] = {}
+        for idx, ob in enumerate(obstacles):
+            self._register(idx, ob)
 
     @staticmethod
     def factory_for(instance: Instance):
@@ -227,22 +213,19 @@ class BucketGridShooter(NaiveRayShooter):
         grid spans the bounding box of its vertices, and cells start as
         wide and tall as twice the mean edge, doubled together until there
         are at most 4n of them, n the vertex count."""
-        px, py, voff, ea, eb, eoff = instance.columns
-        sx = sy = 0
-        for v, e0, e1 in zip(voff, eoff, eoff[1:]):
-            for a, b in zip(ea[e0:e1], eb[e0:e1]):
-                sx += abs(px[v + b] - px[v + a])
-                sy += abs(py[v + b] - py[v + a])
+        px, py, _, ea, _, _ = instance.columns
         bounds = AABB(min(px), min(py), max(px), max(py))
-        edges = max(len(ea), 1)
-        cw, ch = max(1, 2 * sx // edges), max(1, 2 * sy // edges)
         w, h = bounds.xmax - bounds.xmin, bounds.ymax - bounds.ymin
-        while (w // cw + 1) * (h // ch + 1) > 4 * len(px):
-            cw *= 2
-            ch *= 2
+        edges = max(len(ea), 1)
 
-        def make(comps):
-            return BucketGridShooter(comps, bounds, (cw, ch))
+        def make(comps, obstacles):
+            # a bare vertex adds 0 to each sum
+            cw = max(1, 2 * sum(abs(ob[2]) for ob in obstacles) // edges)
+            ch = max(1, 2 * sum(abs(ob[3]) for ob in obstacles) // edges)
+            while (w // cw + 1) * (h // ch + 1) > 4 * len(px):
+                cw *= 2
+                ch *= 2
+            return BucketGridShooter(comps, obstacles, bounds, (cw, ch))
 
         return make
 
@@ -285,24 +268,16 @@ class BucketGridShooter(NaiveRayShooter):
             ra = num // den
         return keys
 
-    def _push(self, ob: tuple) -> int:
-        idx = super()._push(ob)
+    def _register(self, idx: int, ob: tuple) -> None:
         x, y, dx, dy, tn, td, _ = ob
         ax, ay = x * td, y * td
         for key in self._cells(ax, ay, ax + dx * tn, ay + dy * tn, td):
             self.cells.setdefault(key, []).append(idx)
-        return idx
 
-    def insert_segments(self, segments) -> None:
-        """``insert_segment`` for each ``(a, b, owner)`` of ``segments``, in
-        one loop, each segment's keys from ``_cells``."""
-        obstacles, cells, rasterize = self.obstacles, self.cells, self._cells
-        idx = len(obstacles)
-        for (ax, ay), (bx, by), owner in segments:
-            obstacles.append((ax, ay, bx - ax, by - ay, 1, 1, owner))
-            for key in rasterize(ax, ay, bx, by, 1):
-                cells.setdefault(key, []).append(idx)
-            idx += 1
+    def _push(self, ob: tuple) -> int:
+        idx = super()._push(ob)
+        self._register(idx, ob)
+        return idx
 
     def _scan(self, origin, through, own_root: int):
         cells = self.cells
@@ -318,9 +293,8 @@ class BucketGridShooter(NaiveRayShooter):
         ia, na, da, if_, nf, df = _kernelpy.scan(
             ox, oy, tx, ty, candidates, self.components.parent, own_root
         )
-        if ia < 0 or na > da:
-            return -1, 0, 0, -1, 0, 0
-        return ids[ia], na, da, ids[if_] if if_ >= 0 else -1, nf, df
+        ids.append(-1)  # the kernel's "no hit", index -1, stays -1
+        return ids[ia], na, da, ids[if_], nf, df
 
 
 class HullStats(NamedTuple):
@@ -391,18 +365,19 @@ def hull_cover_fast(
         return Cover.build("hull", regions), HullStats(0, 0, 0)
 
     comps = ComponentSet(m)
-    segments: list[tuple] = []
+    obstacles: list[tuple] = []
     worklist: deque = deque()
     for i, pts in enumerate(points):
         hull = comps.hull[i] = hull_chains(pts)
         if eoff[i] == eoff[i + 1]:
             # a bare vertex is the zero-length segment from it to itself
-            segments.append((pts[0], pts[0], i))
+            x, y = pts[0]
+            obstacles.append((x, y, 0, 0, 1, 1, i))
             continue
         nbrs: dict = {}
         for e in range(eoff[i], eoff[i + 1]):
             a, b = pts[ea[e]], pts[eb[e]]
-            segments.append((a, b, i))
+            obstacles.append((a[0], a[1], b[0] - a[0], b[1] - a[1], 1, 1, i))
             nbrs.setdefault(a, []).append(b)
             nbrs.setdefault(b, []).append(a)
         # a shot along a run of the tree's own edges never merges
@@ -412,8 +387,7 @@ def hull_cover_fast(
     initial_edges = len(worklist)
     if shooter_factory is None:
         shooter_factory = BucketGridShooter.factory_for(instance)
-    shooter = shooter_factory(comps)
-    shooter.insert_segments(segments)
+    shooter = shooter_factory(comps, obstacles)
 
     rays_shot = 0
     merges = 0

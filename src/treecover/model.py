@@ -13,7 +13,7 @@ use 0-based tree indices in their membership lists.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from functools import cache
 from itertools import accumulate, chain, repeat
 from operator import itemgetter, lt
@@ -512,11 +512,27 @@ def region_obj(region: Region) -> dict:
 
 
 def _int(v) -> int:
-    """A cover's polygon or box coordinate or membership index: a JSON
-    integer only; a boolean, a float, a string or 1e400 (read as inf)
-    raises TypeError."""
+    """A cover's membership index: a JSON integer only; a boolean, a float,
+    a string or 1e400 (read as inf) raises TypeError."""
     if type(v) is not int:
         raise TypeError(f"expected an integer, got {v!r}")
+    return v
+
+
+def _cover_coord(v) -> int:
+    """A cover's polygon or box coordinate: an integer (``_int``) within the
+    instance rule's bound, |c| <= 2^30."""
+    if not -COORD_LIMIT <= _int(v) <= COORD_LIMIT:
+        raise ValueError("a coordinate must lie within +-2^30")
+    return v
+
+
+def _circle_value(v) -> int | float:
+    """A cover's circle centre coordinate or radius: a finite JSON number; a
+    boolean, a string, NaN, an infinity or an integer beyond the float range
+    raises ValueError."""
+    if type(v) not in (int, float) or not abs(v) <= sys.float_info.max:
+        raise ValueError("circle values must be finite numbers")
     return v
 
 
@@ -566,10 +582,18 @@ class Cover(NamedTuple):
     def from_obj(obj) -> "Cover":
         try:
             phi = obj["phi"]
+            if phi not in ("hull", "box", "mincircle"):
+                raise ValueError("phi must be hull, box or mincircle")
             regions = []
             for robj in obj["regions"]:
+                if sum(kind in robj for kind in ("vertices", "box", "circle")) != 1:
+                    raise ValueError(
+                        "a region must hold exactly one of vertices, box and circle"
+                    )
                 if "vertices" in robj:
-                    vertices = tuple((_int(x), _int(y)) for x, y in robj["vertices"])
+                    vertices = tuple(
+                        (_cover_coord(x), _cover_coord(y)) for x, y in robj["vertices"]
+                    )
                     if not vertices or convex_hull(vertices).vertices != vertices:
                         raise ValueError(
                             "a polygon must list its convex hull's vertices in "
@@ -577,12 +601,9 @@ class Cover(NamedTuple):
                         )
                     regions.append(ConvexPolygon(vertices))
                 elif "box" in robj:
-                    regions.append(AABB(*map(_int, robj["box"])))
+                    regions.append(AABB(*map(_cover_coord, robj["box"])))
                 else:
-                    circle = Circle(*robj["circle"])
-                    if not all(map(math.isfinite, circle)):
-                        raise ValueError("circle values must be finite")
-                    regions.append(circle)
+                    regions.append(Circle(*map(_circle_value, robj["circle"])))
             membership = tuple(tuple(map(_int, ms)) for ms in obj["membership"])
             if len(membership) != len(regions):
                 raise ValueError("membership must hold one list of trees per region")

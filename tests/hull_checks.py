@@ -179,8 +179,8 @@ class _CheckedFactory:
         self.factory = factory
         self.checkers = []
 
-    def __call__(self, comps):
-        checker = _Checker(self.factory(comps))
+    def __call__(self, comps, obstacles):
+        checker = _Checker(self.factory(comps, obstacles))
         self.checkers.append(checker)
         return checker.shooter
 

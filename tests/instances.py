@@ -192,6 +192,19 @@ def tower(m):
     return Instance(tuple(points + squares))
 
 
+def diagdots(k):
+    """k parallel single-edge diagonals ((10i, 0), (10i + L, L + 1)), L =
+    100k, and k^2 single-vertex trees at (10a + 5 + 100b, 100b + 1), for a,
+    b < k: ``diag`` with points in its gaps. The diagonals' boxes overlap
+    pairwise and hold most of the points, yet no two hulls meet."""
+    length = 100 * k
+    diagonals = [tree([(10 * i, 0), (10 * i + length, length + 1)]) for i in range(k)]
+    points = [
+        tree([(10 * a + 5 + 100 * b, 100 * b + 1)]) for b in range(k) for a in range(k)
+    ]
+    return Instance(tuple(diagonals + points))
+
+
 def reversed_trees(inst):
     """The instance with its trees in reverse order."""
     return Instance(inst.trees[::-1])
@@ -220,8 +233,9 @@ def build(kind, trees, size=5, seed=0):
     "paired-strips" and "paired-ladder", ``paired`` with ``trees // 2``
     pairs (at least one); for "mixed", ``mixed`` with about half the trees
     on each side; for "turned-cross", "stacked" and "tower", those
-    functions (size and seed are ignored); for "reversed-" and a kind,
-    that kind's instance with its trees in reverse order."""
+    functions (size and seed are ignored); for "diagdots", ``diagdots``
+    with k = ``trees``, which holds k + k^2 trees; for "reversed-" and a
+    kind, that kind's instance with its trees in reverse order."""
     if kind.startswith("reversed-"):
         return reversed_trees(build(kind[len("reversed-") :], trees, size, seed))
     if kind.startswith("paired-"):
@@ -234,4 +248,6 @@ def build(kind, trees, size=5, seed=0):
         return stacked(trees)
     if kind == "tower":
         return tower(trees)
+    if kind == "diagdots":
+        return diagdots(trees)
     return generate(kind, trees=trees, size=size, seed=seed)

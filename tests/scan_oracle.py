@@ -5,13 +5,20 @@ Records are ``(kind, x1, y1, x2, y2, tn, td, owner)``: kind 0 is a segment
 from (x1, y1) to (x2, y2), zero-length for a bare vertex; kind 1 a ray from
 origin (x1, y1) along the integer direction (x2, y2) up to the rational end
 parameter tn/td, td > 0. ``two_kind_record`` converts a single-kind record
-``(x, y, dx, dy, tn, td, owner)``.
+``(x, y, dx, dy, tn, td, owner)``, and ``segment_record`` builds one for a
+tree edge or a bare vertex.
 """
 
 from treecover._kernelpy import _uf_find
 
 OB_SEGMENT = 0
 OB_RAY = 1
+
+
+def segment_record(a, b, owner):
+    """The single-kind record of the segment from a to b, a bare vertex when
+    a == b, as ``hull_cover_fast`` builds it for a tree."""
+    return (a[0], a[1], b[0] - a[0], b[1] - a[1], 1, 1, owner)
 
 
 def two_kind_record(ob, is_ray):
@@ -22,7 +29,9 @@ def two_kind_record(ob, is_ray):
 
 
 def two_kind_scan(ox, oy, tx, ty, obstacles, parent, own_root):
-    """``_kernelpy.scan`` over two-kind records, same contract."""
+    """``_kernelpy.scan`` over two-kind records, same contract: the first
+    hits on the chord from (ox, oy) to (tx, ty), at 0 < t <= 1, overall and
+    of an owner whose root is not ``own_root``."""
     ex = tx - ox
     ey = ty - oy
     ia = -1
@@ -45,7 +54,7 @@ def two_kind_scan(ox, oy, tx, ty, obstacles, parent, own_root):
                 if n1 > n2:
                     n1, n2 = n2, n1
                 n = n1 if n1 > 0 else n2
-                if n <= 0:
+                if n <= 0 or n > d:
                     continue
             else:
                 n = wx * vy - wy * vx
@@ -54,7 +63,7 @@ def two_kind_scan(ox, oy, tx, ty, obstacles, parent, own_root):
                     den = -den
                     n = -n
                     sn = -sn
-                if n <= 0 or sn < 0 or sn > den:
+                if n <= 0 or n > den or sn < 0 or sn > den:
                     continue
                 d = den
         else:  # OB_RAY: (x2, y2) is the direction
@@ -66,9 +75,9 @@ def two_kind_scan(ox, oy, tx, ty, obstacles, parent, own_root):
                 if ex * wy - ey * wx != 0:
                     continue
                 n = ex * wx + ey * wy
-                if n <= 0:
-                    continue
                 d = ex * ex + ey * ey
+                if n <= 0 or n > d:
+                    continue
             else:
                 n = wx * y2 - wy * x2
                 sn = wx * ey - wy * ex
@@ -76,7 +85,7 @@ def two_kind_scan(ox, oy, tx, ty, obstacles, parent, own_root):
                     den = -den
                     n = -n
                     sn = -sn
-                if n <= 0 or sn < 0:
+                if n <= 0 or n > den or sn < 0:
                     continue
                 if sn * td > tn * den:
                     continue
@@ -85,10 +94,9 @@ def two_kind_scan(ox, oy, tx, ty, obstacles, parent, own_root):
             ia = idx
             na = n
             da = d
-        if own_root >= 0:
-            if _uf_find(parent, owner) != own_root:
-                if if_ < 0 or n * df < nf * d:
-                    if_ = idx
-                    nf = n
-                    df = d
+        if _uf_find(parent, owner) != own_root:
+            if if_ < 0 or n * df < nf * d:
+                if_ = idx
+                nf = n
+                df = d
     return ia, na, da, if_, nf, df

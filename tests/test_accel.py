@@ -28,14 +28,16 @@ from treecover.model import GeometricTree, Instance, errors_only, validate_insta
 from treecover.phicover import PHI, naive_phi_cover
 
 from hull_checks import hull_cover_checked
-from instances import INSTANCE_A, INSTANCE_B, INSTANCE_D, build, paired
-from scan_oracle import OB_RAY, two_kind_record, two_kind_scan
+from instances import INSTANCE_A, INSTANCE_B, INSTANCE_D, build, paired, tree
+from scan_oracle import OB_RAY, segment_record, two_kind_record, two_kind_scan
 
 
-def pair(m, bounds, cell):
+def pair(m, bounds, cell, records):
+    """A naive shooter and a grid, each built from its own copy of the
+    obstacle records ``records``."""
     return (
-        NaiveRayShooter(ComponentSet(m)),
-        BucketGridShooter(ComponentSet(m), bounds, cell),
+        NaiveRayShooter(ComponentSet(m), list(records)),
+        BucketGridShooter(ComponentSet(m), list(records), bounds, cell),
     )
 
 
@@ -61,30 +63,35 @@ GRIDS = (
 
 
 def test_grid_shooter_matches_naive_on_random_shots():
+    """Both shooters report the same hit and merge hit and store the same
+    ray on every chord: on those that end on a point of a stored obstacle,
+    as an engine chord ends on its own hull vertex, and on those that end
+    anywhere else."""
     rng = random.Random(42)
+    seen = {"no hit": 0, "free end hit": 0}
     for trial in range(200):
         m = rng.randint(1, 5)
-        naive, grid = pair(m, *GRIDS[trial % len(GRIDS)])
-        # every chord ends on a point of a stored obstacle, as an engine
-        # chord ends on its own hull vertex
-        ends = []
+        records, ends = [], []
         for _ in range(rng.randint(0, 18)):
             x1, y1 = rng.randint(-35, 35), rng.randint(-35, 35)
             owner = rng.randrange(m)
             ends.append((x1, y1))
             if rng.random() < 0.2:  # a bare vertex
-                naive.insert_segment((x1, y1), (x1, y1), owner)
-                grid.insert_segment((x1, y1), (x1, y1), owner)
+                records.append(segment_record((x1, y1), (x1, y1), owner))
             else:
                 while True:
                     x2, y2 = rng.randint(-35, 35), rng.randint(-35, 35)
                     if (x2, y2) != (x1, y1):
                         break
                 ends.append((x2, y2))
-                naive.insert_segment((x1, y1), (x2, y2), owner)
-                grid.insert_segment((x1, y1), (x2, y2), owner)
+                records.append(segment_record((x1, y1), (x2, y2), owner))
+        naive, grid = pair(m, *GRIDS[trial % len(GRIDS)], records)
         for _ in range(14 if ends else 0):
-            through = rng.choice(ends)
+            on_end = rng.random() < 0.5
+            if on_end:
+                through = rng.choice(ends)
+            else:
+                through = rng.randint(-35, 35), rng.randint(-35, 35)
             while True:
                 origin = rng.randint(-35, 35), rng.randint(-35, 35)
                 if origin != through:
@@ -92,38 +99,42 @@ def test_grid_shooter_matches_naive_on_random_shots():
             own = rng.randrange(m)
             aa, am = naive.shoot_from(origin, through, own)
             ba, bm = grid.shoot_from(origin, through, own)
-            assert aa is not None and aa[1] <= aa[2]
+            if on_end:
+                assert aa is not None
+            elif aa is None:
+                seen["no hit"] += 1
+            else:
+                seen["free end hit"] += 1
+            assert aa is None or 0 < aa[1] <= aa[2]
             assert same_hit(aa, ba)
             assert same_hit(am, bm)
         assert naive.obstacles == grid.obstacles
+    assert min(seen.values()) > 50, seen
 
 
 def test_grid_reports_no_hit_on_a_chord_that_ends_on_no_obstacle():
-    """The grid serves only chords that end on an obstacle. Past any other
-    chord it reports no hit and inserts nothing, whether a candidate is hit
-    beyond the chord's end or none is hit at all; the full scan finds the
-    obstacle beyond."""
-    naive, grid = pair(2, AABB(0, 0, 40, 40), (2, 2))
+    """Both shooters serve the chord alone: past a chord that ends on no
+    obstacle they report no hit and insert nothing, whether an obstacle
+    lies beyond the chord's end or none lies on its line at all."""
+    records = [
+        segment_record((20, -5), (20, 5), 1),
+        segment_record((5, 0), (5, 0), 1),  # in the cell of the first chord's end
+    ]
+    naive, grid = pair(2, AABB(0, 0, 40, 40), (2, 2), records)
+    # the point lies at t = 5/4 on the first chord and the segment at t = 5
+    # on the second, whose cells hold nothing
     for s in (naive, grid):
-        s.insert_segment((20, -5), (20, 5), 1)
-        s.insert_segment((5, 0), (5, 0), 1)  # in the cell of the first chord's end
-    # the point is hit at t = 5/4; the second chord's cells hold nothing
-    for origin, through, t in (((0, 0), (4, 0), 1.25), ((0, 2), (4, 2), 5)):
-        hit, merge_hit = naive.shoot_from(origin, through, 0)
-        assert Fraction(hit[1], hit[2]) == t and merge_hit is None
-        assert grid.shoot_from(origin, through, 0) == (None, None)
-    assert len(naive) == 4 and len(grid) == 2
+        for origin, through in (((0, 0), (4, 0)), ((0, 2), (4, 2))):
+            assert s.shoot_from(origin, through, 0) == (None, None)
+        assert len(s) == 2
 
 
 class NoCellsShooter(BucketGridShooter):
     """A grid that registers no obstacle in any cell, so every chord looks
     empty."""
 
-    def _push(self, ob):
-        return NaiveRayShooter._push(self, ob)
-
-    def insert_segments(self, segments):
-        NaiveRayShooter.insert_segments(self, segments)
+    def _register(self, idx, ob):
+        pass
 
 
 def test_engine_raises_when_the_grid_loses_an_obstacle():
@@ -132,7 +143,9 @@ def test_engine_raises_when_the_grid_loses_an_obstacle():
     with pytest.raises(InternalInvariantError, match="escaped"):
         hull_cover_fast(
             inst,
-            shooter_factory=lambda comps: NoCellsShooter(comps, AABB(0, 0, 0, 0), (1, 1)),
+            shooter_factory=lambda comps, obstacles: NoCellsShooter(
+                comps, obstacles, AABB(0, 0, 0, 0), (1, 1)
+            ),
         )
 
 
@@ -163,24 +176,25 @@ def grid_and_segments(draw):
 @settings(max_examples=300, deadline=None)
 @given(grid_and_segments())
 def test_bulk_registration_takes_the_cells_of_each_segment(case):
-    """``insert_segments`` stores the obstacles ``insert_segment`` stores
-    one by one, and registers each in exactly the cells ``_cells`` gives
-    it, in id order within each cell."""
+    """A grid built from the records of ``segments`` keeps that list as its
+    store and registers each record in exactly the cells ``_cells`` gives
+    it, in id order within each cell; a grid that takes the same records
+    one by one through ``_push``, as it stores a ray, registers them
+    alike."""
     bounds, cell, segments = case
     m = len(segments) + 1
-    bulk = BucketGridShooter(ComponentSet(m), bounds, cell)
-    bulk.insert_segments(segments)
-    single = BucketGridShooter(ComponentSet(m), bounds, cell)
-    for a, b, owner in segments:
-        single.insert_segment(a, b, owner)
-    naive = NaiveRayShooter(ComponentSet(m))
-    naive.insert_segments(segments)
-    assert bulk.obstacles == single.obstacles == naive.obstacles
+    records = [segment_record(a, b, owner) for a, b, owner in segments]
+    grid = BucketGridShooter(ComponentSet(m), records, bounds, cell)
+    assert grid.obstacles is records
     expected = {}
     for i, ((ax, ay), (bx, by), _) in enumerate(segments):
-        for key in bulk._cells(ax, ay, bx, by, 1):
+        for key in grid._cells(ax, ay, bx, by, 1):
             expected.setdefault(key, []).append(i)
-    assert bulk.cells == expected == single.cells
+    assert grid.cells == expected
+    single = BucketGridShooter(ComponentSet(m), [], bounds, cell)
+    for ob in records:
+        single._push(ob)
+    assert single.obstacles == records and single.cells == expected
 
 
 def segment_meets_cell(a, b, lo, hi) -> bool:
@@ -253,22 +267,18 @@ def test_cells_are_the_cells_that_hold_a_point_of_the_segment(case):
     Beyond the bounds keys of neighbouring columns may coincide, so the keys
     are compared as multisets."""
     bounds, cell, segment = case
-    grid = BucketGridShooter(ComponentSet(1), bounds, cell)
+    grid = BucketGridShooter(ComponentSet(1), [], bounds, cell)
     assert sorted(grid._cells(*segment)) == sorted(brute_cells(grid, *segment))
 
 
 def test_grid_equal_t_hits_keep_the_lowest_id():
     # three obstacles meet the shot at (10, 0); their ids 3, 40, 41 are not
     # in the order a set of them iterates in
-    naive, grid = pair(3, AABB(0, -40, 80, 40), (3, 3))
-    for s in (naive, grid):
-        for k in range(40):
-            if k == 3:
-                s.insert_segment((10, 0), (10, 0), 2)
-            else:
-                s.insert_segment((70, k), (70, k), 0)  # filler far from the shot
-        s.insert_segment((4, -3), (16, 3), 1)
-        s.insert_segment((10, 0), (10, 25), 1)
+    records = [segment_record((70, k), (70, k), 0) for k in range(40)]  # filler
+    records[3] = segment_record((10, 0), (10, 0), 2)
+    records.append(segment_record((4, -3), (16, 3), 1))
+    records.append(segment_record((10, 0), (10, 25), 1))
+    naive, grid = pair(3, AABB(0, -40, 80, 40), (3, 3), records)
     for own in (0, 1, 2):
         aa, am = naive.shoot_from((0, 0), (20, 0), own)
         ba, bm = grid.shoot_from((0, 0), (20, 0), own)
@@ -280,19 +290,20 @@ def test_collinear_ray_ties_the_obstacle_that_stopped_it():
     """A ray's far end lies on the obstacle that stopped it. A chord along
     the ray that starts inside it hits both there at one parameter, and the
     obstacle, stored first, wins the tie."""
-    naive, grid = pair(2, AABB(0, -10, 30, 10), (3, 3))
-    for s in (naive, grid):
-        o = s.insert_segment((10, -5), (10, 5), 1)
-        s.insert_segment((20, 0), (20, 0), 0)  # the chords' end
+    records = [
+        segment_record((10, -5), (10, 5), 1),  # the obstacle, id 0
+        segment_record((20, 0), (20, 0), 0),  # the chords' end
+    ]
+    for s in pair(2, AABB(0, -10, 30, 10), (3, 3), records):
         hit, merge_hit = s.shoot_from((0, 0), (20, 0), 0)
-        assert merge_hit == hit == (o, 100, 200)
+        assert merge_hit == hit == (0, 100, 200)
         ray = s.obstacles[-1]
         assert ray == (0, 0, 20, 0, 100, 200, 0)
         s.components.union(0, 1)
         root = s.components.find(0)
         # (4, 0) lies inside the ray, which ends at h = (10, 0), t = 3/8
         hit, merge_hit = s.shoot_from((4, 0), (20, 0), root)
-        assert merge_hit is None and hit[0] == o
+        assert merge_hit is None and hit[0] == 0
         assert Fraction(hit[1], hit[2]) == Fraction(3, 8)
         ia, na, da, _, _, _ = _kernelpy.scan(4, 0, 20, 0, [ray], s.components.parent, -1)
         assert ia == 0 and Fraction(na, da) == Fraction(3, 8)
@@ -385,8 +396,8 @@ def test_grid_registers_each_obstacle_in_the_cells_of_its_extent(kind):
         make = BucketGridShooter.factory_for(inst)
         kept = []
 
-        def factory(comps):
-            kept.append(make(comps))
+        def factory(comps, obstacles):
+            kept.append(make(comps, obstacles))
             return kept[0]
 
         hull_cover_fast(inst, shooter_factory=factory)
@@ -639,25 +650,39 @@ def lattice_forest(rng):
     return Instance(tuple(trees))
 
 
+# Tree 0's hull edge (0, 0) -> (10, 0) is shot first, and its ray stops at
+# (10, 0). The merge with tree 1 makes (0, 0) -> (20, 0) a hull edge, so a
+# later chord from (0, 0) runs along that ray and ends past it.
+EXTENDED_EDGE = Instance(
+    (
+        tree([(5, 1), (0, 0), (10, 0), (5, 20)], [(0, 1), (0, 2), (0, 3)]),
+        tree([(20, 0), (8, 5)]),
+    )
+)
+
+
 def test_scan_matches_the_two_kind_scan_on_every_shot(monkeypatch):
     """On every engine scan, with both shooters, the single-kind scan gives
     the two-kind scan's 6-tuple. The two differ on a collinear ray alone,
     which reports its far end where the two-kind scan reports nothing or
-    its origin, and the test sees such rays."""
-    rays = {}  # id -> record of every shot ray, kept alive
-    insert_ray = NaiveRayShooter._insert_ray
+    its origin, and the test sees such rays. A record is a ray when it is
+    not one of the tree records the shooter was built from."""
+    trees = {}  # id -> tree record of the running engine's store
 
-    def recording_insert_ray(self, *args):
-        idx = insert_ray(self, *args)
-        rays[id(self.obstacles[idx])] = self.obstacles[idx]
-        return idx
+    def recording(make):
+        def factory(comps, obstacles):
+            trees.clear()
+            trees.update((id(ob), ob) for ob in obstacles)
+            return make(comps, obstacles)
+
+        return factory
 
     scan = _kernelpy.scan
     seen = {"scans": 0, "ray_differs": 0}
 
     def checked_scan(ox, oy, tx, ty, obstacles, parent, own_root):
         got = scan(ox, oy, tx, ty, obstacles, parent, own_root)
-        old = [two_kind_record(ob, rays.get(id(ob)) is ob) for ob in obstacles]
+        old = [two_kind_record(ob, trees.get(id(ob)) is not ob) for ob in obstacles]
         assert got == two_kind_scan(ox, oy, tx, ty, old, parent, own_root)
         seen["scans"] += 1
         for ob, ob_old in zip(obstacles, old):
@@ -666,15 +691,15 @@ def test_scan_matches_the_two_kind_scan_on_every_shot(monkeypatch):
                 seen["ray_differs"] += a != two_kind_scan(ox, oy, tx, ty, [ob_old], parent, -1)
         return got
 
-    monkeypatch.setattr(NaiveRayShooter, "_insert_ray", recording_insert_ray)
     monkeypatch.setattr(_kernelpy, "scan", checked_scan)
     rng = random.Random(17)
     instances = [
         build(kind, 2 + seed % 6, 3 + seed % 4, seed)
         for kind in ("paired-strips", "combs", "nested", "paired-ladder", "arc")
         for seed in range(10)
-    ] + [lattice_forest(rng) for _ in range(300)]
+    ] + [lattice_forest(rng) for _ in range(300)] + [EXTENDED_EDGE]
     for inst in instances:
-        base = hull_cover_checked(inst, NaiveRayShooter)
-        assert hull_cover_checked(inst) == base
+        base = hull_cover_checked(inst, recording(NaiveRayShooter))
+        grid = recording(BucketGridShooter.factory_for(inst))
+        assert hull_cover_checked(inst, grid) == base
     assert seen["scans"] > 1000 and seen["ray_differs"] > 0, seen

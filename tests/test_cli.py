@@ -403,11 +403,28 @@ class TestRender:
             '{"circle":[0,0,1e400]}',
             '{"circle":[NaN,0,1]}',
             '{"vertices":[[0,0],[5,5],[1,0]]}',  # clockwise
+            pytest.param('{"vertices":[[1%s,0]]}' % ("0" * 400), id="vertex-10^400"),
+            '{"vertices":[[1073741825,0]]}',  # 2^30 + 1
+            '{"vertices":[[0,-1073741825]]}',
+            '{"box":[0,0,1073741825,1]}',
+            '{"circle":[true,false,1]}',
+            pytest.param('{"circle":[1%s,0,1]}' % ("0" * 400), id="circle-10^400"),
+            '{"vertices":[[0,0]],"box":[1,1,2,2]}',
+            '{"box":[0,0,1,1],"circle":[0,0,1]}',
         ],
     )
     def test_malformed_region_is_a_parse_error(self, segment, tmp_path, capsys, region):
         cov = tmp_path / "c.json"
         cov.write_text('{"phi":"hull","regions":[' + region + '],"membership":[[0]]}')
+        argv = ["render", "--input", segment, "--cover", str(cov),
+                "--output", str(tmp_path / "out.svg")]
+        assert_usage_error(argv, capsys)
+        assert not (tmp_path / "out.svg").exists()
+
+    @pytest.mark.parametrize("phi", ['7', '"circle"', "null"])
+    def test_unknown_phi_is_a_parse_error(self, segment, tmp_path, capsys, phi):
+        cov = tmp_path / "c.json"
+        cov.write_text('{"phi":' + phi + ',"regions":[],"membership":[]}')
         argv = ["render", "--input", segment, "--cover", str(cov),
                 "--output", str(tmp_path / "out.svg")]
         assert_usage_error(argv, capsys)

@@ -44,10 +44,12 @@ from instances import (
     INSTANCE_D,
     SPLIT_KINDS,
     build,
+    diagdots,
     mixed,
     reversed_trees,
     tree,
 )
+from scan_oracle import segment_record
 
 HULL = PHI["hull"]
 
@@ -56,15 +58,14 @@ def make_shooter(obstacles):
     """Standalone shooter with integer-segment obstacles, one component per
     obstacle (ids 0, 1, ...) and one more, the last, that owns none."""
     comps = ComponentSet(len(obstacles) + 1)
-    shooter = NaiveRayShooter(comps)
-    for i, (a, b) in enumerate(obstacles):
-        shooter.insert_segment(a, b, i)
-    return shooter
+    return NaiveRayShooter(
+        comps, [segment_record(a, b, i) for i, (a, b) in enumerate(obstacles)]
+    )
 
 
 def first_hit(shooter, origin, through):
-    """The overall first hit ``(obstacle, n, d)`` of a shot by the last
-    component, which owns none of the obstacles."""
+    """The overall first hit ``(obstacle, n, d)`` on the chord from origin to
+    through, shot by the last component, which owns none of the obstacles."""
     hit, _ = shooter.shoot_from(origin, through, len(shooter.components.parent) - 1)
     return hit
 
@@ -80,25 +81,28 @@ def t_point(origin, through, hit):
 class TestShootContract:
     def test_nearer_of_two(self):
         s = make_shooter([((2, -1), (2, 1)), ((5, -1), (5, 1))])
-        hit = first_hit(s, (0, 0), (1, 0))
+        hit = first_hit(s, (0, 0), (5, 0))
         assert hit is not None
-        assert t_point((0, 0), (1, 0), hit) == (2, (2, 0))
+        assert t_point((0, 0), (5, 0), hit) == (Fraction(2, 5), (2, 0))
         assert hit[0] == 0
 
     def test_endpoint_on_ray(self):
         s = make_shooter([((3, 0), (3, 5))])
-        hit = first_hit(s, (0, 0), (1, 0))
-        assert t_point((0, 0), (1, 0), hit) == (3, (3, 0))
+        hit = first_hit(s, (0, 0), (3, 0))
+        assert t_point((0, 0), (3, 0), hit) == (1, (3, 0))
 
     def test_escape_returns_none(self):
+        """A chord that misses every obstacle, or stops short of the nearest
+        one, hits nothing and inserts nothing."""
         s = make_shooter([((2, -1), (2, 1)), ((5, -1), (5, 1))])
         assert s.shoot_from((0, 0), (0, 1), 2) == (None, None)
-        assert len(s) == 2  # an escaping ray inserts nothing
+        assert s.shoot_from((0, 0), (1, 0), 2) == (None, None)
+        assert len(s) == 2
 
     def test_shot_ray_becomes_obstacle(self):
         s = make_shooter([((4, -2), (4, 2))])
-        first = first_hit(s, (0, 0), (1, 0))  # ray [0,0]..[4,0] inserted
-        assert t_point((0, 0), (1, 0), first)[1] == (4, 0)
+        first = first_hit(s, (0, 0), (4, 0))  # ray [0,0]..[4,0] inserted
+        assert t_point((0, 0), (4, 0), first)[1] == (4, 0)
         # a later vertical shot crossing the inserted ray stops at it
         second = first_hit(s, (2, -3), (2, 1))
         assert second is not None
@@ -111,34 +115,34 @@ class TestShootContract:
         assert hit is None
 
     def test_point_obstacle_hit_exactly(self):
-        comps = ComponentSet(2)
-        s = NaiveRayShooter(comps)
-        s.insert_segment((5, 0), (5, 0), 0)  # a bare vertex
-        hit = first_hit(s, (0, 0), (1, 0))
-        assert t_point((0, 0), (1, 0), hit) == (5, (5, 0))
-        assert first_hit(s, (0, 0), (1, 1)) is None
+        s = make_shooter([((5, 0), (5, 0))])  # a bare vertex
+        hit = first_hit(s, (0, 0), (10, 0))
+        assert t_point((0, 0), (10, 0), hit) == (Fraction(1, 2), (5, 0))
+        assert first_hit(s, (0, 0), (10, 10)) is None
 
     def test_tie_breaks_to_lowest_id(self):
-        # two obstacles touching the ray at the same point
+        # two obstacles touching the chord at the same point
         s = make_shooter([((3, 0), (3, 4)), ((3, 0), (5, 4))])
-        hit = first_hit(s, (0, 0), (1, 0))
-        assert t_point((0, 0), (1, 0), hit)[1] == (3, 0)
+        hit = first_hit(s, (0, 0), (6, 0))
+        assert t_point((0, 0), (6, 0), hit)[1] == (3, 0)
         assert hit[0] == 0
 
 
 @pytest.mark.parametrize("x, blocked", [(2, True), (4, False), (6, False)])
 def test_connecting_edge_check_flags_a_third_component_before_the_hit(x, blocked):
     """Tree 0 shoots from (0, 0) through (8, 0) and merges with tree 1 at
-    (4, 0); tree 2's segment at x blocks the connecting edge only when it
-    lies strictly before that hit."""
+    (4, 0); tree 2's segment at x, placed in the store after the shot,
+    blocks the connecting edge only when it lies strictly before that
+    hit."""
     comps = ComponentSet(3)
-    s = NaiveRayShooter(comps)
-    s.insert_segment((0, 0), (0, 1), 0)
-    s.insert_segment((4, -1), (4, 1), 1)
+    s = NaiveRayShooter(
+        comps, [segment_record((0, 0), (0, 1), 0), segment_record((4, -1), (4, 1), 1)]
+    )
     _, merge_hit = s.shoot_from((0, 0), (8, 0), 0)
     obstacle, n, d = merge_hit  # tree 1's segment, at (4, 0)
     assert obstacle == 1 and Fraction(n, d) == Fraction(1, 2)
-    third = s.insert_segment((x, -1), (x, 1), 2)
+    s.obstacles.append(segment_record((x, -1), (x, 1), 2))
+    third = len(s) - 1
     check = assert_connecting_edge_clean
     if blocked:
         match = f"third-component obstacle {third} blocks"
@@ -527,8 +531,8 @@ class RecordingShooter(NaiveRayShooter):
     merge hit, each as the obstacle's record and the exact parameter (not
     the obstacle's id, which counts the rays stored before it)."""
 
-    def __init__(self, components):
-        super().__init__(components)
+    def __init__(self, components, obstacles):
+        super().__init__(components, obstacles)
         self.shots = []
 
     def shoot_from(self, origin, through, own_root):
@@ -548,12 +552,13 @@ def recorded_run(inst, trace=None):
     returns an empty one."""
     shooters = []
 
-    def factory(comps):
-        shooters.append(RecordingShooter(comps))
+    def factory(comps, obstacles):
+        shooters.append(RecordingShooter(comps, obstacles))
         return shooters[0]
 
     cover, stats = hull_cover_fast(inst, shooter_factory=factory, trace=trace)
-    return cover, stats, shooters[0] if shooters else RecordingShooter(ComponentSet(0))
+    shooter = shooters[0] if shooters else RecordingShooter(ComponentSet(0), [])
+    return cover, stats, shooter
 
 
 def never_covered(monkeypatch):
@@ -725,9 +730,9 @@ def test_only_trees_that_share_a_box_region_reach_the_grid_and_extraction(
     grids, extracted = [], []
     init = hullcover.BucketGridShooter.__init__
 
-    def recording_init(self, components, bounds, cell):
+    def recording_init(self, components, obstacles, bounds, cell):
         grids.append((self, bounds))
-        init(self, components, bounds, cell)
+        init(self, components, obstacles, bounds, cell)
 
     regions = hullcover.maximal_regions
 
@@ -887,3 +892,16 @@ def test_checks_reject_a_merge_past_a_third_component():
         hull_cover_checked(inst, HidingShooter)
     # the checks wrap each shooter instance, never the class
     assert NaiveRayShooter.shoot_from is shoot_from
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_diagdots_covers_equal_the_oracle(k):
+    """On ``diagdots`` every tree is a hull region of its own, and no ray is
+    shot, since a diagonal's hull edges are its own edge; the boxes chain
+    into one box region."""
+    inst = diagdots(k)
+    hull, stats = hull_cover_fast(inst)
+    box, _ = box_cover_fast(inst)
+    assert hull.canonical() == naive_phi_cover(inst, HULL)[0].canonical()
+    assert box.canonical() == naive_phi_cover(inst, PHI["box"])[0].canonical()
+    assert (len(hull.regions), stats, len(box.regions)) == (k + k * k, (0, 0, 0), 1)

@@ -17,9 +17,10 @@ import pytest
 
 from treecover import _kernelpy
 from treecover.geom import COORD_LIMIT, _segment_intersection_set
-from treecover.model import GeometricTree, Instance, validate_instance
+from treecover.model import GeometricTree, Instance, errors_only, validate_instance
 
 from helpers import cross, meet, on_segment, overlap_length2
+from instances import diagdots
 from reference_validator import reference_validate
 from test_contacts import INSTANCES, extents, transpose
 
@@ -132,3 +133,15 @@ def test_validator_matches_reference_on_the_contacts_corpus(transposed):
         if transposed:
             inst = transpose(inst)
         assert validate_instance(inst) == reference_validate(inst)
+
+
+@pytest.mark.parametrize("transposed", [False, True], ids=["xy", "yx"])
+def test_validator_matches_reference_on_diagdots(transposed):
+    """``diagdots`` is valid: no error, and at most ten shared-coordinate
+    warnings at each k."""
+    for k in range(1, 9):
+        inst = transpose(diagdots(k)) if transposed else diagdots(k)
+        got = validate_instance(inst)
+        assert got == reference_validate(inst), k
+        assert errors_only(got) == [], k
+        assert len(got) <= 10 and all(v.rule == "shared-coordinate" for v in got), k
