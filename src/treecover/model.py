@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import json
 import sys
-from functools import cache
+from functools import cache, lru_cache
 from itertools import accumulate, chain, repeat
-from operator import itemgetter, lt
+from operator import ge, itemgetter, lt
 from typing import Iterable, NamedTuple, NoReturn
 
 from . import _kernelpy
@@ -511,6 +511,28 @@ def region_obj(region: Region) -> dict:
     return {"circle": [region.cx, region.cy, region.r]}
 
 
+@lru_cache(maxsize=256)
+def _polygon_form(n: int) -> str:
+    """The text of a polygon region of n vertices, a ``%r`` for each
+    coordinate (the cache is bounded: covers hold few distinct sizes, but a
+    process may write many covers)."""
+    return '{"vertices":[[%s]]}' % "],[".join(repeat("%r,%r", n))
+
+
+# each phi's region kind, its key in the wire form, and the text of one such
+# region with a ``%r`` for each field (a polygon's text depends on its size:
+# ``_polygon_form``); ``repr`` writes an int or a finite float as
+# ``json.dumps`` does, and unlike ``%d`` never truncates a float
+_PHI_REGION = {
+    "hull": (ConvexPolygon, "vertices", None),
+    "box": (AABB, "box", '{"box":[%r,%r,%r,%r]}'),
+    "mincircle": (Circle, "circle", '{"circle":[%r,%r,%r]}'),
+}
+
+# ``json.dumps(..., separators=(",", ":"))`` without building an encoder per call
+_compact = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def _int(v) -> int:
     """A cover's membership index: a JSON integer only; a boolean, a float,
     a string or 1e400 (read as inf) raises TypeError."""
@@ -537,8 +559,9 @@ def _circle_value(v) -> int | float:
 
 
 class Cover(NamedTuple):
-    """A set of pairwise disjoint regions plus tree membership, stored in
-    canonical order (regions sorted by value, membership lists sorted)."""
+    """A set of pairwise disjoint regions, each of its phi's kind, plus tree
+    membership, stored in canonical order (regions sorted by value,
+    membership lists sorted)."""
 
     phi: str
     regions: tuple[Region, ...]
@@ -572,7 +595,24 @@ class Cover(NamedTuple):
         return obj
 
     def to_json(self, trace: dict | None = None) -> str:
-        return json.dumps(self.to_obj(trace), separators=(",", ":"))
+        """The text ``json.dumps(self.to_obj(trace), separators=(",", ":"))``
+        writes, built without the object: one format string for all the
+        regions, filled in one pass from their flattened values. Each region
+        must be of its phi's kind, as ``Cover.from_obj`` requires."""
+        if self.phi == "hull":
+            vertices = [r.vertices for r in self.regions]
+            form = ",".join(map(_polygon_form, map(len, vertices)))
+            values = chain.from_iterable(chain.from_iterable(vertices))
+        else:
+            _, _, region_form = _PHI_REGION[self.phi]
+            form = ",".join(repeat(region_form, len(self.regions)))
+            values = chain.from_iterable(self.regions)
+        text = '{"phi":%s,"regions":[%s],"membership":%s' % (
+            _compact(self.phi), form % tuple(values), _compact(self.membership)
+        )
+        if trace is not None:
+            text += ',"trace":' + _compact(trace)
+        return text + "}"
 
     @staticmethod
     def from_json(text: str) -> "Cover":
@@ -607,6 +647,20 @@ class Cover(NamedTuple):
             membership = tuple(tuple(map(_int, ms)) for ms in obj["membership"])
             if len(membership) != len(regions):
                 raise ValueError("membership must hold one list of trees per region")
+            # the structure checks follow the value checks, so that a bad
+            # value is named as such in a cover of any shape
+            kind, name, _ = _PHI_REGION[phi]
+            if any(type(r) is not kind for r in regions):
+                raise ValueError(f"a {phi} cover holds only {name} regions")
+            keys = list(map(region_key, regions))
+            if any(map(ge, keys, keys[1:])):
+                raise ValueError("regions must be distinct and in canonical order")
+            if not all(ms and list(ms) == sorted(ms) for ms in membership):
+                raise ValueError("each membership list must be nonempty and sorted")
+            named = sorted(chain.from_iterable(membership))
+            twice = [a for a, b in zip(named, named[1:]) if a == b]
+            if twice:
+                raise ValueError(f"tree {twice[0]} is named twice")
         except (KeyError, TypeError, ValueError) as e:
             raise ParseError(f"malformed cover: {e}") from None
         return Cover(phi, tuple(regions), membership)

@@ -24,11 +24,15 @@ def _is_point(v) -> bool:
 def read_overlay(text: str, m: int):
     """The cover and trace rays of cover JSON drawn over an instance of m
     trees, as (Cover, list of rays or None); raises ParseError when either
-    is malformed or a membership names a tree outside the instance."""
+    is malformed or its membership does not name each of the instance's
+    trees once."""
     obj = load_json(text)
     cover = Cover.from_obj(obj)
     if any(not 0 <= i < m for ms in cover.membership for i in ms):
         raise ParseError(f"malformed cover: membership names a tree not in 0..{m - 1}")
+    # ``from_obj`` refuses a tree named twice, so a count of m names each once
+    if sum(map(len, cover.membership)) != m:
+        raise ParseError(f"malformed cover: membership must name each of the {m} trees")
     trace = obj.get("trace", {})
     if not isinstance(trace, dict):
         raise ParseError("malformed cover: trace must be an object")

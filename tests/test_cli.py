@@ -48,6 +48,7 @@ def assert_usage_error(argv, capsys):
     assert main(argv) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    return lines[0]
 
 
 class TestValidate:
@@ -384,41 +385,57 @@ class TestRender:
         ],
     )
     def test_malformed_trace_is_a_parse_error(self, segment, tmp_path, capsys, trace):
+        # the segment's own cover, so that only the trace is at fault
         cov = tmp_path / "c.json"
         cov.write_text(
-            '{"phi":"hull","regions":[],"membership":[],"trace":' + trace + "}"
+            '{"phi":"hull","regions":[{"vertices":[[0,0],[1,1]]}],"membership":[[0]],'
+            '"trace":' + trace + "}"
         )
         argv = ["render", "--input", segment, "--cover", str(cov),
                 "--output", str(tmp_path / "out.svg")]
-        assert_usage_error(argv, capsys)
+        assert "trace" in assert_usage_error(argv, capsys)
 
+    # each region under the phi of its own kind, so that it can be refused
+    # only by the check its message names
     @pytest.mark.parametrize(
-        "region",
+        "phi, region, message",
         [
-            '{"vertices":[[0.5,0]]}',
-            '{"vertices":[[1e400,0]]}',
-            '{"vertices":[]}',
-            '{"box":["a","b","c","d"]}',
-            '{"box":[0,0,1e400,1]}',
-            '{"circle":[0,0,1e400]}',
-            '{"circle":[NaN,0,1]}',
-            '{"vertices":[[0,0],[5,5],[1,0]]}',  # clockwise
-            pytest.param('{"vertices":[[1%s,0]]}' % ("0" * 400), id="vertex-10^400"),
-            '{"vertices":[[1073741825,0]]}',  # 2^30 + 1
-            '{"vertices":[[0,-1073741825]]}',
-            '{"box":[0,0,1073741825,1]}',
-            '{"circle":[true,false,1]}',
-            pytest.param('{"circle":[1%s,0,1]}' % ("0" * 400), id="circle-10^400"),
-            '{"vertices":[[0,0]],"box":[1,1,2,2]}',
-            '{"box":[0,0,1,1],"circle":[0,0,1]}',
+            pytest.param(phi, region, message, id=region_id or region)
+            for phi, region, message, region_id in [
+                ("hull", '{"vertices":[[0.5,0]]}', "expected an integer, got 0.5", None),
+                ("hull", '{"vertices":[[1e400,0]]}', "expected an integer, got inf", None),
+                ("hull", '{"vertices":[]}', "canonical counter-clockwise order", None),
+                ("box", '{"box":["a","b","c","d"]}', "expected an integer, got 'a'", None),
+                ("box", '{"box":[0,0,1e400,1]}', "expected an integer, got inf", None),
+                ("mincircle", '{"circle":[0,0,1e400]}', "finite numbers", None),
+                ("mincircle", '{"circle":[NaN,0,1]}', "finite numbers", None),
+                # clockwise
+                ("hull", '{"vertices":[[0,0],[5,5],[1,0]]}',
+                 "canonical counter-clockwise order", None),
+                ("hull", '{"vertices":[[1%s,0]]}' % ("0" * 400), "within +-2^30",
+                 "vertex-10^400"),
+                # 2^30 + 1
+                ("hull", '{"vertices":[[1073741825,0]]}', "within +-2^30", None),
+                ("hull", '{"vertices":[[0,-1073741825]]}', "within +-2^30", None),
+                ("box", '{"box":[0,0,1073741825,1]}', "within +-2^30", None),
+                ("mincircle", '{"circle":[true,false,1]}', "finite numbers", None),
+                ("mincircle", '{"circle":[1%s,0,1]}' % ("0" * 400), "finite numbers",
+                 "circle-10^400"),
+                ("hull", '{"vertices":[[0,0]],"box":[1,1,2,2]}', "exactly one of", None),
+                ("box", '{"box":[0,0,1,1],"circle":[0,0,1]}', "exactly one of", None),
+            ]
         ],
     )
-    def test_malformed_region_is_a_parse_error(self, segment, tmp_path, capsys, region):
+    def test_malformed_region_is_a_parse_error(
+        self, segment, tmp_path, capsys, phi, region, message
+    ):
         cov = tmp_path / "c.json"
-        cov.write_text('{"phi":"hull","regions":[' + region + '],"membership":[[0]]}')
+        cov.write_text(
+            '{"phi":"%s","regions":[%s],"membership":[[0]]}' % (phi, region)
+        )
         argv = ["render", "--input", segment, "--cover", str(cov),
                 "--output", str(tmp_path / "out.svg")]
-        assert_usage_error(argv, capsys)
+        assert message in assert_usage_error(argv, capsys)
         assert not (tmp_path / "out.svg").exists()
 
     @pytest.mark.parametrize("phi", ['7', '"circle"', "null"])
@@ -442,6 +459,67 @@ class TestRender:
         argv = ["render", "--input", segment, "--cover", str(cov),
                 "--output", str(tmp_path / "out.svg")]
         assert_usage_error(argv, capsys)
+        assert not (tmp_path / "out.svg").exists()
+
+    @pytest.mark.parametrize(
+        "cover, message",
+        [
+            (
+                '{"phi":"hull","regions":[{"vertices":[[0,0]]},{"vertices":[[0,0]]}],'
+                '"membership":[[0],[1]]}',
+                "regions must be distinct and in canonical order",
+            ),
+            (
+                '{"phi":"hull","regions":[{"vertices":[[5,5]]},{"vertices":[[0,0]]}],'
+                '"membership":[[1],[0]]}',
+                "regions must be distinct and in canonical order",
+            ),
+            (
+                '{"phi":"box","regions":[{"vertices":[[0,0],[5,5]]}],"membership":[[0,1]]}',
+                "a box cover holds only box regions",
+            ),
+            (
+                '{"phi":"hull","regions":[{"box":[0,0,5,5]}],"membership":[[0,1]]}',
+                "a hull cover holds only vertices regions",
+            ),
+            (
+                '{"phi":"hull","regions":[{"vertices":[[0,0],[5,5]]}],"membership":[[1,0]]}',
+                "each membership list must be nonempty and sorted",
+            ),
+            (
+                '{"phi":"hull","regions":[{"vertices":[[0,0],[5,5]]}],"membership":[[]]}',
+                "each membership list must be nonempty and sorted",
+            ),
+            (
+                '{"phi":"hull","regions":[{"vertices":[[0,0]]},{"vertices":[[5,5]]}],'
+                '"membership":[[0],[0]]}',
+                "tree 0 is named twice",
+            ),
+            (
+                '{"phi":"hull","regions":[{"vertices":[[0,0],[5,5]]}],"membership":[[1,1]]}',
+                "tree 1 is named twice",
+            ),
+            (
+                '{"phi":"hull","regions":[{"vertices":[[0,0]]}],"membership":[[0]]}',
+                "membership must name each of the 2 trees",
+            ),
+        ],
+        ids=[
+            "repeated-regions", "unordered-regions", "box-with-vertices", "hull-with-box",
+            "unsorted-membership", "empty-membership", "tree-in-two-lists",
+            "tree-twice-in-a-list", "tree-missing",
+        ],
+    )
+    def test_cover_no_command_writes_is_a_parse_error(self, tmp_path, capsys, cover, message):
+        inst = tmp_path / "points.json"
+        inst.write_text(
+            '{"trees":[{"vertices":[[0,0]],"edges":[]},{"vertices":[[5,5]],"edges":[]}]}'
+        )
+        cov = tmp_path / "c.json"
+        cov.write_text(cover)
+        argv = ["render", "--input", str(inst), "--cover", str(cov),
+                "--output", str(tmp_path / "out.svg")]
+        assert assert_usage_error(argv, capsys) == f"error: malformed cover: {message}"
         assert not (tmp_path / "out.svg").exists()
 
     def test_deterministic_bytes(self, inst_d, tmp_path):

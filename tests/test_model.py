@@ -10,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treecover.cli import main
-from treecover.boxcover import BoxStats
+from treecover.boxcover import BoxStats, box_cover_fast
 from treecover.generators import ARC_MAX_TREES, generate
-from treecover.geom import AABB, COORD_LIMIT, Circle, ConvexPolygon, box_of
-from treecover.hullcover import HullStats
+from treecover.geom import AABB, COORD_LIMIT, Circle, ConvexPolygon, box_of, convex_hull
+from treecover.hullcover import HullStats, hull_cover_fast
 from treecover.model import (
+    GENERATOR_KINDS,
     Cover,
     GenerationError,
     GeometricTree,
@@ -27,7 +28,7 @@ from treecover.model import (
 )
 
 from childenv import child_env
-from instances import CROSSING_TREES, INSTANCE_D, tree
+from instances import CROSSING_TREES, INSTANCE_BARE, INSTANCE_D, tree
 
 
 class TestParse:
@@ -417,6 +418,116 @@ class TestCover:
         assert obj["phi"] == "hull"
         assert obj["regions"] == [{"vertices": [[0, 0], [1, 0], [0, 1]]}]
         assert obj["membership"] == [[0]]
+
+
+def dumped(cover, trace=None):
+    """The cover text as ``json.dumps`` writes the object form."""
+    return json.dumps(cover.to_obj(trace), separators=(",", ":"))
+
+
+FAR = COORD_LIMIT
+
+
+class TestCoverText:
+    """``Cover.to_json`` writes the text itself; it must equal, byte for
+    byte, what ``json.dumps`` writes for ``Cover.to_obj``."""
+
+    @pytest.mark.parametrize("phi", ["hull", "box"])
+    @pytest.mark.parametrize("kind", GENERATOR_KINDS)
+    def test_engine_and_naive_covers(self, kind, phi):
+        from treecover.phicover import PHI, MergePolicy, naive_phi_cover
+
+        engine = hull_cover_fast if phi == "hull" else box_cover_fast
+        for trees, seed in ((3, 0), (12, 1), (20, 2)):
+            inst = generate(kind, trees=trees, size=4, seed=seed)
+            fast, _ = engine(inst)
+            naive, _ = naive_phi_cover(inst, PHI[phi], MergePolicy.random_order(seed))
+            for cover in (fast, naive):
+                assert cover.to_json() == dumped(cover)
+
+    @pytest.mark.parametrize("kind", ["mincircle-gadget", "strips", "combs", "arc"])
+    def test_naive_mincircle_covers(self, kind):
+        from treecover.phicover import PHI, MergePolicy, naive_phi_cover
+
+        inst = generate(kind, trees=8, size=4, seed=1)
+        for seed in range(3):
+            cover, _ = naive_phi_cover(inst, PHI["mincircle"], MergePolicy.random_order(seed))
+            assert all(type(r) is Circle for r in cover.regions)
+            assert cover.to_json() == dumped(cover)
+
+    @pytest.mark.parametrize(
+        "inst",
+        [INSTANCE_BARE, INSTANCE_D, generate("combs", trees=8), generate("arc", trees=30)],
+        ids=["bare", "D", "combs", "arc"],
+    )
+    def test_traced_hull_covers(self, inst):
+        rays: list = []
+        cover, _ = hull_cover_fast(inst, trace=rays)
+        assert rays
+        assert cover.to_json({"rays": rays}) == dumped(cover, {"rays": rays})
+
+    def test_bare_trace_writes_float_ends(self):
+        rays: list = []
+        cover, _ = hull_cover_fast(INSTANCE_BARE, trace=rays)
+        assert '"to":[7.0,7.0],"merge":true' in cover.to_json({"rays": rays})
+
+    def test_extreme_and_negative_coordinates(self):
+        polygon = ConvexPolygon(((-FAR, -FAR), (FAR, -FAR), (FAR, FAR), (-FAR, FAR)))
+        for cover in (
+            Cover.build("hull", [(polygon, [0, 3]), (ConvexPolygon(((-7, -3),)), [1])]),
+            Cover.build("box", [(AABB(-FAR, -FAR, -1, FAR), [0]), (AABB(0, -5, FAR, -2), [1])]),
+            Cover.build(
+                "mincircle", [(Circle(-2.5, -1e-7, 1e300), [0]), (Circle(-0.0, 3, 0), [1])]
+            ),
+        ):
+            assert cover.to_json() == dumped(cover)
+            assert Cover.from_json(cover.to_json()) == cover
+
+    def test_degenerate_polygons_and_several_members(self):
+        cover = Cover.build(
+            "hull",
+            [
+                (ConvexPolygon(((4, 4),)), [7]),
+                (ConvexPolygon(((0, 0), (2, 1))), [2, 0, 5]),
+                (ConvexPolygon(((9, 0), (12, 0), (9, 3))), [1, 3, 4, 6]),
+            ],
+        )
+        assert cover.to_json() == (
+            '{"phi":"hull","regions":[{"vertices":[[0,0],[2,1]]},'
+            '{"vertices":[[4,4]]},{"vertices":[[9,0],[12,0],[9,3]]}],'
+            '"membership":[[0,2,5],[7],[1,3,4,6]]}'
+        )
+        assert cover.to_json() == dumped(cover)
+
+    def test_empty_cover(self):
+        for trace in (None, {"rays": []}):
+            assert Cover("hull", (), ()).to_json(trace) == dumped(Cover("hull", (), ()), trace)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_text_equals_dumps(self, data):
+        coord = st.integers(-FAR, FAR)
+        value = st.floats(allow_nan=False, allow_infinity=False)
+        polygon = st.lists(st.tuples(coord, coord), min_size=1, max_size=8).map(convex_hull)
+        box = st.tuples(coord, coord, coord, coord).map(
+            lambda v: AABB(min(v[0], v[2]), min(v[1], v[3]), max(v[0], v[2]), max(v[1], v[3]))
+        )
+        radius = st.floats(0, 1e300) | st.integers(0, FAR)
+        circle = st.builds(Circle, value | coord, value | coord, radius)
+        phi = data.draw(st.sampled_from(["hull", "box", "mincircle"]))
+        kind = {"hull": polygon, "box": box, "mincircle": circle}[phi]
+        regions = data.draw(st.lists(kind, max_size=12))
+        membership = data.draw(
+            st.lists(
+                st.lists(st.integers(0, 10**6), max_size=5).map(tuple),
+                min_size=len(regions), max_size=len(regions),
+            )
+        )
+        point = st.lists(value | coord, min_size=2, max_size=2)
+        ray = st.fixed_dictionaries({"from": point, "to": point, "merge": st.booleans()})
+        trace = data.draw(st.none() | st.fixed_dictionaries({"rays": st.lists(ray, max_size=4)}))
+        cover = Cover(phi, tuple(regions), tuple(membership))
+        assert cover.to_json(trace) == dumped(cover, trace)
 
 
 # for each immutable record: a builder of one value, a builder of a value
